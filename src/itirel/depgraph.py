@@ -8,7 +8,7 @@ detection, argument search, entity recognition) works on these graphs.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -135,7 +135,12 @@ def span_text(g: SentenceGraph, span: TokenSpan) -> str:
 def _finish_sentence(sent_id: Optional[str], text: Optional[str],
                      tokens: list[Token], index: int) -> SentenceGraph:
     sid = sent_id if sent_id is not None else f"s{index}"
-    ids = {t.id for t in tokens}
+    ids: set[int] = set()
+    for t in tokens:
+        if t.id < 1 or t.id in ids:
+            problem = "is below 1" if t.id < 1 else "is duplicated"
+            raise StructureError(f"token id {t.id} {problem}", sid)
+        ids.add(t.id)
     roots = [t for t in tokens if t.head == 0]
     for t in tokens:
         if t.head == t.id:

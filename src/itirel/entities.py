@@ -290,7 +290,7 @@ def _temporal_from_marker(g, toks, i, match, lex):
                           span_text(g, span)), evidence + 1
 
 
-def _bare_date(g, toks, i, lex):
+def _bare_date(g, toks, i):
     """Unmarked calendar reference: [day] <month> [year]."""
     month = None
     start = i
@@ -325,7 +325,7 @@ def recognize_temporal(g: SentenceGraph, within: TokenSpan,
                 out.append(ent)
                 i = nxt
                 continue
-        made = _bare_date(g, toks, i, lex)
+        made = _bare_date(g, toks, i)
         if made is not None:
             ent, nxt = made
             out.append(ent)

@@ -6,6 +6,10 @@ entity (the polysemy filter: "il a quitté sa femme" has the verb but no
 spatial entity, so no displacement is read).  Prepositions assign roles
 first (de/depuis -> origin, vers/pour/à -> destination, par -> intermediate);
 the bare-object entity falls to the verb polarity's default side.
+
+Itineraries are read only from n-ary relations, which a clause gives only
+when it matches a use-case (UC1-UC4): « Il sort de Pau. » has one
+prepositional complement, no UC3, so no relation, itinerary or skip reason.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .depgraph import NoMainVerb, SentenceGraph, TokenSpan, root_verb
+from .depgraph import SentenceGraph, TokenSpan
 from .entities import (SpatialEntity, TemporalEntity, recognize_spatial,
                        recognize_temporal)
 from .lexicon import LexiconSet, VerbPolarity, motion_polarity, normalize
-from .nary import Argument, NaryRelation, extract_nary
+from .nary import Argument, NaryRelation
 
 ORIGIN_PREPS = frozenset({"de", "depuis", "dès"})
 DESTINATION_PREPS = frozenset({"vers", "pour", "à", "jusque", "jusqu à", "en"})
@@ -124,33 +128,3 @@ def detect_displacement(relation: NaryRelation, g: SentenceGraph,
                              destination=destination,
                              temporal=tuple(temporal),
                              source_nary=relation, sent_id=relation.sent_id)
-
-
-@dataclass(frozen=True)
-class SkipRecord:
-    sent_id: str
-    reason: str
-
-
-def extract_itineraries(corpus: Sequence[SentenceGraph], lex: LexiconSet,
-                        loose: bool = False,
-                        report: Optional[list[SkipRecord]] = None
-                        ) -> list[ItineraryRelation]:
-    """Itinerary relations over a corpus, sentence granularity, input order.
-
-    Per-sentence problems (no main verb) go into ``report`` when given and
-    never abort the corpus.
-    """
-    out: list[ItineraryRelation] = []
-    for g in corpus:
-        try:
-            root_verb(g)
-        except NoMainVerb:
-            if report is not None:
-                report.append(SkipRecord(g.sent_id, "no main verb"))
-            continue
-        for relation in extract_nary(g, lex):
-            found = detect_displacement(relation, g, lex, loose)
-            if found is not None:
-                out.append(found)
-    return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -241,13 +241,9 @@ def _overlap_notices(name: str, phrases) -> list[str]:
                 continue
             if any(wb[i:i + len(wa)] == wa
                    for i in range(len(wb) - len(wa) + 1)):
-                kind = "a prefix" if wb[:len(wa)] == wa else "contained in"
-                if kind == "a prefix":
-                    out.append(f"{name}: marker {pa!r} is a prefix of {pb!r} "
-                               "(longest match wins)")
-                else:
-                    out.append(f"{name}: marker {pa!r} is contained in {pb!r} "
-                               "(longest match wins)")
+                kind = "a prefix of" if wb[:len(wa)] == wa else "contained in"
+                out.append(f"{name}: marker {pa!r} is {kind} {pb!r} "
+                           "(longest match wins)")
     return out
 
 

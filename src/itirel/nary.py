@@ -18,7 +18,7 @@ argument.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -37,6 +37,7 @@ class UseCaseKind(str, Enum):
 SUBJECT_RELS = {"nsubj", "csubj"}
 OBJECT_RELS = {"obj", "iobj"}
 OBLIQUE_RELS = {"obl"}
+NOMINAL_RELS = SUBJECT_RELS | OBJECT_RELS | OBLIQUE_RELS
 
 # Markers for causal/purpose/means adverbial clauses (UC1).  Matched against
 # the advcl's `mark` token joined with its `fixed` dependents.
@@ -176,10 +177,9 @@ def _role_for(g: SentenceGraph, pivot: int) -> tuple[str, Optional[int]]:
     rel = base_rel(g.token(pivot).deprel)
     if rel in SUBJECT_RELS:
         return "subj", None
-    if rel in OBJECT_RELS:
-        cases = dependents(g, pivot, {"case"})
-        return "obj", (cases[0] if cases else None)
     cases = dependents(g, pivot, {"case"})
+    if rel in OBJECT_RELS:
+        return "obj", (cases[0] if cases else None)
     if cases:
         return g.token(cases[0]).lemma.casefold(), cases[0]
     return rel, None
@@ -215,20 +215,9 @@ def _argument_for(g: SentenceGraph, pivot: int,
     return out
 
 
-def _arguments(g: SentenceGraph, struct: _PivotStruct) -> list[Argument]:
-    args: list[Argument] = []
-    nominals = []
-    if struct.subject is not None:
-        nominals.append(struct.subject)
-    nominals.extend(struct.objects)
-    nominals.extend(nom for _, nom in struct.obliques)
-    for pivot in sorted(set(nominals)):
-        args.extend(_argument_for(g, pivot))
-    return args
-
-
 def extract_arguments(g: SentenceGraph, pivots: Sequence[int]) -> list[Argument]:
-    """One argument per non-verb nominal pivot.
+    """One argument per nominal pivot: a subject, object or oblique
+    dependent of a verb, the relations the pivots are found by.
 
     The governing preposition is excluded from the span and recorded as the
     role; enumerations under a pivot are split into ordered item arguments.
@@ -236,14 +225,14 @@ def extract_arguments(g: SentenceGraph, pivots: Sequence[int]) -> list[Argument]
     args: list[Argument] = []
     for p in pivots:
         tok = g.token(p)
-        if tok.upos in ("VERB", "AUX", "ADP", "SCONJ", "PART"):
+        if (base_rel(tok.deprel) not in NOMINAL_RELS or tok.head == 0
+                or g.token(tok.head).upos != "VERB"):
             continue
         args.extend(_argument_for(g, p))
     return args
 
 
-def _use_cases_for(g: SentenceGraph, verb: int,
-                   lex: LexiconSet) -> list[UseCaseKind]:
+def _use_cases_for(g: SentenceGraph, verb: int) -> list[UseCaseKind]:
     found: list[UseCaseKind] = []
     for c in dependents(g, verb, {"advcl"}):
         phrase = _mark_phrase(g, c)
@@ -262,13 +251,13 @@ def _use_cases_for(g: SentenceGraph, verb: int,
     return found
 
 
-def identify_use_cases(g: SentenceGraph, lex: LexiconSet) -> list[UseCaseKind]:
+def identify_use_cases(g: SentenceGraph) -> list[UseCaseKind]:
     """Every use-case whose syntactic pattern matches the sentence."""
     try:
         verb = root_verb(g)
     except NoMainVerb:
         return []
-    return _use_cases_for(g, verb, lex)
+    return _use_cases_for(g, verb)
 
 
 def _reason_arguments(g: SentenceGraph, verb: int) -> list[Argument]:
@@ -325,10 +314,10 @@ def extract_nary(g: SentenceGraph, lex: LexiconSet) -> list[NaryRelation]:
     for verb in verbs:
         struct = (_pivot_struct(g, verb, inherited_subject=main_struct.subject)
                   if verb != verbs[0] else main_struct)
-        use_cases = _use_cases_for(g, verb, lex)
+        use_cases = _use_cases_for(g, verb)
         if not use_cases:
             continue
-        base = _arguments(g, struct)
+        base = extract_arguments(g, struct.token_ids())
         lemma = g.token(verb).lemma
         for uc in use_cases:
             if uc is UseCaseKind.UC1_ADDITIONAL_INFO:

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import __version__
 from .depgraph import NoMainVerb, SentenceGraph, TokenSpan, parse_conllu, root_verb
 from .entities import SpatialEntity, TemporalEntity
-from .itinerary import (ItineraryRelation, SkipRecord, detect_displacement)
+from .itinerary import ItineraryRelation, detect_displacement
 from .lexicon import (FILE_NAMES, LexiconSet, SpatialRelationKind,
                       TemporalRelationKind, VerbPolarity, load_lexicons)
 from .nary import Argument, NaryRelation, UseCaseKind, extract_nary
-
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -31,6 +30,12 @@ class SentenceResult:
     nary_relations: tuple[NaryRelation, ...]
     itinerary_relations: tuple[ItineraryRelation, ...]
     skips: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class SkipRecord:
+    sent_id: str
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -52,30 +57,47 @@ def lexicon_fingerprint(directory) -> str:
     return digest.hexdigest()
 
 
+def extract_sentence(g: SentenceGraph, lex: LexiconSet,
+                     loose: bool = False) -> SentenceResult:
+    """The pipeline on one sentence: its n-ary relations, the itinerary
+    relations read from them, or the reason it was skipped."""
+    try:
+        root_verb(g)
+    except NoMainVerb:
+        return SentenceResult(g.sent_id, g.text, (), (), ("no main verb",))
+    narys = tuple(extract_nary(g, lex))
+    itins: list[ItineraryRelation] = []
+    for r in narys:
+        found = detect_displacement(r, g, lex, loose)
+        if found is not None:
+            itins.append(found)
+    return SentenceResult(g.sent_id, g.text, narys, tuple(itins), ())
+
+
 def build_document(graphs: Sequence[SentenceGraph], lex: LexiconSet,
                    loose: bool = False,
                    fingerprint: str = "") -> ExtractionDocument:
-    sentences = []
-    for g in graphs:
-        skips: list[str] = []
-        narys: tuple[NaryRelation, ...] = ()
-        itins: list[ItineraryRelation] = []
-        try:
-            root_verb(g)
-        except NoMainVerb:
-            skips.append("no main verb")
-        else:
-            narys = tuple(extract_nary(g, lex))
-            for r in narys:
-                found = detect_displacement(r, g, lex, loose)
-                if found is not None:
-                    itins.append(found)
-        sentences.append(SentenceResult(
-            sent_id=g.sent_id, text=g.text, nary_relations=narys,
-            itinerary_relations=tuple(itins), skips=tuple(skips)))
-    return ExtractionDocument(tool_version=TOOL_VERSION,
-                              lexicon_fingerprint=fingerprint,
-                              sentences=tuple(sentences))
+    return ExtractionDocument(
+        tool_version=__version__, lexicon_fingerprint=fingerprint,
+        sentences=tuple([extract_sentence(g, lex, loose) for g in graphs]))
+
+
+def extract_itineraries(corpus: Sequence[SentenceGraph], lex: LexiconSet,
+                        loose: bool = False,
+                        report: Optional[list[SkipRecord]] = None
+                        ) -> list[ItineraryRelation]:
+    """Itinerary relations over a corpus, sentence granularity, input order.
+
+    Per-sentence problems (no main verb) go into ``report`` when given and
+    never abort the corpus.
+    """
+    out: list[ItineraryRelation] = []
+    for g in corpus:
+        result = extract_sentence(g, lex, loose)
+        out.extend(result.itinerary_relations)
+        if report is not None:
+            report.extend(SkipRecord(g.sent_id, r) for r in result.skips)
+    return out
 
 
 def run_extract(conllu_text: str, lexicon_dir,
@@ -128,7 +150,7 @@ def _itinerary_dict(r: ItineraryRelation, narys: Sequence[NaryRelation]) -> dict
             "intermediate": [_spatial_dict(e) for e in r.intermediate],
             "destination": [_spatial_dict(e) for e in r.destination],
             "temporal": [_temporal_dict(e) for e in r.temporal],
-            "source_nary": list(narys).index(r.source_nary)}
+            "source_nary": narys.index(r.source_nary)}
 
 
 def to_json(doc: ExtractionDocument) -> str:
@@ -213,6 +235,9 @@ def from_json(text: str) -> ExtractionDocument:
 
 _IRI_OK = re.compile(r'^[A-Za-z][A-Za-z0-9+.\-]*:[^\s<>"{}|^`\\]*$')
 
+# Characters an IRIREF forbids (all ASCII), percent-encoded in verb IRIs.
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+
 _TTL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
                 "\t": "\\t"}
 
@@ -262,8 +287,10 @@ def to_turtle(doc: ExtractionDocument, base_iri: str) -> str:
             counter += 1
             subject = f"<{base_iri}{sep}relation/{counter}>"
             indent = "    "
+            verb = _IRI_FORBIDDEN.sub(lambda m: f"%{ord(m.group()):02X}",
+                                      r.verb_lemma)
             pairs: list[tuple[str, str]] = [
-                ("a", f"<{base_iri}{sep}verb/{r.verb_lemma}>"),
+                ("a", f"<{base_iri}{sep}verb/{verb}>"),
                 ("itx:verb", _lit(r.verb_lemma)),
                 ("itx:polarity", _lit(r.polarity.value)),
             ]

@@ -95,14 +95,14 @@ def test_acceptance_5_sortir_itinerary(gold, lex):
     _check(5, "sortir itinerary", ok)
 
 
-def test_acceptance_6_use_case_identification(gold, lex):
+def test_acceptance_6_use_case_identification(gold):
     expected = {
         "gold-02": UseCaseKind.UC1_ADDITIONAL_INFO,
         "gold-03": UseCaseKind.UC2_OBJECT_DETAIL,
         "gold-01": UseCaseKind.UC3_NO_PRIMARY_ARGUMENT,
         "gold-04": UseCaseKind.UC4_ORDERED_LIST,
     }
-    hits = sum(identify_use_cases(gold[sid], lex) == [uc]
+    hits = sum(identify_use_cases(gold[sid]) == [uc]
                for sid, uc in expected.items())
     _check(6, f"use-case identification {hits}/4", hits == 4)
 

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import itirel
 from itirel import bundled_lexicon_dir, run_extract, to_json
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 
@@ -85,6 +90,25 @@ class TestExtract:
                        encoding="utf-8")
         assert main(["extract", str(bad)]) == EXIT_CONLLU
 
+    @pytest.mark.parametrize("rows, reason", [
+        (["1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_",
+          "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_",
+          "0\t.\t.\tPUNCT\t_\t_\t2\tpunct\t_\t_"],
+         "token id 0 is below 1"),
+        (["1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_",
+          "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_",
+          "2\t.\t.\tPUNCT\t_\t_\t1\tpunct\t_\t_"],
+         "token id 2 is duplicated"),
+    ], ids=["id-zero", "duplicate-id"])
+    def test_bad_token_ids_exit_3(self, tmp_path, capsys, rows, reason):
+        bad = tmp_path / "bad.conllu"
+        bad.write_text("\n".join(["# sent_id = bad"] + rows) + "\n",
+                       encoding="utf-8")
+        assert main(["extract", str(bad)]) == EXIT_CONLLU
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"itirel: conllu: sentence 'bad': {reason}\n"
+
     def test_missing_input_file_exits_3(self, tmp_path, capsys):
         assert main(["extract", str(tmp_path / "nope.conllu")]) == EXIT_CONLLU
         assert "no such input file" in capsys.readouterr().err
@@ -141,3 +165,15 @@ class TestEntrypoint:
         with pytest.raises(SystemExit) as exc:
             entrypoint()
         assert exc.value.code == EXIT_OK
+
+    def test_python_m_runs_the_cli(self, gold_file, capsys):
+        assert main(["extract", str(gold_file)]) == EXIT_OK
+        expected = capsys.readouterr().out.encode("utf-8")
+        src = str(Path(itirel.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "itirel.cli", "extract", str(gold_file)],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == expected

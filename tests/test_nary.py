@@ -85,6 +85,32 @@ class TestArguments:
         (_, obj) = extract_arguments(g, pivot_tokens(g))
         assert obj.flagged and obj.span == TokenSpan(2, 4)
 
+    def test_clausal_subject_is_an_argument(self):
+        # "Que tu partes surprend Marie": the subject is a clause (a VERB)
+        g = build([(1, "Que", "que", "SCONJ", 3, "mark"),
+                   (2, "tu", "tu", "PRON", 3, "nsubj"),
+                   (3, "partes", "partir", "VERB", 4, "csubj"),
+                   (4, "surprend", "surprendre", "VERB", 0, "root"),
+                   (5, "Marie", "Marie", "PROPN", 4, "obj")])
+        args = extract_arguments(g, pivot_tokens(g))
+        assert [(a.role, a.text) for a in args] == [
+            ("subj", "Que tu partes"), ("obj", "Marie")]
+
+    def test_verb_under_auxiliary_root_is_not_an_argument(self, lex):
+        # "Il est sorti de Pau vers Laruns" with the auxiliary parsed as the
+        # root and the participle hanging under it by a nominal relation
+        g = build([(1, "Il", "il", "PRON", 3, "nsubj"),
+                   (2, "est", "être", "AUX", 0, "root"),
+                   (3, "sorti", "sortir", "VERB", 2, "obj"),
+                   (4, "de", "de", "ADP", 5, "case"),
+                   (5, "Pau", "Pau", "PROPN", 3, "obl"),
+                   (6, "vers", "vers", "ADP", 7, "case"),
+                   (7, "Laruns", "Laruns", "PROPN", 3, "obl")])
+        want = ["Il", "Pau", "Laruns"]
+        assert [a.text for a in extract_arguments(g, pivot_tokens(g))] == want
+        (relation,) = extract_nary(g, lex)
+        assert [a.text for a in relation.arguments] == want
+
     def test_matches_brute_force_oracle(self, all_graphs):
         for g in all_graphs:
             if len(g.tokens) > 12:
@@ -99,7 +125,7 @@ class TestArguments:
 
 
 class TestUseCases:
-    def test_gold_identification(self, gold, lex):
+    def test_gold_identification(self, gold):
         expected = {
             "gold-01": [UseCaseKind.UC3_NO_PRIMARY_ARGUMENT],
             "gold-02": [UseCaseKind.UC1_ADDITIONAL_INFO],
@@ -111,13 +137,13 @@ class TestUseCases:
             "gold-08": [],
         }
         for sid, want in expected.items():
-            assert identify_use_cases(gold[sid], lex) == want, sid
+            assert identify_use_cases(gold[sid]) == want, sid
 
-    def test_purpose_pour_on_infinitive_is_not_a_destination(self, gold, lex):
+    def test_purpose_pour_on_infinitive_is_not_a_destination(self, gold):
         # gold-03 has "pour faire ..." as advcl of the relative verb, not of
         # the main verb: no UC1 at sentence level
         assert UseCaseKind.UC1_ADDITIONAL_INFO \
-            not in identify_use_cases(gold["gold-03"], lex)
+            not in identify_use_cases(gold["gold-03"])
 
 
 class TestRelations:

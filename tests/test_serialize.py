@@ -1,10 +1,14 @@
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
-from itirel import (bundled_lexicon_dir, from_json, lexicon_fingerprint,
+from itirel import (build_document, bundled_lexicon_dir, extract_sentence,
+                    from_json, lexicon_fingerprint, load_lexicons,
                     run_extract, to_json, to_turtle)
+
+from conftest import build
 
 from turtle_check import parse_turtle
 
@@ -31,6 +35,23 @@ class TestDocument:
         by_id = {s.sent_id: s for s in doc.sentences}
         assert by_id["gold-07"].skips == ("no main verb",)
         assert by_id["gold-01"].skips == ()
+
+    def test_one_extract_sentence_per_graph(self, doc, gold, lex):
+        assert doc.sentences == tuple(extract_sentence(g, lex)
+                                      for g in gold.values())
+
+    def test_single_prepositional_complement_gives_nothing(self, lex):
+        # « Il sort de Pau. »: one prepositional complement is no UC3, so no
+        # relation, hence no itinerary and no skip reason
+        g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
+                   (2, "sort", "sortir", "VERB", 0, "root"),
+                   (3, "de", "de", "ADP", 4, "case"),
+                   (4, "Pau", "Pau", "PROPN", 2, "obl"),
+                   (5, ".", ".", "PUNCT", 2, "punct")])
+        result = extract_sentence(g, lex)
+        assert (result.nary_relations, result.itinerary_relations,
+                result.skips) == ((), (), ())
+        assert build_document([g], lex).sentences == (result,)
 
     def test_fingerprint_changes_iff_lexicon_bytes_change(self, tmp_path):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
@@ -122,6 +143,33 @@ class TestTurtle:
     def test_literal_escaping(self, doc):
         text = to_turtle(doc, BASE)
         parse_turtle(text)  # no bare quotes/newlines leak into literals
+
+    def test_verb_lemma_with_a_space_gives_a_valid_iri(self, tmp_path):
+        lexdir = tmp_path / "lexicons"
+        shutil.copytree(bundled_lexicon_dir(), lexdir)
+        with open(lexdir / "motion_verbs.tsv", "a", encoding="utf-8") as f:
+            f.write("\ns'en aller\tinitial\n")
+        g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
+                   (2, "va", "s'en aller", "VERB", 0, "root"),
+                   (3, "de", "de", "ADP", 4, "case"),
+                   (4, "Pau", "Pau", "PROPN", 2, "obl"),
+                   (5, "vers", "vers", "ADP", 6, "case"),
+                   (6, "Laruns", "Laruns", "PROPN", 2, "obl")])
+        doc = build_document([g], load_lexicons(lexdir))
+        triples = parse_turtle(to_turtle(doc, BASE))
+        assert [t.object for t in triples if t.predicate == RDF_TYPE] == [
+            f"{BASE}/verb/s'en%20aller"]
+
+    def test_only_iriref_forbidden_characters_are_encoded(self, doc):
+        sentence = next(s for s in doc.sentences if s.itinerary_relations)
+        itin = replace(sentence.itinerary_relations[0],
+                       verb_lemma='a b\t<c>"d{e}|f^g`h\\i\x01é\'%j')
+        one = replace(doc, sentences=(
+            replace(sentence, itinerary_relations=(itin,)),))
+        text = to_turtle(one, BASE)
+        triples = parse_turtle(text)
+        assert [t.object for t in triples if t.predicate == RDF_TYPE] == [
+            f"{BASE}/verb/a%20b%09%3Cc%3E%22d%7Be%7D%7Cf%5Eg%60h%5Ci%01é'%j"]
 
     def test_invalid_base_iri_rejected(self, doc):
         for bad in ("not an iri", "no-scheme", "1http://x", "http://a b"):
