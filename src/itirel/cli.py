@@ -6,7 +6,8 @@ Subcommands:
                  [--base-iri IRI] [--loose-toponyms] [--out-dir DIR]
   itirel lexicon validate [DIR]
 
-Exit codes: 0 success, 2 lexicon/usage error, 3 CoNLL-U structural error.
+Exit codes: 0 success, 2 lexicon/usage error (also a lexicon file that is not
+UTF-8), 3 CoNLL-U error (also input that is not UTF-8).
 Logs go to stderr only; single-format output goes to stdout.
 """
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .depgraph import ConlluParseError, StructureError
 from .lexicon import (LexiconError, bundled_lexicon_dir, load_lexicons,
-                      validate_lexicons)
+                      utf8_error, validate_lexicons)
 from .serialize import run_extract, to_json, to_turtle
 
 EXIT_OK = 0
@@ -60,21 +61,29 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _read_input(name: str) -> str:
+    """The CoNLL-U input (a path, or - for stdin) as strict UTF-8, with
+    universal newlines as a text-mode read gives: CRLF input parses as LF."""
+    data = sys.stdin.buffer.read() if name == "-" else Path(name).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no, problem = utf8_error(data, err)
+        raise ConlluParseError(problem, line_no) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _cmd_extract(args) -> int:
     lexicon_dir = Path(args.lexicons) if args.lexicons else bundled_lexicon_dir()
     if args.format in ("turtle", "both") and not args.base_iri:
         return _fail("--base-iri is required for turtle output", EXIT_LEXICON)
     if args.format == "both" and not args.out_dir:
         return _fail("--out-dir is required with --format both", EXIT_LEXICON)
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        path = Path(args.input)
-        if not path.is_file():
-            return _fail(f"no such input file: {path}", EXIT_CONLLU)
-        text = path.read_text(encoding="utf-8")
+    if args.input != "-" and not Path(args.input).is_file():
+        return _fail(f"no such input file: {Path(args.input)}", EXIT_CONLLU)
     try:
-        doc = run_extract(text, lexicon_dir, loose=args.loose_toponyms)
+        doc = run_extract(_read_input(args.input), lexicon_dir,
+                          loose=args.loose_toponyms)
     except LexiconError as err:
         for problem in err.problems:
             print(f"itirel: lexicon: {problem}", file=sys.stderr)

@@ -1,17 +1,18 @@
 """Recognition and classification of spatial and temporal entities.
 
-Both recognizers scan a token span left to right, matching marker phrases
-from the lexicon (longest match wins, French contractions folded: du ~ de,
-aux ~ à) and toponyms from the gazetteer.  Matched tokens are consumed, so
-entities never overlap and a relational entity suppresses the bare toponym
-inside it ("près de Lyon" hides a separate absolute "Lyon").
+Both recognizers scan a token span left to right and ask the lexicon's
+phrase indexes (``lexicon.PhraseIndex``) for the longest marker or toponym
+at each token: markers with French contractions folded (du ~ de, aux ~ à),
+toponyms without.  Matched tokens are consumed, so entities never overlap
+and a relational entity suppresses the bare toponym inside it ("près de
+Lyon" hides a separate absolute "Lyon").
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .depgraph import SentenceGraph, Token, TokenSpan, span_text
 from .lexicon import (LexiconSet, SpatialRelationKind, TemporalRelationKind,
@@ -93,32 +94,15 @@ def number_value(tok: Token) -> Optional[int]:
     return FRENCH_NUMBERS.get(normalize(tok.form))
 
 
-def _canon(tok: Token) -> str:
-    return canon_word(normalize(tok.form))
-
-
 def _unit_class(tok: Token, lex: LexiconSet) -> Optional[str]:
     return lex.units.get(tok.lemma.casefold())
 
 
-def _match_marker(toks: Sequence[Token], i: int, seq):
-    """Longest marker match at position i -> (n_tokens, phrase, kind)."""
-    for words, phrase, kind in seq:
-        n = len(words)
-        if i + n <= len(toks) and all(
-                _canon(toks[i + k]) == words[k] for k in range(n)):
-            return n, words, phrase, kind
-    return None
-
-
-def _match_toponym(toks: Sequence[Token], i: int, lex: LexiconSet,
-                   loose: bool):
+def _match_toponym(toks, i, lex, loose):
     """Longest gazetteer match at i -> (n_tokens, display name, loose?)."""
-    for words, display in lex.gazetteer_seq:
-        n = len(words)
-        if i + n <= len(toks) and all(
-                normalize(toks[i + k].form) == words[k] for k in range(n)):
-            return n, display, False
+    hit = lex.gazetteer_index.match(toks, i)
+    if hit is not None:
+        return hit[0], hit[2], False
     tok = toks[i]
     if loose and tok.upos == "PROPN" and tok.form[:1].isupper():
         return 1, tok.form, True
@@ -178,7 +162,7 @@ def _spatial_from_marker(g, toks, i, match, lex, loose):
         value = number_value(toks[j])
         if value is None or _unit_class(toks[j + 1], lex) != "spatial":
             return None
-        if _canon(toks[j + 2]) != "de":
+        if canon_word(normalize(toks[j + 2].form)) != "de":
             return None
         hit = _match_toponym(toks, j + 3, lex, loose)
         if hit is None:
@@ -218,7 +202,7 @@ def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
     out: list[SpatialEntity] = []
     i = 0
     while i < len(toks):
-        match = _match_marker(toks, i, lex.spatial_marker_seq)
+        match = lex.spatial_marker_index.match(toks, i)
         if match is not None:
             made = _spatial_from_marker(g, toks, i, match, lex, loose)
             if made is not None:
@@ -238,18 +222,16 @@ def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
     return out
 
 
-def _reference_window(toks, j, lex, seq):
-    """Indices j..end of the phrase after a marker, plus the index of the
-    last token carrying temporal evidence (month, digits, temporal unit)."""
-    w = j
+def _reference_window(toks, j, lex):
+    """Index of the last token with temporal evidence (month, digits,
+    temporal unit) from j to the next punctuation, verb or temporal marker."""
     evidence = None
-    while w < len(toks):
-        tok = toks[w]
-        if tok.upos in ("PUNCT", "VERB") or _match_marker(toks, w, seq):
+    for w in range(j, len(toks)):
+        if toks[w].upos in ("PUNCT", "VERB") or \
+                lex.temporal_marker_index.match(toks, w):
             break
-        if _temporal_evidence(tok, lex):
+        if _temporal_evidence(toks[w], lex):
             evidence = w
-        w += 1
     return evidence
 
 
@@ -270,8 +252,7 @@ def _temporal_from_marker(g, toks, i, match, lex):
         if i >= 2:
             value = number_value(toks[i - 2])
             if value is not None and _unit_class(toks[i - 1], lex) == "temporal":
-                evidence = _reference_window(toks, j, lex,
-                                             lex.temporal_marker_seq)
+                evidence = _reference_window(toks, j, lex)
                 if evidence is not None:
                     unit = toks[i - 1].lemma.casefold()
                     span = TokenSpan(toks[i - 2].id, toks[evidence].id)
@@ -281,7 +262,7 @@ def _temporal_from_marker(g, toks, i, match, lex):
                                           span_text(g, span)), evidence + 1
         return None
 
-    evidence = _reference_window(toks, j, lex, lex.temporal_marker_seq)
+    evidence = _reference_window(toks, j, lex)
     if evidence is None:
         return None
     span = TokenSpan(toks[i].id, toks[evidence].id)
@@ -317,7 +298,7 @@ def recognize_temporal(g: SentenceGraph, within: TokenSpan,
     out: list[TemporalEntity] = []
     i = 0
     while i < len(toks):
-        match = _match_marker(toks, i, lex.temporal_marker_seq)
+        match = lex.temporal_marker_index.match(toks, i)
         if match is not None:
             made = _temporal_from_marker(g, toks, i, match, lex)
             if made is not None:

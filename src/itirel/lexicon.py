@@ -67,8 +67,31 @@ def canon_word(word: str) -> str:
     return _CONTRACTIONS.get(word, word)
 
 
-def canon_words(phrase: str) -> tuple[str, ...]:
-    return tuple(canon_word(w) for w in normalize(phrase).split())
+class PhraseIndex:
+    """Longest-match lookup of phrases by their folded, normalized words;
+    of phrases with the same words, the smallest in code-point order wins."""
+
+    def __init__(self, phrases: Mapping[str, object], fold=str):
+        self.fold = fold
+        self.entries: dict[tuple[str, ...], tuple] = {}
+        for phrase, value in phrases.items():
+            words = self.key(phrase)
+            if words not in self.entries or phrase < self.entries[words][1]:
+                self.entries[words] = (words, phrase, value)
+        self.max_len = max(map(len, self.entries), default=0)
+
+    def key(self, phrase: str) -> tuple[str, ...]:
+        return tuple(self.fold(w) for w in normalize(phrase).split())
+
+    def match(self, toks, i: int):
+        """Longest phrase at toks[i:] -> (n_tokens, words, phrase, value)."""
+        forms = tuple(self.fold(normalize(t.form))
+                      for t in toks[i:i + self.max_len])
+        for n in range(len(forms), 0, -1):
+            hit = self.entries.get(forms[:n])
+            if hit is not None:
+                return (n, *hit)
+        return None
 
 
 FILE_NAMES = ("motion_verbs.tsv", "spatial_markers.tsv",
@@ -93,21 +116,16 @@ class LexiconSet:
     units: Mapping[str, str]      # unit lemma -> 'spatial' | 'temporal'
 
     @cached_property
-    def spatial_marker_seq(self) -> tuple[tuple[tuple[str, ...], str, SpatialRelationKind], ...]:
-        """(canonical words, phrase, kind), longest phrases first."""
-        items = [(canon_words(p), p, k) for p, k in self.spatial_markers.items()]
-        return tuple(sorted(items, key=lambda x: (-len(x[0]), x[1])))
+    def spatial_marker_index(self) -> PhraseIndex:
+        return PhraseIndex(self.spatial_markers, fold=canon_word)
 
     @cached_property
-    def temporal_marker_seq(self) -> tuple[tuple[tuple[str, ...], str, TemporalRelationKind], ...]:
-        items = [(canon_words(p), p, k) for p, k in self.temporal_markers.items()]
-        return tuple(sorted(items, key=lambda x: (-len(x[0]), x[1])))
+    def temporal_marker_index(self) -> PhraseIndex:
+        return PhraseIndex(self.temporal_markers, fold=canon_word)
 
     @cached_property
-    def gazetteer_seq(self) -> tuple[tuple[tuple[str, ...], str], ...]:
-        """(normalized words, display name), longest names first."""
-        items = [(tuple(normalize(name).split()), name) for name in self.gazetteer]
-        return tuple(sorted(items, key=lambda x: (-len(x[0]), x[1])))
+    def gazetteer_index(self) -> PhraseIndex:
+        return PhraseIndex(self.gazetteer)
 
     @cached_property
     def figure_nouns(self) -> frozenset[str]:
@@ -115,9 +133,21 @@ class LexiconSet:
                          if k is SpatialRelationKind.GEOMETRIC_FIGURE)
 
 
+def utf8_error(data: bytes, err: UnicodeDecodeError) -> tuple[int, str]:
+    """(line number, message) for a strict UTF-8 decoding error of data."""
+    line_no = data.count(b"\n", 0, err.start) + 1
+    return line_no, f"invalid UTF-8 byte 0x{data[err.start]:02x}"
+
+
 def _read_tsv(path: Path, n_cols: int, optional_second: bool = False):
     """Yield (line_no, columns) for data lines; '#' comments and blanks skipped."""
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no, problem = utf8_error(data, err)
+        raise LexiconError([f"{path.name}:{line_no}: {problem}"]) from None
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue
@@ -180,8 +210,9 @@ def load_lexicons(directory) -> LexiconSet:
     gaz_lines: dict[str, int] = {}
     for line_no, (name, ftype) in _read_tsv(directory / "gazetteer.tsv", 2,
                                             optional_second=True):
-        if not name:
-            problems.append(f"gazetteer.tsv:{line_no}: empty toponym")
+        if not normalize(name):
+            problems.append(f"gazetteer.tsv:{line_no}: empty toponym {name!r} "
+                            "(no words after normalization)")
             continue
         if name in gazetteer and gazetteer[name] != ftype:
             problems.append(
@@ -275,10 +306,20 @@ def validate_lexicons(lex: LexiconSet) -> ValidationReport:
         notices.append("gazetteer empty: Absolute spatial entities cannot "
                        "be recognized")
     marker_phrases = set(lex.spatial_markers) | set(lex.temporal_markers)
+    toponyms = lex.gazetteer_index
     for name in sorted(lex.gazetteer):
+        words = toponyms.key(name)
+        if not words:
+            errors.append(f"gazetteer: empty toponym {name!r} "
+                          "(no words after normalization)")
+            continue
         if normalize(name) in marker_phrases or normalize(name) in lex.units:
             notices.append(f"gazetteer entry {name!r} collides with a "
                            "common-noun marker or unit")
+        kept = toponyms.entries[words][1]
+        if kept != name:
+            notices.append(f"gazetteer entry {name!r} has the same words as "
+                           f"{kept!r}; {kept!r} is matched")
 
     counts = {
         "motion_verbs": len(lex.motion_verbs),

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .depgraph import (NoMainVerb, SentenceGraph, TokenSpan, base_rel,
                        dependents, root_verb, span_text, subtree_ids)
-from .lexicon import LexiconSet, normalize
+from .lexicon import normalize
 
 
 class UseCaseKind(str, Enum):
@@ -303,7 +303,7 @@ def _clause_verbs(g: SentenceGraph) -> list[int]:
     return verbs
 
 
-def extract_nary(g: SentenceGraph, lex: LexiconSet) -> list[NaryRelation]:
+def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
     """All n-ary relations of a sentence, one per (clause verb, use-case)."""
     try:
         verbs = _clause_verbs(g)

@@ -65,7 +65,7 @@ def extract_sentence(g: SentenceGraph, lex: LexiconSet,
         root_verb(g)
     except NoMainVerb:
         return SentenceResult(g.sent_id, g.text, (), (), ("no main verb",))
-    narys = tuple(extract_nary(g, lex))
+    narys = tuple(extract_nary(g))
     itins: list[ItineraryRelation] = []
     for r in narys:
         found = detect_displacement(r, g, lex, loose)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from itirel.lexicon import normalize
+
 CORE_RELS = frozenset({"nsubj", "csubj", "obj", "iobj", "obl"})
 
 
@@ -67,3 +69,23 @@ def argument_spans(tokens: Sequence) -> Optional[list[tuple[int, int]]]:
         if ids:
             spans.append((ids[0], ids[-1]))
     return sorted(spans)
+
+
+def longest_match(toks: Sequence, i: int, phrases, fold=str):
+    """The linear longest-match scan ``lexicon.PhraseIndex`` replaced.
+
+    Every phrase is keyed by its folded, normalized words; the phrases are
+    sorted longest first, then by phrase, and the first whose words equal
+    the folded, normalized forms of the tokens from i wins ->
+    (n_tokens, words, phrase, value).
+    """
+    seq = sorted(((tuple(fold(w) for w in normalize(p).split()), p, v)
+                  for p, v in phrases.items()),
+                 key=lambda x: (-len(x[0]), x[1]))
+    for words, phrase, value in seq:
+        n = len(words)
+        if i + n <= len(toks) and all(
+                fold(normalize(toks[i + k].form)) == words[k]
+                for k in range(n)):
+            return n, words, phrase, value
+    return None

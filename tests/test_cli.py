@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,24 @@ def gold_file(tmp_path, gold_text):
     return path
 
 
+def _stdin(data: bytes):
+    """A text stdin over the given bytes, as the interpreter sets it up."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+# a sentence whose form "Pé" is a Latin-1 byte instead of UTF-8
+_LATIN1_ROW = (b"# sent_id = latin1\n"
+               b"1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+               b"2\tva\taller\tVERB\t_\t_\t0\troot\t_\t_\n"
+               b"3\tP\xe9\tP\xe9\tPROPN\t_\t_\t2\tobl\t_\t_\n")
+
+
+@pytest.fixture
+def lexicon_copy(tmp_path):
+    """A writable copy of the bundled lexicon directory."""
+    return Path(shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex"))
+
+
 class TestExtract:
     def test_json_to_stdout(self, gold_file, capsys):
         assert main(["extract", str(gold_file)]) == EXIT_OK
@@ -33,12 +52,12 @@ class TestExtract:
                                           bundled_lexicon_dir()))
 
     def test_stdin_default(self, gold_text, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(gold_text))
+        monkeypatch.setattr("sys.stdin", _stdin(gold_text.encode("utf-8")))
         assert main(["extract"]) == EXIT_OK
         assert len(json.loads(capsys.readouterr().out)["sentences"]) == 8
 
     def test_empty_stdin_is_zero_sentences(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        monkeypatch.setattr("sys.stdin", _stdin(b""))
         assert main(["extract"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["sentences"] == []
 
@@ -109,6 +128,57 @@ class TestExtract:
         assert captured.out == ""
         assert captured.err == f"itirel: conllu: sentence 'bad': {reason}\n"
 
+    def test_invalid_utf8_file_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.conllu"
+        bad.write_bytes(_LATIN1_ROW)
+        assert main(["extract", str(bad)]) == EXIT_CONLLU
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "itirel: conllu: line 4: invalid UTF-8 byte 0xe9\n"
+
+    def test_invalid_utf8_stdin_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", _stdin(_LATIN1_ROW))
+        assert main(["extract"]) == EXIT_CONLLU
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "itirel: conllu: line 4: invalid UTF-8 byte 0xe9\n"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends_read_as_lf(self, gold_text, gold_file, tmp_path,
+                                        capsys, monkeypatch, newline):
+        data = gold_text.replace("\n", newline).encode("utf-8")
+        (tmp_path / "other.conllu").write_bytes(data)
+        main(["extract", str(gold_file)])
+        expected = capsys.readouterr().out
+        main(["extract", str(tmp_path / "other.conllu")])
+        assert capsys.readouterr().out == expected
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        main(["extract"])
+        assert capsys.readouterr().out == expected
+
+    def test_invalid_utf8_lexicon_exits_2(self, gold_file, lexicon_copy,
+                                          capsys):
+        (lexicon_copy / "gazetteer.tsv").write_bytes(b"Pau\tcity\nB\xe9arn\n")
+        assert main(["extract", str(gold_file), "--lexicons",
+                     str(lexicon_copy)]) == EXIT_LEXICON
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("itirel: lexicon: gazetteer.tsv:2: "
+                                "invalid UTF-8 byte 0xe9\n")
+
+    def test_toponym_without_words_exits_2(self, gold_file, lexicon_copy,
+                                           capsys):
+        with (lexicon_copy / "gazetteer.tsv").open("a") as fh:
+            fh.write("'\tcity\n")
+        assert main(["extract", str(gold_file), "--lexicons",
+                     str(lexicon_copy)]) == EXIT_LEXICON
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "empty toponym" in captured.err
+
     def test_missing_input_file_exits_3(self, tmp_path, capsys):
         assert main(["extract", str(tmp_path / "nope.conllu")]) == EXIT_CONLLU
         assert "no such input file" in capsys.readouterr().err
@@ -147,6 +217,32 @@ class TestLexiconValidate:
     def test_explicit_directory(self, capsys):
         assert main(["lexicon", "validate",
                      str(bundled_lexicon_dir())]) == EXIT_OK
+
+    def test_invalid_utf8_lexicon_is_invalid(self, lexicon_copy, capsys):
+        (lexicon_copy / "units.tsv").write_bytes(b"km\tspatial\n\xff\n")
+        assert main(["lexicon", "validate", str(lexicon_copy)]) \
+            == EXIT_LEXICON
+        assert capsys.readouterr().out == (
+            "error: units.tsv:2: invalid UTF-8 byte 0xff\n"
+            "result: INVALID\n")
+
+    def test_toponym_without_words_is_invalid(self, lexicon_copy, capsys):
+        with (lexicon_copy / "gazetteer.tsv").open("a") as fh:
+            fh.write("'\tcity\n")
+        assert main(["lexicon", "validate", str(lexicon_copy)]) \
+            == EXIT_LEXICON
+        out = capsys.readouterr().out
+        assert "empty toponym" in out and "result: INVALID" in out
+
+    def test_toponyms_with_the_same_words_notice(self, lexicon_copy,
+                                                 capsys):
+        with (lexicon_copy / "gazetteer.tsv").open("a") as fh:
+            fh.write("PAU\tairport\n")
+        assert main(["lexicon", "validate", str(lexicon_copy)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert ("notice: gazetteer entry 'Pau' has the same words as 'PAU'; "
+                "'PAU' is matched") in out
+        assert "result: OK" in out
 
     def test_missing_directory_is_invalid(self, tmp_path, capsys):
         assert main(["lexicon", "validate", str(tmp_path / "none")]) \

@@ -59,7 +59,7 @@ class TestAssignRoles:
 
 class TestPolysemyFilter:
     def test_motion_verb_with_spatial_entity_fires(self, gold, lex):
-        (rel,) = extract_nary(gold["gold-01"], lex)
+        (rel,) = extract_nary(gold["gold-01"])
         assert detect_displacement(rel, gold["gold-01"], lex) is not None
 
     def test_motion_verb_without_spatial_entity_does_not(self, gold, lex):
@@ -70,7 +70,7 @@ class TestPolysemyFilter:
 
     def test_non_motion_verb_with_spatial_entity_does_not(self, gold, lex):
         g = gold["gold-02"]
-        (rel,) = extract_nary(g, lex)  # visiter Pau: ES but no motion verb
+        (rel,) = extract_nary(g)  # visiter Pau: ES but no motion verb
         assert detect_displacement(rel, g, lex) is None
 
     def test_subject_entity_alone_does_not_fire(self, lex):
@@ -86,7 +86,7 @@ class TestPolysemyFilter:
 class TestItineraryAssembly:
     def test_running_example(self, gold, lex):
         g = gold["gold-01"]
-        (rel,) = extract_nary(g, lex)
+        (rel,) = extract_nary(g)
         itin = detect_displacement(rel, g, lex)
         assert itin.verb_lemma == "quitter"
         assert itin.polarity is VerbPolarity.INITIAL
@@ -104,7 +104,7 @@ class TestItineraryAssembly:
 
     def test_sortir_example(self, gold, lex):
         g = gold["gold-05"]
-        (rel,) = extract_nary(g, lex)
+        (rel,) = extract_nary(g)
         itin = detect_displacement(rel, g, lex)
         assert itin.polarity is VerbPolarity.INITIAL
         assert [e.anchors for e in itin.origin] == [("Pau",)]
@@ -130,12 +130,12 @@ class TestItineraryAssembly:
     def test_temporal_marker_inside_preposition_is_kept(self, gold, lex):
         # the "depuis" ET is only visible once the case marker is widened
         g = gold["gold-01"]
-        (rel,) = extract_nary(g, lex)
+        (rel,) = extract_nary(g)
         itin = detect_displacement(rel, g, lex)
         assert itin.temporal[0].text == "depuis deux semaines"
 
     def test_needs_at_least_one_spatial_entity(self, gold, lex):
-        (rel,) = extract_nary(gold["gold-01"], lex)
+        (rel,) = extract_nary(gold["gold-01"])
         itin = detect_displacement(rel, gold["gold-01"], lex)
         with pytest.raises(ValueError):
             ItineraryRelation(verb_lemma=itin.verb_lemma,
@@ -167,7 +167,7 @@ class TestCorpusExtraction:
                 root_verb(g)
             except NoMainVerb:
                 continue
-            for rel in extract_nary(g, lex):
+            for rel in extract_nary(g):
                 expected = (
                     motion_polarity(lex, rel.predicate_lemma) is not None
                     and any(a.role != "subj"

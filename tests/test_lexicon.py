@@ -6,7 +6,13 @@ from itirel import (LexiconError, LexiconSet, SpatialRelationKind,
                     TemporalRelationKind, VerbPolarity, bundled_lexicon_dir,
                     load_lexicons, motion_polarity, save_lexicons,
                     validate_lexicons)
-from itirel.lexicon import FILE_NAMES, canon_word, canon_words, normalize
+from itirel.depgraph import Token
+from itirel.lexicon import FILE_NAMES, PhraseIndex, canon_word, normalize
+
+
+def _row(*forms):
+    """Tokens with the given forms; phrase indexes read only the forms."""
+    return [Token(i, f, f, "X", 0, "dep") for i, f in enumerate(forms, 1)]
 
 
 class TestNormalization:
@@ -15,13 +21,17 @@ class TestNormalization:
         assert normalize("  Près   de ") == "près de"
         assert normalize("jusqu’à") == "jusqu à"
 
-    def test_contraction_folding(self):
+    def test_contraction_folding(self, lex):
         assert canon_word("du") == "de"
         assert canon_word("des") == "de"
         assert canon_word("au") == "à"
         assert canon_word("aux") == "à"
         assert canon_word("ville") == "ville"
-        assert canon_words("à l'ouest du") == ("à", "l", "ouest", "de")
+        n, words, phrase, kind = lex.spatial_marker_index.match(
+            _row("à", "l'", "Ouest", "du", "Pau"), 0)
+        assert (n, phrase) == (4, "à l ouest de")
+        assert words == ("à", "l", "ouest", "de")
+        assert kind is SpatialRelationKind.ORIENTATION
 
 
 class TestLoading:
@@ -72,6 +82,26 @@ class TestLoading:
             load_lexicons(tmp_path / "lex")
         assert any("expected 2 columns" in p for p in err.value.problems)
 
+    def test_toponym_without_words_is_rejected(self, tmp_path):
+        shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        with (tmp_path / "lex" / "gazetteer.tsv").open("a") as fh:
+            fh.write("'\tcity\n")
+        lines = (tmp_path / "lex" / "gazetteer.tsv").read_text().splitlines()
+        with pytest.raises(LexiconError) as err:
+            load_lexicons(tmp_path / "lex")
+        assert err.value.problems == [
+            f"gazetteer.tsv:{len(lines)}: empty toponym \"'\" "
+            "(no words after normalization)"]
+
+    def test_invalid_utf8_is_a_lexicon_error(self, tmp_path):
+        shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        path = tmp_path / "lex" / "units.tsv"
+        path.write_bytes(b"km\tspatial\nm\xe8tre\tspatial\n")
+        with pytest.raises(LexiconError) as err:
+            load_lexicons(tmp_path / "lex")
+        assert err.value.problems == [
+            "units.tsv:2: invalid UTF-8 byte 0xe8"]
+
     def test_gazetteer_type_column_optional(self, tmp_path):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
         with (tmp_path / "lex" / "gazetteer.tsv").open("a") as fh:
@@ -91,8 +121,32 @@ class TestMarkerTables:
                    for k in lex.temporal_markers.values())
 
     def test_longest_first_ordering(self, lex):
-        lengths = [len(words) for words, _, _ in lex.spatial_marker_seq]
-        assert lengths == sorted(lengths, reverse=True)
+        toks = _row("tout", "près", "de", "Pau")
+        assert lex.spatial_marker_index.match(toks, 0)[:3] == (
+            3, ("tout", "près", "de"), "tout près de")
+        assert lex.spatial_marker_index.match(toks, 1)[2] == "près de"
+
+    def test_same_words_smallest_phrase_wins(self):
+        for order in (["Pau", "PAU"], ["PAU", "Pau"]):
+            index = PhraseIndex({name: name.lower() for name in order})
+            assert index.match(_row("pau"), 0) == (1, ("pau",), "PAU", "pau")
+
+    def test_toponyms_are_not_contraction_folded(self, lex):
+        toponyms = PhraseIndex({"Pic de Midi": "peak"})
+        assert toponyms.match(_row("Pic", "du", "Midi"), 0) is None
+        assert toponyms.match(_row("pic", "DE", "midi"), 0)[2] == "Pic de Midi"
+        assert lex.spatial_marker_index.match(_row("Près", "du"), 0)[2] \
+            == "près de"
+
+    def test_shorter_phrase_when_longer_one_breaks_off(self):
+        index = PhraseIndex({"a b c": 1, "a": 2})
+        assert index.max_len == 3
+        assert index.match(_row("a", "b", "x"), 0)[:3] == (1, ("a",), "a")
+        assert index.match(_row("b"), 0) is None
+        assert PhraseIndex({}).match(_row("a"), 0) is None
+
+    def test_phrase_without_words_never_matches(self):
+        assert PhraseIndex({"'": "city"}).match(_row("'", "x"), 0) is None
 
     def test_figure_nouns(self, lex):
         assert "triangle" in lex.figure_nouns
@@ -130,6 +184,25 @@ class TestValidation:
         report = validate_lexicons(bad)
         assert not report.valid
         assert "result: INVALID" in report.render()
+
+    def test_toponym_without_words_is_an_error(self):
+        bad = LexiconSet(motion_verbs={}, spatial_markers={},
+                         temporal_markers={}, gazetteer={"Pau": "", "’": ""},
+                         units={})
+        report = validate_lexicons(bad)
+        assert report.errors == (
+            "gazetteer: empty toponym '’' (no words after normalization)",)
+
+    def test_toponyms_with_the_same_words_notice(self):
+        both = LexiconSet(motion_verbs={}, spatial_markers={},
+                          temporal_markers={},
+                          gazetteer={"Pau": "city", "PAU": "airport",
+                                     "Lyon": "city"}, units={})
+        report = validate_lexicons(both)
+        assert report.valid
+        assert report.notices == (
+            "gazetteer entry 'Pau' has the same words as 'PAU'; "
+            "'PAU' is matched",)
 
     def test_purity_of_polarity_lookup(self, lex):
         assert all(motion_polarity(lex, "quitter") is VerbPolarity.INITIAL

@@ -24,7 +24,7 @@ class TestPivots:
         assert g.token(5).form == "ami" and 5 not in pivots
         assert g.token(15).form == "Lyon" and 15 not in pivots
 
-    def test_pivots_contain_main_verb(self, gold, taxonomy, lex):
+    def test_pivots_contain_main_verb(self, gold, taxonomy):
         for g in list(gold.values()) + list(taxonomy.values()):
             try:
                 verb = root_verb(g)
@@ -96,7 +96,7 @@ class TestArguments:
         assert [(a.role, a.text) for a in args] == [
             ("subj", "Que tu partes"), ("obj", "Marie")]
 
-    def test_verb_under_auxiliary_root_is_not_an_argument(self, lex):
+    def test_verb_under_auxiliary_root_is_not_an_argument(self):
         # "Il est sorti de Pau vers Laruns" with the auxiliary parsed as the
         # root and the participle hanging under it by a nominal relation
         g = build([(1, "Il", "il", "PRON", 3, "nsubj"),
@@ -108,7 +108,7 @@ class TestArguments:
                    (7, "Laruns", "Laruns", "PROPN", 3, "obl")])
         want = ["Il", "Pau", "Laruns"]
         assert [a.text for a in extract_arguments(g, pivot_tokens(g))] == want
-        (relation,) = extract_nary(g, lex)
+        (relation,) = extract_nary(g)
         assert [a.text for a in relation.arguments] == want
 
     def test_matches_brute_force_oracle(self, all_graphs):
@@ -147,21 +147,21 @@ class TestUseCases:
 
 
 class TestRelations:
-    def test_uc3_running_example(self, gold, lex):
-        (rel,) = extract_nary(gold["gold-01"], lex)
+    def test_uc3_running_example(self, gold):
+        (rel,) = extract_nary(gold["gold-01"])
         assert rel.use_case is UseCaseKind.UC3_NO_PRIMARY_ARGUMENT
         assert rel.predicate_lemma == "quitter"
         assert rel.predicate_token == 7
         assert len(rel.arguments) == 4
 
-    def test_uc1_reason_argument(self, gold, lex):
-        (rel,) = extract_nary(gold["gold-02"], lex)
+    def test_uc1_reason_argument(self, gold):
+        (rel,) = extract_nary(gold["gold-02"])
         assert rel.use_case is UseCaseKind.UC1_ADDITIONAL_INFO
         assert [(a.role, a.text) for a in rel.arguments] == [
             ("subj", "Nous"), ("obj", "Pau"), ("reason", "notre ami y habite")]
 
-    def test_uc2_detail_argument(self, gold, lex):
-        (rel,) = extract_nary(gold["gold-03"], lex)
+    def test_uc2_detail_argument(self, gold):
+        (rel,) = extract_nary(gold["gold-03"])
         assert rel.use_case is UseCaseKind.UC2_OBJECT_DETAIL
         texts = {(a.role, a.text) for a in rel.arguments}
         assert ("obj", "le chemin") in texts
@@ -169,8 +169,8 @@ class TestRelations:
                 "que j'avais suivi pour faire l'ascension du Mont-Perdu") \
             in texts
 
-    def test_uc4_ordered_items(self, gold, lex):
-        (rel,) = extract_nary(gold["gold-04"], lex)
+    def test_uc4_ordered_items(self, gold):
+        (rel,) = extract_nary(gold["gold-04"])
         assert rel.use_case is UseCaseKind.UC4_ORDERED_LIST
         items = [a for a in rel.arguments if a.role == "item"]
         assert [(a.order, a.text) for a in items] == [
@@ -181,35 +181,35 @@ class TestRelations:
         head = [a for a in rel.arguments if a.role == "obj"]
         assert [a.text for a in head] == ["les monuments"]
 
-    def test_no_use_case_no_relation(self, gold, lex):
-        assert extract_nary(gold["gold-06"], lex) == []
-        assert extract_nary(gold["gold-07"], lex) == []
-        assert extract_nary(gold["gold-08"], lex) == []
+    def test_no_use_case_no_relation(self, gold):
+        assert extract_nary(gold["gold-06"]) == []
+        assert extract_nary(gold["gold-07"]) == []
+        assert extract_nary(gold["gold-08"]) == []
 
-    def test_uc3_needs_three_arguments(self, lex):
+    def test_uc3_needs_three_arguments(self):
         # two case-marked obliques but no subject: only 2 arguments -> no UC3
         g = build([(1, "Sorti", "sortir", "VERB", 0, "root"),
                    (2, "de", "de", "ADP", 3, "case"),
                    (3, "Pau", "Pau", "PROPN", 1, "obl"),
                    (4, "vers", "vers", "ADP", 5, "case"),
                    (5, "Laruns", "Laruns", "PROPN", 1, "obl")])
-        assert extract_nary(g, lex) == []
+        assert extract_nary(g) == []
 
-    def test_uc3_invariant_on_gold(self, all_graphs, lex):
+    def test_uc3_invariant_on_gold(self, all_graphs):
         for g in all_graphs:
-            for rel in extract_nary(g, lex):
+            for rel in extract_nary(g):
                 if rel.use_case is UseCaseKind.UC3_NO_PRIMARY_ARGUMENT:
                     assert len(rel.arguments) >= 3
 
-    def test_uc4_orders_strictly_increasing_from_one(self, all_graphs, lex):
+    def test_uc4_orders_strictly_increasing_from_one(self, all_graphs):
         for g in all_graphs:
-            for rel in extract_nary(g, lex):
+            for rel in extract_nary(g):
                 orders = [a.order for a in rel.arguments if a.order is not None]
                 if rel.use_case is UseCaseKind.UC4_ORDERED_LIST:
                     assert orders and orders[0] == 1
                     assert all(b == a + 1 for a, b in zip(orders, orders[1:]))
 
-    def test_coordinated_motion_verbs_yield_two_relations(self, lex):
+    def test_coordinated_motion_verbs_yield_two_relations(self):
         g = build([(1, "Je", "je", "PRON", 2, "nsubj"),
                    (2, "sors", "sortir", "VERB", 0, "root"),
                    (3, "de", "de", "ADP", 4, "case"),
@@ -222,7 +222,7 @@ class TestRelations:
                    (10, "Laruns", "Laruns", "PROPN", 8, "obl"),
                    (11, "vers", "vers", "ADP", 12, "case"),
                    (12, "Gavarnie", "Gavarnie", "PROPN", 8, "obl")])
-        rels = extract_nary(g, lex)
+        rels = extract_nary(g)
         assert [r.predicate_lemma for r in rels] == ["sortir", "partir"]
         # the shared subject is inherited by the second conjunct
         assert all(any(a.role == "subj" and a.text == "Je"
@@ -230,8 +230,8 @@ class TestRelations:
 
 
 class TestRelationEquality:
-    def test_equality_is_argument_multiset(self, gold, lex):
-        (rel,) = extract_nary(gold["gold-01"], lex)
+    def test_equality_is_argument_multiset(self, gold):
+        (rel,) = extract_nary(gold["gold-01"])
         reordered = NaryRelation(use_case=rel.use_case,
                                  predicate_lemma=rel.predicate_lemma,
                                  predicate_token=rel.predicate_token,
@@ -239,8 +239,8 @@ class TestRelationEquality:
                                  sent_id=rel.sent_id)
         assert rel == reordered and hash(rel) == hash(reordered)
 
-    def test_inequality_on_predicate_and_args(self, gold, lex):
-        (rel,) = extract_nary(gold["gold-01"], lex)
+    def test_inequality_on_predicate_and_args(self, gold):
+        (rel,) = extract_nary(gold["gold-01"])
         other = NaryRelation(use_case=rel.use_case, predicate_lemma="partir",
                              predicate_token=rel.predicate_token,
                              arguments=rel.arguments, sent_id=rel.sent_id)
@@ -261,10 +261,10 @@ class TestRelationEquality:
                            arguments=(a, a), sent_id="s")
         assert one != two
 
-    def test_determinism(self, gold_text, lex):
+    def test_determinism(self, gold_text):
         import itirel
         runs = []
         for _ in range(2):
             graphs = itirel.parse_conllu(gold_text)
-            runs.append([extract_nary(g, lex) for g in graphs])
+            runs.append([extract_nary(g) for g in graphs])
         assert runs[0] == runs[1]

@@ -7,9 +7,10 @@ from itirel import (LexiconSet, SentenceGraph, recognize_spatial,
                     recognize_temporal, save_lexicons, load_lexicons,
                     TokenSpan)
 from itirel.depgraph import Token, subtree_ids, subtree_yield
-from itirel.lexicon import SpatialRelationKind, normalize
+from itirel.lexicon import (PhraseIndex, SpatialRelationKind, canon_word,
+                            normalize)
 
-from oracles import closure
+from oracles import closure, longest_match
 
 _UPOS = ("NOUN", "VERB", "ADP", "DET", "PROPN", "PUNCT", "ADV")
 _DEPRELS = ("nsubj", "obj", "obl", "nmod", "case", "det", "punct", "advmod")
@@ -90,6 +91,28 @@ def test_lexicon_save_load_round_trip(tmp_path_factory, markers, gazetteer,
     target = tmp_path_factory.mktemp("lex")
     save_lexicons(lex, target)
     assert load_lexicons(target) == lex
+
+
+# Words that tie after case folding, NFC/NFD spellings of the same word,
+# elided articles in several apostrophes (alone and glued to the next word),
+# and contractions that fold to the same preposition.
+_MATCH_WORDS = ("de", "De", "du", "des", "d'", "à", "À", "au", "aux",
+                "l'", "L’", "ouest", "Ouest", "l'Ouest", "près", "pre\u0300s",
+                "PRÈS", "tout", "Pic", "pic", "Midi", "Pau", "PAU", "pau", "x")
+_match_phrase = st.lists(st.sampled_from(_MATCH_WORDS[:-1]), min_size=1,
+                         max_size=4).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phrases=st.dictionaries(_match_phrase, st.integers(0, 3), max_size=12),
+       forms=st.lists(st.sampled_from(_MATCH_WORDS), max_size=8),
+       fold=st.sampled_from([str, canon_word]))
+def test_phrase_index_agrees_with_linear_scan(phrases, forms, fold):
+    toks = [Token(id=i, form=f, lemma=f, upos="X", head=0, deprel="dep")
+            for i, f in enumerate(forms, 1)]
+    index = PhraseIndex(phrases, fold=fold)
+    for i in range(len(toks)):
+        assert index.match(toks, i) == longest_match(toks, i, phrases, fold)
 
 
 @settings(max_examples=40, deadline=None)
