@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from .depgraph import ConlluParseError, StructureError
-from .lexicon import (LexiconError, bundled_lexicon_dir, load_lexicons,
-                      utf8_error, validate_lexicons)
+from .lexicon import (LexiconError, bundled_lexicon_dir, decode_text,
+                      load_lexicons, validate_lexicons)
 from .serialize import run_extract, to_json, to_turtle
 
 EXIT_OK = 0
@@ -66,11 +66,10 @@ def _read_input(name: str) -> str:
     universal newlines as a text-mode read gives: CRLF input parses as LF."""
     data = sys.stdin.buffer.read() if name == "-" else Path(name).read_bytes()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line_no, problem = utf8_error(data, err)
+        return decode_text(data)
+    except ValueError as err:
+        line_no, problem = err.args
         raise ConlluParseError(problem, line_no) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _cmd_extract(args) -> int:

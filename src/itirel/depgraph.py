@@ -3,11 +3,16 @@
 A sentence is an immutable directed graph: tokens are nodes, the HEAD/DEPREL
 columns give one labeled edge per token.  Everything downstream (pivot
 detection, argument search, entity recognition) works on these graphs.
+
+The parser accepts a sentence only if its word ids run 1..n in order, so a
+token's id is its position plus one: ``token(i)`` is ``tokens[i - 1]`` and
+the tokens of a span are a slice.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -90,32 +95,29 @@ class SentenceGraph:
     tokens: tuple[Token, ...]
 
     @cached_property
-    def _by_id(self) -> dict[int, Token]:
-        return {t.id: t for t in self.tokens}
-
-    @cached_property
     def _children(self) -> dict[int, tuple[int, ...]]:
-        kids: dict[int, list[int]] = {t.id: [] for t in self.tokens}
-        kids[0] = []
-        for t in self.tokens:
+        kids = {i: [] for i in range(len(self.tokens) + 1)}
+        for t in self.tokens:  # ids ascend, so each list is in surface order
             kids[t.head].append(t.id)
-        return {k: tuple(sorted(v)) for k, v in kids.items()}
+        return {k: tuple(v) for k, v in kids.items()}
 
     @cached_property
     def root_id(self) -> int:
         return self._children[0][0]
 
     def token(self, token_id: int) -> Token:
-        return self._by_id[token_id]
+        if not 1 <= token_id <= len(self.tokens):
+            raise KeyError(token_id)
+        return self.tokens[token_id - 1]
 
     def children(self, token_id: int) -> tuple[int, ...]:
         return self._children.get(token_id, ())
 
     def span(self) -> TokenSpan:
-        return TokenSpan(self.tokens[0].id, self.tokens[-1].id)
+        return TokenSpan(1, len(self.tokens))
 
     def span_tokens(self, span: TokenSpan) -> tuple[Token, ...]:
-        return tuple(t for t in self.tokens if t.id in span)
+        return self.tokens[span.first - 1:span.last]
 
 
 _ELIDED = ("'", "’")
@@ -135,37 +137,32 @@ def span_text(g: SentenceGraph, span: TokenSpan) -> str:
 def _finish_sentence(sent_id: Optional[str], text: Optional[str],
                      tokens: list[Token], index: int) -> SentenceGraph:
     sid = sent_id if sent_id is not None else f"s{index}"
-    ids: set[int] = set()
-    for t in tokens:
-        if t.id < 1 or t.id in ids:
-            problem = "is below 1" if t.id < 1 else "is duplicated"
+    for expected, t in enumerate(tokens, 1):
+        if t.id != expected:
+            problem = ("is below 1" if t.id < 1
+                       else "is duplicated" if t.id < expected
+                       else f"where {expected} was expected")
             raise StructureError(f"token id {t.id} {problem}", sid)
-        ids.add(t.id)
-    roots = [t for t in tokens if t.head == 0]
     for t in tokens:
         if t.head == t.id:
             raise StructureError(f"token {t.id} is its own head", sid)
-        if t.head != 0 and t.head not in ids:
+        if not 0 <= t.head <= len(tokens):
             raise StructureError(f"token {t.id} has dangling head {t.head}", sid)
-    if len(roots) != 1:
-        raise StructureError(f"expected exactly one root, found {len(roots)}", sid)
     g = SentenceGraph(sent_id=sid,
                       text=text if text is not None else "",
                       tokens=tuple(tokens))
-    # reachability from the root detects cycles among non-root tokens
-    seen: set[int] = set()
-    stack = [g.root_id]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(g.children(cur))
-    if seen != ids:
+    roots = g.children(0)
+    if len(roots) != 1:
+        raise StructureError(f"expected exactly one root, found {len(roots)}", sid)
+    # every token has one head, so tokens on a cycle are not below the root
+    if len(subtree_ids(g, g.root_id)) != len(tokens):
         raise StructureError("cyclic head links", sid)
     if not g.text:
         object.__setattr__(g, "text", span_text(g, g.span()))
     return g
+
+
+_RANGE_OR_EMPTY_NODE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")
 
 
 def parse_conllu(source) -> list[SentenceGraph]:
@@ -209,8 +206,8 @@ def parse_conllu(source) -> list[SentenceGraph]:
             raise ConlluParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", line_no)
         tid = cols[0]
-        if "-" in tid or "." in tid:
-            continue  # multiword-token range / empty node
+        if _RANGE_OR_EMPTY_NODE.fullmatch(tid):
+            continue
         try:
             token_id = int(tid)
         except ValueError:

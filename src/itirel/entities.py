@@ -198,7 +198,7 @@ def _spatial_from_marker(g, toks, i, match, lex, loose):
 def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
                       loose: bool = False) -> list[SpatialEntity]:
     """All maximal, non-overlapping spatial entities inside a span."""
-    toks = list(g.span_tokens(within))
+    toks = g.span_tokens(within)
     out: list[SpatialEntity] = []
     i = 0
     while i < len(toks):
@@ -294,7 +294,7 @@ def _bare_date(g, toks, i):
 def recognize_temporal(g: SentenceGraph, within: TokenSpan,
                        lex: LexiconSet) -> list[TemporalEntity]:
     """All maximal, non-overlapping temporal entities inside a span."""
-    toks = list(g.span_tokens(within))
+    toks = g.span_tokens(within)
     out: list[TemporalEntity] = []
     i = 0
     while i < len(toks):

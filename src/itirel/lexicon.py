@@ -8,9 +8,10 @@ files under ``itirel/data/lexicons`` are a seed that users can amend.
 
 from __future__ import annotations
 
+import hashlib
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -114,6 +115,8 @@ class LexiconSet:
     temporal_markers: Mapping[str, TemporalRelationKind]
     gazetteer: Mapping[str, str]  # display toponym -> feature type ('' if none)
     units: Mapping[str, str]      # unit lemma -> 'spatial' | 'temporal'
+    # digest of the file bytes this set was parsed from ('' if built directly)
+    fingerprint: str = field(default="", compare=False)
 
     @cached_property
     def spatial_marker_index(self) -> PhraseIndex:
@@ -133,21 +136,38 @@ class LexiconSet:
                          if k is SpatialRelationKind.GEOMETRIC_FIGURE)
 
 
-def utf8_error(data: bytes, err: UnicodeDecodeError) -> tuple[int, str]:
-    """(line number, message) for a strict UTF-8 decoding error of data."""
-    line_no = data.count(b"\n", 0, err.start) + 1
-    return line_no, f"invalid UTF-8 byte 0x{data[err.start]:02x}"
-
-
-def _read_tsv(path: Path, n_cols: int, optional_second: bool = False):
-    """Yield (line_no, columns) for data lines; '#' comments and blanks skipped."""
-    data = path.read_bytes()
+def decode_text(data: bytes) -> str:
+    """data as strict UTF-8 with CRLF and CR line ends turned into LF; an
+    invalid byte raises ``ValueError(line_no, message)``."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        line_no, problem = utf8_error(data, err)
-        raise LexiconError([f"{path.name}:{line_no}: {problem}"]) from None
-    for line_no, raw in enumerate(text.splitlines(), 1):
+        line_no = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(line_no, f"invalid UTF-8 byte 0x{data[err.start]:02x}"
+                         ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def files_digest(files: Mapping[str, bytes]) -> str:
+    """SHA-256 over the lexicon files' names and bytes, in FILE_NAMES order."""
+    digest = hashlib.sha256()
+    for name in FILE_NAMES:
+        digest.update(name.encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(files[name])
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
+def _read_tsv(name: str, data: bytes, n_cols: int,
+              optional_second: bool = False):
+    """Yield (line_no, columns) for data lines; '#' comments and blanks skipped."""
+    try:
+        text = decode_text(data)
+    except ValueError as err:
+        line_no, problem = err.args
+        raise LexiconError([f"{name}:{line_no}: {problem}"]) from None
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue
@@ -156,28 +176,28 @@ def _read_tsv(path: Path, n_cols: int, optional_second: bool = False):
             cols = [cols[0], ""]
         if len(cols) != n_cols:
             raise LexiconError(
-                [f"{path.name}:{line_no}: expected {n_cols} columns, got {len(cols)}"])
+                [f"{name}:{line_no}: expected {n_cols} columns, got {len(cols)}"])
         yield line_no, [c.strip() for c in cols]
 
 
-def _load_map(path: Path, value_table: Mapping[str, object],
+def _load_map(name: str, data: bytes, value_table: Mapping[str, object],
               key_norm, problems: list[str]) -> dict:
     out: dict = {}
     lines: dict[str, int] = {}
-    for line_no, (key, value) in _read_tsv(path, 2):
+    for line_no, (key, value) in _read_tsv(name, data, 2):
         k = key_norm(key)
         if not k:
-            problems.append(f"{path.name}:{line_no}: empty key")
+            problems.append(f"{name}:{line_no}: empty key")
             continue
         if value not in value_table:
             problems.append(
-                f"{path.name}:{line_no}: unknown value {value!r} "
+                f"{name}:{line_no}: unknown value {value!r} "
                 f"(expected one of {sorted(value_table)})")
             continue
         v = value_table[value]
         if k in out and out[k] != v:
             problems.append(
-                f"{path.name}:{line_no}: duplicate key {k!r} conflicts with "
+                f"{name}:{line_no}: duplicate key {k!r} conflicts with "
                 f"line {lines[k]}")
             continue
         out[k] = v
@@ -189,26 +209,29 @@ def load_lexicons(directory) -> LexiconSet:
     """Load the five TSV lexicons from a directory.
 
     Raises :class:`LexiconError` listing every missing file, duplicate key
-    with a conflicting value, or unknown polarity/kind token.
+    with a conflicting value, or unknown polarity/kind token.  Each file is
+    read once; ``fingerprint`` is the digest of the bytes parsed.
     """
     directory = Path(directory)
     missing = [n for n in FILE_NAMES if not (directory / n).is_file()]
     if missing:
         raise LexiconError([f"missing lexicon file: {n}" for n in missing])
+    files = {n: (directory / n).read_bytes() for n in FILE_NAMES}
 
     problems: list[str] = []
-    motion = _load_map(directory / "motion_verbs.tsv", _POLARITIES,
-                       lambda k: k.casefold(), problems)
-    spatial = _load_map(directory / "spatial_markers.tsv", _SPATIAL_KINDS,
-                        normalize, problems)
-    temporal = _load_map(directory / "temporal_markers.tsv", _TEMPORAL_KINDS,
-                         normalize, problems)
-    units = _load_map(directory / "units.tsv",
-                      {u: u for u in _UNIT_CLASSES},
-                      lambda k: k.casefold(), problems)
+    motion = _load_map("motion_verbs.tsv", files["motion_verbs.tsv"],
+                       _POLARITIES, lambda k: k.casefold(), problems)
+    spatial = _load_map("spatial_markers.tsv", files["spatial_markers.tsv"],
+                        _SPATIAL_KINDS, normalize, problems)
+    temporal = _load_map("temporal_markers.tsv", files["temporal_markers.tsv"],
+                         _TEMPORAL_KINDS, normalize, problems)
+    units = _load_map("units.tsv", files["units.tsv"],
+                      {u: u for u in _UNIT_CLASSES}, lambda k: k.casefold(),
+                      problems)
     gazetteer: dict[str, str] = {}
     gaz_lines: dict[str, int] = {}
-    for line_no, (name, ftype) in _read_tsv(directory / "gazetteer.tsv", 2,
+    for line_no, (name, ftype) in _read_tsv("gazetteer.tsv",
+                                            files["gazetteer.tsv"], 2,
                                             optional_second=True):
         if not normalize(name):
             problems.append(f"gazetteer.tsv:{line_no}: empty toponym {name!r} "
@@ -225,7 +248,7 @@ def load_lexicons(directory) -> LexiconSet:
         raise LexiconError(problems)
     return LexiconSet(motion_verbs=motion, spatial_markers=spatial,
                       temporal_markers=temporal, gazetteer=gazetteer,
-                      units=units)
+                      units=units, fingerprint=files_digest(files))
 
 
 def save_lexicons(lex: LexiconSet, directory) -> None:

@@ -7,7 +7,6 @@ per itinerary relation, one property per role.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ from .depgraph import NoMainVerb, SentenceGraph, TokenSpan, parse_conllu, root_v
 from .entities import SpatialEntity, TemporalEntity
 from .itinerary import ItineraryRelation, detect_displacement
 from .lexicon import (FILE_NAMES, LexiconSet, SpatialRelationKind,
-                      TemporalRelationKind, VerbPolarity, load_lexicons)
+                      TemporalRelationKind, VerbPolarity, files_digest,
+                      load_lexicons)
 from .nary import Argument, NaryRelation, UseCaseKind, extract_nary
 
 
@@ -46,15 +46,10 @@ class ExtractionDocument:
 
 
 def lexicon_fingerprint(directory) -> str:
-    """Content hash of the five lexicon files; changes iff any byte does."""
-    digest = hashlib.sha256()
+    """Content hash of the five lexicon files; changes iff any byte does.
+    Equal to ``load_lexicons(directory).fingerprint`` for unchanged files."""
     directory = Path(directory)
-    for name in FILE_NAMES:
-        digest.update(name.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update((directory / name).read_bytes())
-        digest.update(b"\x00")
-    return digest.hexdigest()
+    return files_digest({n: (directory / n).read_bytes() for n in FILE_NAMES})
 
 
 def extract_sentence(g: SentenceGraph, lex: LexiconSet,
@@ -106,7 +101,7 @@ def run_extract(conllu_text: str, lexicon_dir,
     lex = load_lexicons(lexicon_dir)
     graphs = parse_conllu(conllu_text)
     return build_document(graphs, lex, loose=loose,
-                          fingerprint=lexicon_fingerprint(lexicon_dir))
+                          fingerprint=lex.fingerprint)
 
 
 # --- JSON ------------------------------------------------------------------

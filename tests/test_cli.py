@@ -118,7 +118,18 @@ class TestExtract:
           "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_",
           "2\t.\t.\tPUNCT\t_\t_\t1\tpunct\t_\t_"],
          "token id 2 is duplicated"),
-    ], ids=["id-zero", "duplicate-id"])
+        (["1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_",
+          "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_",
+          "4\t.\t.\tPUNCT\t_\t_\t2\tpunct\t_\t_"],
+         "token id 4 where 3 was expected"),
+        (["2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_",
+          "1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_"],
+         "token id 2 where 1 was expected"),
+        (["-1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_",
+          "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_"],
+         "token id -1 is below 1"),
+    ], ids=["id-zero", "duplicate-id", "id-gap", "id-out-of-order",
+            "id-negative"])
     def test_bad_token_ids_exit_3(self, tmp_path, capsys, rows, reason):
         bad = tmp_path / "bad.conllu"
         bad.write_text("\n".join(["# sent_id = bad"] + rows) + "\n",

@@ -89,6 +89,21 @@ class TestParsing:
                    (2, "b", "b", "NOUN", 1, "nmod"),
                    (3, "c", "c", "VERB", 0, "root")])
 
+    def test_token_lookup_is_bounded(self, gold):
+        g = gold["gold-01"]
+        assert [g.token(i) for i in range(1, 21)] == list(g.tokens)
+        for bad in (0, -1, 21):
+            with pytest.raises(KeyError):
+                g.token(bad)
+
+    @pytest.mark.parametrize("tid", ["3.", ".1", "1-", "-", "1.2.3", "1-2-3"])
+    def test_malformed_id_is_not_skipped(self, tid):
+        text = ("1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+                "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_\n"
+                f"{tid}\t.\t.\tPUNCT\t_\t_\t2\tpunct\t_\t_\n")
+        with pytest.raises(ConlluParseError, match="non-integer token id"):
+            parse_conllu(text)
+
     def test_conllu_round_trip(self, gold_text, gold):
         graphs = list(gold.values())
         assert parse_conllu(to_conllu(graphs)) == graphs

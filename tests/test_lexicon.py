@@ -4,8 +4,8 @@ import pytest
 
 from itirel import (LexiconError, LexiconSet, SpatialRelationKind,
                     TemporalRelationKind, VerbPolarity, bundled_lexicon_dir,
-                    load_lexicons, motion_polarity, save_lexicons,
-                    validate_lexicons)
+                    lexicon_fingerprint, load_lexicons, motion_polarity,
+                    save_lexicons, validate_lexicons)
 from itirel.depgraph import Token
 from itirel.lexicon import FILE_NAMES, PhraseIndex, canon_word, normalize
 
@@ -107,6 +107,34 @@ class TestLoading:
         with (tmp_path / "lex" / "gazetteer.tsv").open("a") as fh:
             fh.write("Ossau\n")
         assert load_lexicons(tmp_path / "lex").gazetteer["Ossau"] == ""
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029",
+                                           "\x0b", "\x0c", "\x1c", "\x1e"])
+    def test_only_line_feeds_end_lines(self, tmp_path, separator):
+        shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        with (tmp_path / "lex" / "gazetteer.tsv").open(
+                "a", encoding="utf-8") as fh:
+            fh.write(f"Saint{separator}Jean\tcity\n")
+        gazetteer = load_lexicons(tmp_path / "lex").gazetteer
+        assert gazetteer[f"Saint{separator}Jean"] == "city"
+        assert "Saint" not in gazetteer and "Jean" not in gazetteer
+
+    @pytest.mark.parametrize("line_end", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_line_ends(self, tmp_path, lex, line_end):
+        shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        for path in (tmp_path / "lex").iterdir():
+            path.write_bytes(path.read_bytes().replace(b"\n", line_end))
+        assert load_lexicons(tmp_path / "lex") == lex
+
+    def test_fingerprint_is_the_digest_of_the_files(self, tmp_path, lex):
+        shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        assert lex.fingerprint == lexicon_fingerprint(bundled_lexicon_dir())
+        with (tmp_path / "lex" / "units.tsv").open("a") as fh:
+            fh.write("# a comment changes the bytes, not the content\n")
+        edited = load_lexicons(tmp_path / "lex")
+        assert edited.fingerprint == lexicon_fingerprint(tmp_path / "lex")
+        assert edited.fingerprint != lex.fingerprint
+        assert edited == lex  # the fingerprint takes no part in equality
 
     def test_save_load_round_trip(self, tmp_path, lex):
         save_lexicons(lex, tmp_path / "out")

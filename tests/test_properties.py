@@ -1,16 +1,19 @@
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import itirel
-from itirel import (LexiconSet, SentenceGraph, recognize_spatial,
-                    recognize_temporal, save_lexicons, load_lexicons,
-                    TokenSpan)
+from itirel import (LexiconSet, SentenceGraph, StructureError,
+                    recognize_spatial, recognize_temporal, save_lexicons,
+                    load_lexicons, TokenSpan)
 from itirel.depgraph import Token, subtree_ids, subtree_yield
 from itirel.lexicon import (PhraseIndex, SpatialRelationKind, canon_word,
                             normalize)
 
+from conftest import _gold_file
 from oracles import closure, longest_match
+from turtle_check import parse_turtle
 
 _UPOS = ("NOUN", "VERB", "ADP", "DET", "PROPN", "PUNCT", "ADV")
 _DEPRELS = ("nsubj", "obj", "obl", "nmod", "case", "det", "punct", "advmod")
@@ -174,3 +177,89 @@ def test_pipeline_determinism(gold_text, lex):
         graphs = itirel.parse_conllu(gold_text)
         runs.append(itirel.to_json(itirel.build_document(graphs, lex)))
     assert runs[0] == runs[1]
+
+
+# Forms and lemmas that reach the markers, toponyms, dates, numbers and motion
+# verbs of the bundled lexicons, plus characters Turtle must escape.
+_FUZZ_FORMS = ("Pau", "Lyon", "Laruns", "de", "du", "près", "vers", "à", "l'",
+               "nord", "janvier", "2010", "3", "km", "depuis", "ans", "et",
+               ",", ".", 'a"b', "c\\d")
+_FUZZ_LEMMAS = ("sortir", "quitter", "aller", "s'en aller", "partir", "de",
+                "le", "Pau")
+_FUZZ_UPOS = ("VERB", "AUX", "NOUN", "PROPN", "ADP", "DET", "NUM", "PRON",
+              "CCONJ", "PUNCT")
+_FUZZ_DEPRELS = ("nsubj", "obj", "obl", "obl:mod", "case", "det", "nmod",
+                 "conj", "cc", "advcl", "mark", "acl", "nummod", "punct")
+
+
+_GOLD_ROWS = [[(t.id, t.form, t.lemma, t.upos, t.head, t.deprel)
+               for t in g.tokens]
+              for name in ("gold.conllu", "taxonomy.conllu")
+              for g in itirel.parse_conllu(_gold_file(name))]
+
+
+@st.composite
+def _random_rows(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    order = draw(st.permutations(list(range(1, n + 1))))
+    head = {order[0]: 0}
+    for k in range(1, n):
+        head[order[k]] = draw(st.sampled_from(order[:k]))
+    return [(i, draw(st.sampled_from(_FUZZ_FORMS)),
+             draw(st.sampled_from(_FUZZ_LEMMAS)),
+             draw(st.sampled_from(_FUZZ_UPOS)), head[i],
+             "root" if head[i] == 0 else draw(st.sampled_from(_FUZZ_DEPRELS)))
+            for i in range(1, n + 1)]
+
+
+@st.composite
+def conllu_sentences(draw):
+    """A valid tree (random, or a gold or taxonomy sentence), then up to
+    three edits of its id and head columns: any id (zero, negative,
+    duplicate, gap), two neighbouring ids swapped, or any head (negative,
+    self, out of range, a second root)."""
+    rows = draw(_random_rows() | st.sampled_from(_GOLD_ROWS))
+    n = len(rows)
+    ids = [r[0] for r in rows]
+    heads = [r[4] for r in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        edit = draw(st.sampled_from(["id", "swap", "head"]))
+        if edit == "swap" and k + 1 < n:
+            ids[k], ids[k + 1] = ids[k + 1], ids[k]
+        elif edit != "swap":
+            column = ids if edit == "id" else heads
+            column[k] = draw(st.integers(min_value=-2, max_value=n + 2))
+    return [(i, form, lemma, upos, h, deprel)
+            for i, (_, form, lemma, upos, _, deprel), h
+            in zip(ids, rows, heads)]
+
+
+def _is_tree(rows) -> bool:
+    """Ids 1..n in order, every head in 0..n and not the token itself, one
+    root, and every token below it (closure over the raw head column)."""
+    tokens = [Token(id=i, form="", lemma="", upos="", head=h, deprel="")
+              for i, _, _, _, h, _ in rows]
+    n = len(tokens)
+    roots = [t.id for t in tokens if t.head == 0]
+    return ([t.id for t in tokens] == list(range(1, n + 1))
+            and all(0 <= t.head <= n and t.head != t.id for t in tokens)
+            and len(roots) == 1 and len(closure(tokens, roots[0])) == n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=conllu_sentences())
+def test_fuzzed_ids_and_heads_parse_or_fail_cleanly(rows, lex):
+    text = "".join(f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{h}\t{deprel}\t_\t_\n"
+                   for i, form, lemma, upos, h, deprel in rows)
+    if not _is_tree(rows):
+        with pytest.raises(StructureError):
+            itirel.parse_conllu(text)
+        return
+    graphs = itirel.parse_conllu(text)
+    assert len(graphs) == 1
+    assert [t.id for t in graphs[0].tokens] == list(range(1, len(rows) + 1))
+    doc = itirel.build_document(graphs, lex)
+    json_text = itirel.to_json(doc)
+    assert itirel.to_json(itirel.from_json(json_text)) == json_text
+    parse_turtle(itirel.to_turtle(doc, "https://example.org/iti"))

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from itirel import serialize
 from itirel import (build_document, bundled_lexicon_dir, extract_sentence,
                     from_json, lexicon_fingerprint, load_lexicons,
                     run_extract, to_json, to_turtle)
@@ -61,6 +62,22 @@ class TestDocument:
             fh.write("# a comment changes the bytes, not the content\n")
         assert lexicon_fingerprint(tmp_path / "lex") != \
             lexicon_fingerprint(bundled_lexicon_dir())
+
+    def test_fingerprint_is_of_the_bytes_loaded(self, tmp_path, monkeypatch,
+                                                gold_text):
+        lexdir = tmp_path / "lex"
+        shutil.copytree(bundled_lexicon_dir(), lexdir)
+        loaded = lexicon_fingerprint(lexdir)
+
+        def load_then_edit(directory):
+            lex = load_lexicons(directory)
+            with (lexdir / "units.tsv").open("a") as fh:
+                fh.write("# written after the load\n")
+            return lex
+
+        monkeypatch.setattr(serialize, "load_lexicons", load_then_edit)
+        assert run_extract(gold_text, lexdir).lexicon_fingerprint == loaded
+        assert lexicon_fingerprint(lexdir) != loaded
 
 
 class TestJson:
