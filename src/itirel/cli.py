@@ -9,18 +9,26 @@ Subcommands:
 Exit codes: 0 success, 2 lexicon/usage error (also a lexicon file that is not
 UTF-8), 3 CoNLL-U error (also input that is not UTF-8).
 Logs go to stderr only; single-format output goes to stdout.
+
+``extract`` streams: it reads the input a line at a time and passes each
+sentence through the pipeline to the writers as soon as it ends.  Output is
+copied to stdout or the out dir only once the whole input has been read, so
+a failure anywhere leaves none.
 """
 
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+import tempfile
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 
-from .depgraph import ConlluParseError, StructureError
-from .lexicon import (LexiconError, bundled_lexicon_dir, decode_text,
+from .depgraph import ConlluParseError, StructureError, iter_conllu
+from .lexicon import (LexiconError, bundled_lexicon_dir, decode_lines,
                       load_lexicons, validate_lexicons)
-from .serialize import run_extract, to_json, to_turtle
+from .serialize import JsonWriter, TurtleWriter, extract_sentence
 
 EXIT_OK = 0
 EXIT_LEXICON = 2
@@ -61,52 +69,72 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _read_input(name: str) -> str:
-    """The CoNLL-U input (a path, or - for stdin) as strict UTF-8, with
-    universal newlines as a text-mode read gives: CRLF input parses as LF."""
-    data = sys.stdin.buffer.read() if name == "-" else Path(name).read_bytes()
-    try:
-        return decode_text(data)
-    except ValueError as err:
-        line_no, problem = err.args
-        raise ConlluParseError(problem, line_no) from None
-
-
 def _cmd_extract(args) -> int:
     lexicon_dir = Path(args.lexicons) if args.lexicons else bundled_lexicon_dir()
     if args.format in ("turtle", "both") and not args.base_iri:
         return _fail("--base-iri is required for turtle output", EXIT_LEXICON)
     if args.format == "both" and not args.out_dir:
         return _fail("--out-dir is required with --format both", EXIT_LEXICON)
-    if args.input != "-" and not Path(args.input).is_file():
-        return _fail(f"no such input file: {Path(args.input)}", EXIT_CONLLU)
     try:
-        doc = run_extract(_read_input(args.input), lexicon_dir,
-                          loose=args.loose_toponyms)
+        lex = load_lexicons(lexicon_dir)
     except LexiconError as err:
         for problem in err.problems:
             print(f"itirel: lexicon: {problem}", file=sys.stderr)
         return EXIT_LEXICON
-    except (ConlluParseError, StructureError) as err:
-        return _fail(f"conllu: {err}", EXIT_CONLLU)
-    try:
-        outputs = {}
-        if args.format in ("json", "both"):
-            outputs["extraction.json"] = to_json(doc)
-        if args.format in ("turtle", "both"):
-            outputs["extraction.ttl"] = to_turtle(doc, args.base_iri)
-    except ValueError as err:
-        return _fail(str(err), EXIT_LEXICON)
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, content in outputs.items():
-            (out_dir / name).write_text(content, encoding="utf-8")
-            print(f"itirel: wrote {out_dir / name}", file=sys.stderr)
-    else:
-        for content in outputs.values():
-            sys.stdout.write(content)
+    with ExitStack() as stack:
+        # each output goes to a temporary file and is copied out only once
+        # the last sentence is written, so a failure leaves no output
+        outputs, writers = {}, []
+        try:
+            if args.format in ("json", "both"):
+                tmp = outputs["extraction.json"] = stack.enter_context(
+                    _temporary_file())
+                writers.append(JsonWriter(tmp.write, lex.fingerprint))
+            if args.format in ("turtle", "both"):
+                tmp = outputs["extraction.ttl"] = stack.enter_context(
+                    _temporary_file())
+                writers.append(TurtleWriter(tmp.write, args.base_iri))
+        except ValueError as err:
+            return _fail(str(err), EXIT_LEXICON)
+        if args.input != "-" and not Path(args.input).is_file():
+            return _fail(f"no such input file: {Path(args.input)}",
+                         EXIT_CONLLU)
+        source = (nullcontext(sys.stdin.buffer) if args.input == "-"
+                  else open(args.input, "rb"))
+        try:
+            with source as binary:
+                lines = decode_lines(binary, ConlluParseError)
+                for g in iter_conllu(lines):
+                    result = extract_sentence(g, lex, args.loose_toponyms)
+                    for writer in writers:
+                        writer.add(result)
+        except (ConlluParseError, StructureError) as err:
+            return _fail(f"conllu: {err}", EXIT_CONLLU)
+        for writer in writers:
+            writer.finish()
+        _copy_out(outputs, args.out_dir)
     return EXIT_OK
+
+
+def _temporary_file():
+    """A text file deleted on close, written and read back unchanged."""
+    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+
+
+def _copy_out(outputs: dict, out_dir) -> None:
+    """Copy finished temporary outputs into out_dir (created here), or to
+    stdout when there is none."""
+    if out_dir:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    for name, tmp in outputs.items():
+        tmp.seek(0)
+        if out_dir:
+            with open(out_dir / name, "w", encoding="utf-8") as out:
+                shutil.copyfileobj(tmp, out)
+            print(f"itirel: wrote {out_dir / name}", file=sys.stderr)
+        else:
+            shutil.copyfileobj(tmp, sys.stdout)
 
 
 def _cmd_lexicon_validate(args) -> int:

@@ -11,11 +11,11 @@ the tokens of a span are a slice.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class ConlluParseError(ValueError):
@@ -165,33 +165,44 @@ def _finish_sentence(sent_id: Optional[str], text: Optional[str],
 _RANGE_OR_EMPTY_NODE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")
 
 
-def parse_conllu(source) -> list[SentenceGraph]:
-    """Parse CoNLL-U text (string or line iterable) into sentence graphs.
+def _split_lines(text: str) -> Iterator[str]:
+    """The lines of a string, split at LF only (as ``io.StringIO`` reads
+    them), without holding a second copy of the text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
 
-    Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are skipped;
-    ``# sent_id`` and ``# text`` comments are captured.
+
+def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
+    """Sentence graphs of CoNLL-U text (a string, or an iterable of lines),
+    one at a time, each checked when its sentence ends.
+
+    Only an empty line ends a sentence; a line of whitespace only is an
+    error.  Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
+    skipped; ``# sent_id`` and ``# text`` comments are captured.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = io.StringIO(source)
-    else:
-        lines = source
-    sentences: list[SentenceGraph] = []
+    lines = _split_lines(source) if isinstance(source, str) else source
+    count = 0
     sent_id: Optional[str] = None
     text: Optional[str] = None
     tokens: list[Token] = []
-
-    def flush():
-        nonlocal sent_id, text, tokens
-        if tokens:
-            sentences.append(_finish_sentence(sent_id, text, tokens,
-                                              len(sentences) + 1))
-        sent_id, text, tokens = None, None, []
-
-    for line_no, raw in enumerate(lines, 1):
+    # the empty line after the last one ends the last sentence
+    for line_no, raw in enumerate(chain(lines, [""]), 1):
         line = raw.rstrip("\n")
-        if not line.strip():
-            flush()
+        if not line:
+            if tokens:
+                count += 1
+                yield _finish_sentence(sent_id, text, tokens, count)
+            sent_id, text, tokens = None, None, []
             continue
+        if line.isspace():
+            raise ConlluParseError(
+                "line of whitespace only (only an empty line ends a "
+                "sentence)", line_no)
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("sent_id"):
@@ -219,8 +230,11 @@ def parse_conllu(source) -> list[SentenceGraph]:
         tokens.append(Token(id=token_id, form=cols[1], lemma=cols[2],
                             upos=cols[3], head=head, deprel=cols[7],
                             extras=(cols[4], cols[5], cols[8], cols[9])))
-    flush()
-    return sentences
+
+
+def parse_conllu(source: Union[str, Iterable[str]]) -> list[SentenceGraph]:
+    """All sentence graphs of CoNLL-U text; see :func:`iter_conllu`."""
+    return list(iter_conllu(source))
 
 
 def to_conllu(sentences: Sequence[SentenceGraph]) -> str:

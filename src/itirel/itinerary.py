@@ -111,12 +111,12 @@ def detect_displacement(relation: NaryRelation, g: SentenceGraph,
     temporal: list[TemporalEntity] = []
     for arg in relation.arguments:
         span = _recognition_span(arg)
-        spatial = recognize_spatial(g, span, lex, loose)
         temporal.extend(recognize_temporal(g, span, lex))
         if arg.role == "subj":
             if actor is None:
                 actor = arg
             continue  # the subject is the actor, never a route constituent
+        spatial = recognize_spatial(g, span, lex, loose)
         if spatial:
             es_args.append((arg.role, spatial))
     if not es_args:

@@ -9,13 +9,14 @@ files under ``itirel/data/lexicons`` are a seed that users can amend.
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 
 class VerbPolarity(str, Enum):
@@ -136,16 +137,22 @@ class LexiconSet:
                          if k is SpatialRelationKind.GEOMETRIC_FIGURE)
 
 
-def decode_text(data: bytes) -> str:
-    """data as strict UTF-8 with CRLF and CR line ends turned into LF; an
-    invalid byte raises ``ValueError(line_no, message)``."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line_no = data.count(b"\n", 0, err.start) + 1
-        raise ValueError(line_no, f"invalid UTF-8 byte 0x{data[err.start]:02x}"
-                         ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
+    """Text lines, without their ends, of binary lines that each end at the
+    first LF (a binary file's lines), decoded as strict UTF-8; CRLF and CR
+    end lines as LF does.  An invalid byte raises ``error(message, line_no)``,
+    counting lines at LF only."""
+    for line_no, chunk in enumerate(chunks, 1):
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise error(f"invalid UTF-8 byte 0x{chunk[err.start]:02x}",
+                        line_no) from None
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+            yield from text.removesuffix("\n").split("\n")
+        else:
+            yield text.removesuffix("\n")
 
 
 def files_digest(files: Mapping[str, bytes]) -> str:
@@ -162,12 +169,12 @@ def files_digest(files: Mapping[str, bytes]) -> str:
 def _read_tsv(name: str, data: bytes, n_cols: int,
               optional_second: bool = False):
     """Yield (line_no, columns) for data lines; '#' comments and blanks skipped."""
-    try:
-        text = decode_text(data)
-    except ValueError as err:
-        line_no, problem = err.args
-        raise LexiconError([f"{name}:{line_no}: {problem}"]) from None
-    for line_no, raw in enumerate(text.split("\n"), 1):
+    def error(problem: str, line_no: int) -> LexiconError:
+        return LexiconError([f"{name}:{line_no}: {problem}"])
+
+    # decoded whole first, so an invalid byte is the first problem reported
+    lines = list(decode_lines(io.BytesIO(data), error))
+    for line_no, raw in enumerate(lines, 1):
         line = raw.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue

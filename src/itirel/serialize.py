@@ -2,7 +2,9 @@
 
 JSON is the canonical machine format and round-trips exactly; Turtle is a
 one-way projection using the n-ary reification pattern: one instance node
-per itinerary relation, one property per role.
+per itinerary relation, one property per role.  Both are written one
+sentence at a time by :class:`JsonWriter` and :class:`TurtleWriter`;
+``to_json`` and ``to_turtle`` run them over a whole document.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
-from .depgraph import NoMainVerb, SentenceGraph, TokenSpan, parse_conllu, root_verb
+from .depgraph import (NoMainVerb, SentenceGraph, TokenSpan, iter_conllu,
+                       root_verb)
 from .entities import SpatialEntity, TemporalEntity
 from .itinerary import ItineraryRelation, detect_displacement
 from .lexicon import (FILE_NAMES, LexiconSet, SpatialRelationKind,
@@ -69,7 +72,7 @@ def extract_sentence(g: SentenceGraph, lex: LexiconSet,
     return SentenceResult(g.sent_id, g.text, narys, tuple(itins), ())
 
 
-def build_document(graphs: Sequence[SentenceGraph], lex: LexiconSet,
+def build_document(graphs: Iterable[SentenceGraph], lex: LexiconSet,
                    loose: bool = False,
                    fingerprint: str = "") -> ExtractionDocument:
     return ExtractionDocument(
@@ -99,8 +102,7 @@ def run_extract(conllu_text: str, lexicon_dir,
                 loose: bool = False) -> ExtractionDocument:
     """End-to-end driver: CoNLL-U text + lexicon directory -> document."""
     lex = load_lexicons(lexicon_dir)
-    graphs = parse_conllu(conllu_text)
-    return build_document(graphs, lex, loose=loose,
+    return build_document(iter_conllu(conllu_text), lex, loose=loose,
                           fingerprint=lex.fingerprint)
 
 
@@ -148,21 +150,58 @@ def _itinerary_dict(r: ItineraryRelation, narys: Sequence[NaryRelation]) -> dict
             "source_nary": narys.index(r.source_nary)}
 
 
+def _sentence_dict(s: SentenceResult) -> dict:
+    return {"sent_id": s.sent_id, "text": s.text,
+            "nary_relations": [_nary_dict(r) for r in s.nary_relations],
+            "itinerary_relations": [_itinerary_dict(r, s.nary_relations)
+                                    for r in s.itinerary_relations],
+            "skips": list(s.skips)}
+
+
+# json.dumps(value, ensure_ascii=False, indent=2), without building an
+# encoder on every call
+_json = json.JSONEncoder(ensure_ascii=False, indent=2).encode
+
+
+class JsonWriter:
+    """Writes a document's JSON one sentence at a time: the bytes
+    ``json.dumps(document, ensure_ascii=False, indent=2) + "\\n"`` gives,
+    without holding the document."""
+
+    def __init__(self, write: Callable[[str], object], fingerprint: str,
+                 tool_version: str = __version__):
+        self._write = write
+        self._added = False
+        write('{\n  "tool_version": ' + _json(tool_version)
+              + ',\n  "lexicon_fingerprint": ' + _json(fingerprint)
+              + ',\n  "sentences": [')
+
+    def add(self, s: SentenceResult) -> None:
+        # a sentence sits two levels deep: each of its lines is indented
+        # four spaces more than json.dumps indents it on its own
+        text = _json(_sentence_dict(s))
+        self._write((",\n    " if self._added else "\n    ")
+                    + text.replace("\n", "\n    "))
+        self._added = True
+
+    def finish(self) -> None:
+        self._write("\n  ]\n}\n" if self._added else "]\n}\n")
+
+
+def _render(doc: ExtractionDocument, make_writer) -> str:
+    """The text a writer, given a ``write`` function, writes for a document."""
+    parts: list[str] = []
+    writer = make_writer(parts.append)
+    for s in doc.sentences:
+        writer.add(s)
+    writer.finish()
+    return "".join(parts)
+
+
 def to_json(doc: ExtractionDocument) -> str:
     """Stable-order, exact-round-trip JSON rendering of a document."""
-    obj = {
-        "tool_version": doc.tool_version,
-        "lexicon_fingerprint": doc.lexicon_fingerprint,
-        "sentences": [
-            {"sent_id": s.sent_id, "text": s.text,
-             "nary_relations": [_nary_dict(r) for r in s.nary_relations],
-             "itinerary_relations": [
-                 _itinerary_dict(r, s.nary_relations)
-                 for r in s.itinerary_relations],
-             "skips": list(s.skips)}
-            for s in doc.sentences],
-    }
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    return _render(doc, lambda write: JsonWriter(
+        write, doc.lexicon_fingerprint, doc.tool_version))
 
 
 def _argument_from(d: dict) -> Argument:
@@ -230,8 +269,11 @@ def from_json(text: str) -> ExtractionDocument:
 
 _IRI_OK = re.compile(r'^[A-Za-z][A-Za-z0-9+.\-]*:[^\s<>"{}|^`\\]*$')
 
-# Characters an IRIREF forbids (all ASCII), percent-encoded in verb IRIs.
-_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# Percent-encoded in verb IRIs: what an IRIREF forbids (all ASCII), the
+# delimiters "#", "/" and "?", so that a lemma is one path segment, and a "%"
+# that would read as the start of an escape, so that distinct lemmas give
+# distinct IRIs ("a b" -> "a%20b", "a%20b" -> "a%2520b", "a%j" unchanged).
+_IRI_ESCAPED = re.compile(r'[\x00-\x20<>"{}|^`\\#/?]|%(?=[0-9A-Fa-f]{2})')
 
 _TTL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
                 "\t": "\\t"}
@@ -256,36 +298,38 @@ def _entity_node(e, indent: str) -> str:
     return "[ " + inner + " ]"
 
 
-def to_turtle(doc: ExtractionDocument, base_iri: str) -> str:
-    """Reified Turtle projection: one instance node per itinerary relation,
-    one property per role, spatial/temporal entities as nested nodes."""
-    if not _IRI_OK.match(base_iri):
-        raise ValueError(f"invalid base IRI: {base_iri!r}")
-    sep = "" if base_iri.endswith(("/", "#")) else "/"
-    vocab = f"{base_iri}{sep}vocab#"
-    lines = [
-        "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .",
-        f"@prefix itx: <{vocab}> .",
-        "",
-        "# Project-defined role vocabulary:",
-        "#   itx:actor            subject argument text of the displacement",
-        "#   itx:origin           spatial entity the motion starts from",
-        "#   itx:intermediate     spatial entity passed through",
-        "#   itx:destination      spatial entity the motion heads to",
-        "#   itx:temporal         temporal entity anchoring the displacement",
-        "#   itx:sourceSentence   sentence id the relation was read from",
-        "",
-    ]
-    counter = 0
-    for s in doc.sentences:
+class TurtleWriter:
+    """Writes the reified Turtle projection one sentence at a time: one
+    instance node per itinerary relation, numbered in document order, one
+    property per role, spatial/temporal entities as nested nodes."""
+
+    def __init__(self, write: Callable[[str], object], base_iri: str):
+        if not _IRI_OK.match(base_iri):
+            raise ValueError(f"invalid base IRI: {base_iri!r}")
+        self._write = write
+        self._base = base_iri + ("" if base_iri.endswith(("/", "#")) else "/")
+        self._counter = 0
+        write("\n".join([
+            "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .",
+            f"@prefix itx: <{self._base}vocab#> .",
+            "",
+            "# Project-defined role vocabulary:",
+            "#   itx:actor            subject argument text of the displacement",
+            "#   itx:origin           spatial entity the motion starts from",
+            "#   itx:intermediate     spatial entity passed through",
+            "#   itx:destination      spatial entity the motion heads to",
+            "#   itx:temporal         temporal entity anchoring the displacement",
+            "#   itx:sourceSentence   sentence id the relation was read from",
+            ""]))
+
+    def add(self, s: SentenceResult) -> None:
+        indent = "    "
         for r in s.itinerary_relations:
-            counter += 1
-            subject = f"<{base_iri}{sep}relation/{counter}>"
-            indent = "    "
-            verb = _IRI_FORBIDDEN.sub(lambda m: f"%{ord(m.group()):02X}",
-                                      r.verb_lemma)
+            self._counter += 1
+            verb = _IRI_ESCAPED.sub(lambda m: f"%{ord(m.group()):02X}",
+                                    r.verb_lemma)
             pairs: list[tuple[str, str]] = [
-                ("a", f"<{base_iri}{sep}verb/{verb}>"),
+                ("a", f"<{self._base}verb/{verb}>"),
                 ("itx:verb", _lit(r.verb_lemma)),
                 ("itx:polarity", _lit(r.polarity.value)),
             ]
@@ -299,6 +343,13 @@ def to_turtle(doc: ExtractionDocument, base_iri: str) -> str:
                     pairs.append((prop, _entity_node(e, indent)))
             pairs.append(("itx:sourceSentence", _lit(s.sent_id)))
             body = (" ;\n" + indent).join(f"{p} {o}" for p, o in pairs)
-            lines.append(f"{subject} {body} .")
-            lines.append("")
-    return "\n".join(lines).rstrip("\n") + "\n"
+            self._write(f"\n<{self._base}relation/{self._counter}> {body} .\n")
+
+    def finish(self) -> None:
+        """Nothing follows the last relation; here so that both writers
+        end the same way."""
+
+
+def to_turtle(doc: ExtractionDocument, base_iri: str) -> str:
+    """Reified Turtle projection of a document; see :class:`TurtleWriter`."""
+    return _render(doc, lambda write: TurtleWriter(write, base_iri))

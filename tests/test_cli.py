@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,146 @@ class TestExtract:
         loose = json.loads(capsys.readouterr().out)
         assert strict["sentences"][0]["itinerary_relations"] == []
         assert loose["sentences"][0]["itinerary_relations"] != []
+
+
+# a sentence whose second line has only its id: a malformed line
+_MALFORMED_TAIL = ("\n# sent_id = late\n"
+                   "1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+                   "2\n")
+
+
+def _late_failures(gold_text):
+    """Inputs whose last sentence fails after valid gold sentences, with the
+    error each gives."""
+    lines = gold_text.count("\n")
+    return {
+        "malformed": ((gold_text + _MALFORMED_TAIL).encode("utf-8"),
+                      f"itirel: conllu: line {lines + 4}: expected 10 "
+                      "tab-separated columns, got 1\n"),
+        "invalid-utf8": (gold_text.encode("utf-8") + b"\n" + _LATIN1_ROW,
+                         f"itirel: conllu: line {lines + 5}: invalid UTF-8 "
+                         "byte 0xe9\n"),
+    }
+
+
+@pytest.mark.parametrize("failure", ["malformed", "invalid-utf8"])
+class TestLateFailure:
+    """A sentence or byte that fails after valid sentences leaves no output:
+    nothing on stdout, no out dir, and an existing out dir unchanged."""
+
+    def _input(self, tmp_path, gold_text, failure):
+        data, error = _late_failures(gold_text)[failure]
+        path = tmp_path / "late.conllu"
+        path.write_bytes(data)
+        return path, error
+
+    def test_stdout_stays_empty(self, tmp_path, gold_text, capsys, failure):
+        path, error = self._input(tmp_path, gold_text, failure)
+        assert main(["extract", str(path)]) == EXIT_CONLLU
+        assert capsys.readouterr() == ("", error)
+
+    def test_stdin_gives_the_same_error(self, tmp_path, gold_text, capsys,
+                                        monkeypatch, failure):
+        path, error = self._input(tmp_path, gold_text, failure)
+        monkeypatch.setattr("sys.stdin", _stdin(path.read_bytes()))
+        assert main(["extract", "--format", "turtle",
+                     "--base-iri", BASE]) == EXIT_CONLLU
+        assert capsys.readouterr() == ("", error)
+
+    def test_no_out_dir_is_created(self, tmp_path, gold_text, capsys,
+                                   failure):
+        path, error = self._input(tmp_path, gold_text, failure)
+        out = tmp_path / "out"
+        assert main(["extract", str(path), "--format", "both",
+                     "--base-iri", BASE, "--out-dir", str(out)]) \
+            == EXIT_CONLLU
+        assert capsys.readouterr() == ("", error)
+        assert not out.exists()
+
+    def test_existing_out_dir_is_unchanged(self, tmp_path, gold_text,
+                                           capsys, failure):
+        path, error = self._input(tmp_path, gold_text, failure)
+        out = tmp_path / "out"
+        out.mkdir()
+        before = {"extraction.json": b'{"old": true}\n',
+                  "extraction.ttl": b"# old\n", "other.txt": b"kept\n"}
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+        assert main(["extract", str(path), "--format", "both",
+                     "--base-iri", BASE, "--out-dir", str(out)]) \
+            == EXIT_CONLLU
+        assert capsys.readouterr() == ("", error)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+_TOKENS = ["1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_",
+           "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_",
+           "3\t.\t.\tPUNCT\t_\t_\t2\tpunct\t_\t_"]
+
+
+@pytest.mark.parametrize("blank", ["\t", " ", "\x0c", "\u2028", "\x85"],
+                         ids=["tab", "space", "form-feed", "u2028", "u0085"])
+@pytest.mark.parametrize("at", [2, 4], ids=["before-tokens", "between-tokens"])
+def test_whitespace_only_line_exits_3(tmp_path, capsys, blank, at):
+    lines = ["# sent_id = a", "# text = Il part."] + _TOKENS
+    lines.insert(at, blank)
+    path = tmp_path / "blank.conllu"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["extract", str(path)]) == EXIT_CONLLU
+    assert capsys.readouterr() == (
+        "", f"itirel: conllu: line {at + 1}: line of whitespace only (only "
+        "an empty line ends a sentence)\n")
+
+
+class TestErrorOrder:
+    """Lexicon and --base-iri errors come before any input error."""
+
+    def test_lexicon_error_before_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.conllu"
+        bad.write_bytes(_LATIN1_ROW)
+        assert main(["extract", str(bad), "--lexicons",
+                     str(tmp_path / "none")]) == EXIT_LEXICON
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "missing lexicon file" in captured.err
+
+    def test_invalid_base_iri_before_input_error(self, tmp_path, capsys):
+        assert main(["extract", str(tmp_path / "nope.conllu"), "--format",
+                     "turtle", "--base-iri", "not an iri"]) == EXIT_LEXICON
+        assert capsys.readouterr() == (
+            "", "itirel: invalid base IRI: 'not an iri'\n")
+
+
+def _replicated(text: str, copies: int) -> str:
+    return "\n".join(text.replace("# sent_id = ", f"# sent_id = r{k}-")
+                     for k in range(copies))
+
+
+def test_peak_memory_does_not_grow_with_the_corpus(tmp_path, gold_text,
+                                                   taxonomy_text):
+    """The CLI holds one sentence at a time: its peak traced memory on a
+    corpus eight times larger stays within the 1x peak plus slack."""
+    block = gold_text + "\n" + taxonomy_text
+
+    def peak(copies: int) -> int:
+        path = tmp_path / f"corpus{copies}.conllu"
+        path.write_text(_replicated(block, copies), encoding="utf-8")
+        out = tmp_path / f"out{copies}"
+        tracemalloc.start()
+        try:
+            code = main(["extract", str(path), "--format", "both",
+                         "--base-iri", BASE, "--out-dir", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len(json.loads((out / "extraction.json").read_text(
+            encoding="utf-8"))["sentences"]) == 16 * copies
+        return peak
+
+    peak(1)  # warm-up: imports and caches filled on first use
+    small, large = peak(5), peak(40)
+    assert large <= 1.25 * small + 2 ** 20, (small, large)
 
 
 class TestLexiconValidate:

@@ -1,8 +1,8 @@
 import pytest
 
 from itirel import (ConlluParseError, NoMainVerb, StructureError, TokenSpan,
-                    dependents, parse_conllu, root_verb, span_text,
-                    subtree_yield, to_conllu)
+                    dependents, iter_conllu, parse_conllu, root_verb,
+                    span_text, subtree_yield, to_conllu)
 from itirel.depgraph import base_rel, subtree_ids
 
 from conftest import build
@@ -102,6 +102,33 @@ class TestParsing:
                 "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_\n"
                 f"{tid}\t.\t.\tPUNCT\t_\t_\t2\tpunct\t_\t_\n")
         with pytest.raises(ConlluParseError, match="non-integer token id"):
+            parse_conllu(text)
+
+    def test_iter_conllu_yields_before_a_later_error(self, gold_text):
+        text = gold_text + "\n# sent_id = bad\n1\tPau\tPau\n"
+        first = next(iter_conllu(text))
+        assert first == parse_conllu(gold_text)[0]
+        with pytest.raises(ConlluParseError):
+            parse_conllu(text)
+
+    def test_line_iterable_gives_the_same_graphs(self, gold_text):
+        assert parse_conllu(iter(gold_text.splitlines(keepends=True))) == \
+            parse_conllu(gold_text)
+        assert parse_conllu(gold_text.split("\n")) == parse_conllu(gold_text)
+
+    def test_default_ids_count_sentences(self):
+        row = "1\tPau\tPau\tPROPN\t_\t_\t0\troot\t_\t_\n"
+        graphs = iter_conllu(f"{row}\n\n# sent_id = b\n{row}\n{row}")
+        assert [g.sent_id for g in graphs] == ["s1", "b", "s3"]
+
+    @pytest.mark.parametrize("blank", ["\t", " ", "\x0c", "\u2028", "\x85",
+                                       "\r"])
+    def test_whitespace_only_line_is_an_error(self, blank):
+        text = ("# sent_id = a\n# text = Il part.\n"
+                f"{blank}\n"
+                "1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+                "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_\n")
+        with pytest.raises(ConlluParseError, match="^line 3: .*whitespace"):
             parse_conllu(text)
 
     def test_conllu_round_trip(self, gold_text, gold):

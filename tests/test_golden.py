@@ -3,9 +3,11 @@
 The files under ``tests/golden/`` were written by ``itirel extract`` before
 the refactors that must keep them: JSON and Turtle from ``--format both``
 and JSON from ``--loose-toponyms``.  A refactor passes only if every byte
-stays the same.
+stays the same, on every way in (a file, stdin) and out (an out dir,
+stdout).
 """
 
+import io
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,22 @@ def test_loose_toponyms_match_golden(corpus, capsysbinary):
                  "--loose-toponyms"]) == EXIT_OK
     assert capsysbinary.readouterr().out == \
         (GOLDEN / f"{corpus}.loose.json").read_bytes()
+
+
+@pytest.mark.parametrize("corpus", ["gold", "taxonomy"])
+def test_stdin_matches_golden(corpus, capsysbinary, monkeypatch):
+    data = (CORPORA / f"{corpus}.conllu").read_bytes()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                      encoding="utf-8"))
+    assert main(["extract", "-"]) == EXIT_OK
+    assert capsysbinary.readouterr().out == \
+        (GOLDEN / f"{corpus}.json").read_bytes()
+
+
+@pytest.mark.parametrize("corpus", ["gold", "taxonomy"])
+def test_turtle_to_stdout_matches_golden(corpus, capsysbinary):
+    assert main(["extract", str(CORPORA / f"{corpus}.conllu"),
+                 "--format", "turtle",
+                 "--base-iri", "https://example.org/iti"]) == EXIT_OK
+    assert capsysbinary.readouterr().out == \
+        (GOLDEN / f"{corpus}.ttl").read_bytes()

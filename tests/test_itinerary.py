@@ -4,6 +4,7 @@ from itirel import (ItineraryRelation, NaryRelation, NoMainVerb, SkipRecord,
                     SpatialRelationKind, TemporalRelationKind, UseCaseKind,
                     VerbPolarity, assign_roles, detect_displacement,
                     extract_arguments, extract_itineraries, extract_nary,
+                    extract_sentence,
                     motion_polarity, pivot_tokens, recognize_spatial,
                     root_verb)
 
@@ -67,6 +68,32 @@ class TestPolysemyFilter:
         rel = _relation(g, lex)  # quitter, but "sa femme" is not a place
         assert motion_polarity(lex, rel.predicate_lemma) is not None
         assert detect_displacement(rel, g, lex) is None
+
+    def test_figurative_motion_reaches_the_filter_and_is_rejected(self, lex):
+        # « Il a quitté sa femme pour une autre depuis deux semaines. »:
+        # a UC3 relation of the motion verb quitter, with no place in it
+        g = build([(1, "Il", "il", "PRON", 3, "nsubj"),
+                   (2, "a", "avoir", "AUX", 3, "aux"),
+                   (3, "quitté", "quitter", "VERB", 0, "root"),
+                   (4, "sa", "son", "DET", 5, "det"),
+                   (5, "femme", "femme", "NOUN", 3, "obj"),
+                   (6, "pour", "pour", "ADP", 8, "case"),
+                   (7, "une", "un", "DET", 8, "det"),
+                   (8, "autre", "autre", "PRON", 3, "obl"),
+                   (9, "depuis", "depuis", "ADP", 11, "case"),
+                   (10, "deux", "deux", "NUM", 11, "nummod"),
+                   (11, "semaines", "semaine", "NOUN", 3, "obl"),
+                   (12, ".", ".", "PUNCT", 3, "punct")], sent_id="figurative")
+        result = extract_sentence(g, lex)
+        (rel,) = result.nary_relations
+        assert rel.use_case is UseCaseKind.UC3_NO_PRIMARY_ARGUMENT
+        assert rel.predicate_lemma == "quitter"
+        assert [a.text for a in rel.arguments] == [
+            "Il", "sa femme", "une autre", "deux semaines"]
+        assert motion_polarity(lex, rel.predicate_lemma) is not None
+        assert detect_displacement(rel, g, lex) is None
+        assert result.itinerary_relations == ()
+        assert result.skips == ()
 
     def test_non_motion_verb_with_spatial_entity_does_not(self, gold, lex):
         g = gold["gold-02"]

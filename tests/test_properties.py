@@ -1,15 +1,19 @@
+import io
+import json
 import string
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import itirel
 from itirel import (LexiconSet, SentenceGraph, StructureError,
                     recognize_spatial, recognize_temporal, save_lexicons,
                     load_lexicons, TokenSpan)
+from itirel.cli import EXIT_CONLLU, EXIT_OK, main
 from itirel.depgraph import Token, subtree_ids, subtree_yield
 from itirel.lexicon import (PhraseIndex, SpatialRelationKind, canon_word,
-                            normalize)
+                            decode_lines, normalize)
 
 from conftest import _gold_file
 from oracles import closure, longest_match
@@ -263,3 +267,99 @@ def test_fuzzed_ids_and_heads_parse_or_fail_cleanly(rows, lex):
     json_text = itirel.to_json(doc)
     assert itirel.to_json(itirel.from_json(json_text)) == json_text
     parse_turtle(itirel.to_turtle(doc, "https://example.org/iti"))
+
+
+# Text without line ends (LF, CR) or tabs: Latin, accents, apostrophes,
+# quotes, Unicode separators, emoji.
+_FIELD = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                        blacklist_characters="\t\n\r"),
+                 min_size=1, max_size=8)
+_COMMENT = _FIELD.map(str.strip).filter(bool)
+
+
+@st.composite
+def unicode_trees(draw):
+    """Random trees whose forms, lemmas, sentence ids and texts hold any
+    text a CoNLL-U line can carry."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    order = draw(st.permutations(list(range(1, n + 1))))
+    heads = {order[0]: 0}
+    for k in range(1, n):
+        heads[order[k]] = draw(st.sampled_from(order[:k]))
+    tokens = tuple(
+        Token(id=i, form=draw(_FIELD), lemma=draw(_FIELD),
+              upos=draw(st.sampled_from(_UPOS)), head=heads[i],
+              deprel="root" if heads[i] == 0
+              else draw(st.sampled_from(_DEPRELS)),
+              extras=("_", "_", "_", draw(st.sampled_from(
+                  ("_", "SpaceAfter=No")))))
+        for i in range(1, n + 1))
+    return SentenceGraph(sent_id=draw(_COMMENT), text=draw(_COMMENT),
+                         tokens=tokens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs=st.lists(unicode_trees(), max_size=3))
+def test_conllu_round_trip_with_any_text(graphs):
+    text = itirel.to_conllu(graphs)
+    assert itirel.parse_conllu(text) == graphs
+    # the CLI's way in: binary lines, decoded one at a time
+    binary = io.BytesIO(text.encode("utf-8"))
+    assert itirel.parse_conllu(
+        decode_lines(binary, itirel.ConlluParseError)) == graphs
+
+
+_GOLD_LINES = _gold_file("gold.conllu").split("\n")
+
+
+@st.composite
+def mutated_gold(draw):
+    """The gold corpus with up to three of its lines deleted, repeated,
+    swapped, emptied, cut short, or made whitespace only, and maybe an
+    invalid UTF-8 byte."""
+    lines = list(_GOLD_LINES)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        edit = draw(st.sampled_from(
+            ["delete", "repeat", "swap", "empty", "cut", "blank"]))
+        if edit == "delete":
+            del lines[k]
+        elif edit == "repeat":
+            lines.insert(k, lines[k])
+        elif edit == "swap" and k + 1 < len(lines):
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        elif edit == "empty":
+            lines[k] = ""
+        elif edit == "cut":
+            lines[k] = lines[k][:draw(st.integers(0, len(lines[k])))]
+        elif edit == "blank":
+            lines[k] = draw(st.sampled_from(["\t", " ", "\x0c", "\u2028",
+                                             "\x85"]))
+    data = "\n".join(lines).encode("utf-8")
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=mutated_gold())
+def test_mutated_input_gives_output_or_one_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mutated") / "in.conllu"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["extract", str(path)])
+    assert code in (EXIT_OK, EXIT_CONLLU)
+    event(f"exit {code}")
+    if code == EXIT_OK:
+        expected = itirel.run_extract(data.decode("utf-8"),
+                                      itirel.bundled_lexicon_dir())
+        assert out.getvalue() == itirel.to_json(expected)
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()),
+                                            ensure_ascii=False, indent=2) + "\n"
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("itirel: conllu: ")
+        assert err.getvalue().count("\n") == 1

@@ -3,6 +3,7 @@ import shutil
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itirel import serialize
 from itirel import (build_document, bundled_lexicon_dir, extract_sentence,
@@ -86,6 +87,12 @@ class TestJson:
         assert from_json(text) == doc
         assert to_json(from_json(text)) == text
 
+    @pytest.mark.parametrize("count", [8, 1, 0])
+    def test_writer_gives_the_bytes_of_one_json_dumps(self, doc, count):
+        text = to_json(replace(doc, sentences=doc.sentences[:count]))
+        assert text == json.dumps(json.loads(text), ensure_ascii=False,
+                                  indent=2) + "\n"
+
     def test_byte_determinism(self, gold_text):
         a = to_json(run_extract(gold_text, bundled_lexicon_dir()))
         b = to_json(run_extract(gold_text, bundled_lexicon_dir()))
@@ -152,6 +159,12 @@ class TestTurtle:
         subjects = {t.subject for t in triples if t.predicate == RDF_TYPE}
         assert len(subjects) == 2
 
+    @pytest.mark.parametrize("count", [8, 1, 0])
+    def test_writer_gives_the_bytes_of_one_json_dumps(self, doc, count):
+        text = to_json(replace(doc, sentences=doc.sentences[:count]))
+        assert text == json.dumps(json.loads(text), ensure_ascii=False,
+                                  indent=2) + "\n"
+
     def test_byte_determinism(self, gold_text):
         a = to_turtle(run_extract(gold_text, bundled_lexicon_dir()), BASE)
         b = to_turtle(run_extract(gold_text, bundled_lexicon_dir()), BASE)
@@ -187,6 +200,35 @@ class TestTurtle:
         triples = parse_turtle(text)
         assert [t.object for t in triples if t.predicate == RDF_TYPE] == [
             f"{BASE}/verb/a%20b%09%3Cc%3E%22d%7Be%7D%7Cf%5Eg%60h%5Ci%01é'%j"]
+
+    @staticmethod
+    def _verb_iris(doc, lemmas):
+        """The verb IRIs, as parsed back, of one relation per lemma."""
+        sentence = next(s for s in doc.sentences if s.itinerary_relations)
+        itins = tuple(replace(sentence.itinerary_relations[0], verb_lemma=v)
+                      for v in lemmas)
+        one = replace(doc, sentences=(
+            replace(sentence, itinerary_relations=itins),))
+        return [t.object for t in parse_turtle(to_turtle(one, BASE))
+                if t.predicate == RDF_TYPE]
+
+    def test_delimiters_and_escapes_give_distinct_iris(self, doc):
+        lemmas = ["a b", "a%20b", "a%2520b", "a#b", "a/b", "a?b", "a%#b"]
+        iris = self._verb_iris(doc, lemmas)
+        assert iris == [f"{BASE}/verb/{v}" for v in (
+            "a%20b", "a%2520b", "a%252520b", "a%23b", "a%2Fb", "a%3Fb",
+            "a%%23b")]
+
+    @settings(max_examples=100, deadline=None)
+    @given(lemmas=st.lists(st.text(alphabet="aé %#/?2Fb<\t", min_size=1,
+                                   max_size=6), min_size=2, max_size=4,
+                           unique=True))
+    def test_distinct_lemmas_give_distinct_iris(self, doc, lemmas):
+        iris = self._verb_iris(doc, lemmas)
+        assert len(set(iris)) == len(lemmas)
+        for iri in iris:
+            segment = iri.removeprefix(f"{BASE}/verb/")
+            assert not set("#/?") & set(segment)
 
     def test_invalid_base_iri_rejected(self, doc):
         for bad in ("not an iri", "no-scheme", "1http://x", "http://a b"):
