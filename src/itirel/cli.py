@@ -7,8 +7,10 @@ Subcommands:
   itirel lexicon validate [DIR]
 
 Exit codes: 0 success, 2 lexicon/usage error (also a lexicon file that is not
-UTF-8), 3 CoNLL-U error (also input that is not UTF-8).
-Logs go to stderr only; single-format output goes to stdout.
+UTF-8, and an --out-dir that cannot be created), 3 CoNLL-U error (also input
+that is not UTF-8).
+Logs go to stderr only; single-format output goes to stdout, as UTF-8 bytes
+whatever the locale.
 
 ``extract`` streams: it reads the input a line at a time and passes each
 sentence through the pipeline to the writers as soon as it ends.  Output is
@@ -24,6 +26,7 @@ import sys
 import tempfile
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
+from typing import Optional
 
 from .depgraph import ConlluParseError, StructureError, iter_conllu
 from .lexicon import (LexiconError, bundled_lexicon_dir, decode_lines,
@@ -112,7 +115,14 @@ def _cmd_extract(args) -> int:
             return _fail(f"conllu: {err}", EXIT_CONLLU)
         for writer in writers:
             writer.finish()
-        _copy_out(outputs, args.out_dir)
+        out_dir = Path(args.out_dir) if args.out_dir else None
+        if out_dir:
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as err:
+                return _fail(f"cannot create --out-dir {out_dir}: "
+                             f"{err.strerror}", EXIT_LEXICON)
+        _copy_out(outputs, out_dir)
     return EXIT_OK
 
 
@@ -121,19 +131,20 @@ def _temporary_file():
     return tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
 
 
-def _copy_out(outputs: dict, out_dir) -> None:
-    """Copy finished temporary outputs into out_dir (created here), or to
-    stdout when there is none."""
-    if out_dir:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+def _copy_out(outputs: dict, out_dir: Optional[Path]) -> None:
+    """Copy finished temporary outputs, as their UTF-8 bytes, into out_dir,
+    or to stdout when there is none."""
     for name, tmp in outputs.items():
         tmp.seek(0)
         if out_dir:
-            with open(out_dir / name, "w", encoding="utf-8") as out:
-                shutil.copyfileobj(tmp, out)
+            with open(out_dir / name, "wb") as out:
+                shutil.copyfileobj(tmp.buffer, out)
             print(f"itirel: wrote {out_dir / name}", file=sys.stderr)
-        else:
+        elif hasattr(sys.stdout, "buffer"):
+            # the bytes, whatever encoding the locale gives stdout
+            sys.stdout.flush()
+            shutil.copyfileobj(tmp.buffer, sys.stdout.buffer)
+        else:  # a text stream put in place of stdout, such as io.StringIO
             shutil.copyfileobj(tmp, sys.stdout)
 
 

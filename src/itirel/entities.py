@@ -190,7 +190,10 @@ def _spatial_from_marker(g, toks, i, match, lex, loose):
         return None
     hn, display, lo = hit
     end = k + hn - 1
-    direction = words[-2] if kind is SpatialRelationKind.ORIENTATION else None
+    # the direction is the word before the preposition ("au nord de"); a
+    # one-word orientation marker is its own direction
+    direction = (words[-2:][0] if kind is SpatialRelationKind.ORIENTATION
+                 else None)
     ent = _make_spatial(g, toks, i, end, kind, [display], None, direction, lo)
     return ent, end + 1
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .depgraph import (NoMainVerb, SentenceGraph, TokenSpan, base_rel,
@@ -69,7 +70,9 @@ class NaryRelation:
     arguments: tuple[Argument, ...]
     sent_id: str
 
-    # A relation is characterized by the multiset of its arguments.
+    # A relation is characterized by the multiset of its arguments; it is
+    # frozen, so the key is computed once, on first comparison.
+    @cached_property
     def _key(self):
         return (self.use_case, self.predicate_lemma,
                 frozenset(Counter(self.arguments).items()))
@@ -77,10 +80,10 @@ class NaryRelation:
     def __eq__(self, other):
         if not isinstance(other, NaryRelation):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
 
 def _case_ids(g: SentenceGraph, token_id: int) -> frozenset[int]:

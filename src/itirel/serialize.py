@@ -3,7 +3,8 @@
 JSON is the canonical machine format and round-trips exactly; Turtle is a
 one-way projection using the n-ary reification pattern: one instance node
 per itinerary relation, one property per role.  Both are written one
-sentence at a time by :class:`JsonWriter` and :class:`TurtleWriter`;
+sentence at a time by :class:`JsonWriter` and :class:`TurtleWriter`, which
+render text straight from the result objects, with no intermediate dicts;
 ``to_json`` and ``to_turtle`` run them over a whole document.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -107,81 +109,138 @@ def run_extract(conllu_text: str, lexicon_dir,
 
 
 # --- JSON ------------------------------------------------------------------
+# One template per record type, laid out at the depth the record has in the
+# document: keys in a fixed order, two spaces per level, strings escaped by
+# the json module's own encoder with non-ASCII written raw.  The text is what
+# the json module writes for the same values with ensure_ascii=False and
+# indent=2, which tests/oracles.py keeps as the reference.
 
-def _span_dict(span: TokenSpan) -> dict:
-    return {"first": span.first, "last": span.last}
-
-
-def _argument_dict(a: Argument) -> dict:
-    return {"role": a.role, "text": a.text, **_span_dict(a.span),
-            "pivot": a.pivot, "order": a.order,
-            "case_marker": a.case_marker, "flagged": a.flagged}
+_str = encode_basestring
 
 
-def _spatial_dict(e: SpatialEntity) -> dict:
-    return {"kind": e.kind.value, "text": e.text, **_span_dict(e.span),
-            "anchors": list(e.anchors),
-            "magnitude": ({"value": e.magnitude[0], "unit": e.magnitude[1]}
-                          if e.magnitude else None),
-            "direction": e.direction, "loose": e.loose}
+def _str_or_null(value: Optional[str]) -> str:
+    return "null" if value is None else _str(value)
 
 
-def _temporal_dict(e: TemporalEntity) -> dict:
-    return {"kind": e.kind.value, "text": e.text, **_span_dict(e.span),
-            "magnitude": ({"value": e.magnitude[0], "unit": e.magnitude[1]}
-                          if e.magnitude else None),
-            "anchor_text": e.anchor_text}
+def _int_or_null(value: Optional[int]) -> str:
+    return "null" if value is None else str(value)
 
 
-def _nary_dict(r: NaryRelation) -> dict:
-    return {"use_case": r.use_case.value,
-            "predicate_lemma": r.predicate_lemma,
-            "predicate_token": r.predicate_token,
-            "arguments": [_argument_dict(a) for a in r.arguments]}
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def _itinerary_dict(r: ItineraryRelation, narys: Sequence[NaryRelation]) -> dict:
-    return {"verb_lemma": r.verb_lemma, "polarity": r.polarity.value,
-            "actor": _argument_dict(r.actor) if r.actor else None,
-            "origin": [_spatial_dict(e) for e in r.origin],
-            "intermediate": [_spatial_dict(e) for e in r.intermediate],
-            "destination": [_spatial_dict(e) for e in r.destination],
-            "temporal": [_temporal_dict(e) for e in r.temporal],
-            "source_nary": narys.index(r.source_nary)}
+def _array(items: list[str], pad: str) -> str:
+    """A JSON array of rendered items, one a line at indent ``pad``; its
+    closing bracket sits one level out."""
+    if not items:
+        return "[]"
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
 
 
-def _sentence_dict(s: SentenceResult) -> dict:
-    return {"sent_id": s.sent_id, "text": s.text,
-            "nary_relations": [_nary_dict(r) for r in s.nary_relations],
-            "itinerary_relations": [_itinerary_dict(r, s.nary_relations)
-                                    for r in s.itinerary_relations],
-            "skips": list(s.skips)}
+def _argument(a: Argument, pad: str) -> str:
+    # ``pad`` indents the keys: an argument sits in a relation's list, or one
+    # level further out as an itinerary's actor
+    return f'''{{
+{pad}"role": {_str(a.role)},
+{pad}"text": {_str(a.text)},
+{pad}"first": {a.span.first},
+{pad}"last": {a.span.last},
+{pad}"pivot": {a.pivot},
+{pad}"order": {_int_or_null(a.order)},
+{pad}"case_marker": {_int_or_null(a.case_marker)},
+{pad}"flagged": {_bool(a.flagged)}
+{pad[:-2]}}}'''
 
 
-# json.dumps(value, ensure_ascii=False, indent=2), without building an
-# encoder on every call
-_json = json.JSONEncoder(ensure_ascii=False, indent=2).encode
+def _magnitude(m: Optional[tuple[int, str]]) -> str:
+    if not m:
+        return "null"
+    return f'''{{
+                "value": {m[0]},
+                "unit": {_str(m[1])}
+              }}'''
+
+
+def _spatial(e: SpatialEntity) -> str:
+    anchors = _array([_str(a) for a in e.anchors], " " * 16)
+    return f'''{{
+              "kind": {_str(e.kind.value)},
+              "text": {_str(e.text)},
+              "first": {e.span.first},
+              "last": {e.span.last},
+              "anchors": {anchors},
+              "magnitude": {_magnitude(e.magnitude)},
+              "direction": {_str_or_null(e.direction)},
+              "loose": {_bool(e.loose)}
+            }}'''
+
+
+def _temporal(e: TemporalEntity) -> str:
+    return f'''{{
+              "kind": {_str(e.kind.value)},
+              "text": {_str(e.text)},
+              "first": {e.span.first},
+              "last": {e.span.last},
+              "magnitude": {_magnitude(e.magnitude)},
+              "anchor_text": {_str(e.anchor_text)}
+            }}'''
+
+
+def _nary(r: NaryRelation) -> str:
+    arguments = _array([_argument(a, " " * 14) for a in r.arguments], " " * 12)
+    return f'''{{
+          "use_case": {_str(r.use_case.value)},
+          "predicate_lemma": {_str(r.predicate_lemma)},
+          "predicate_token": {r.predicate_token},
+          "arguments": {arguments}
+        }}'''
+
+
+def _itinerary(r: ItineraryRelation, source_nary: int) -> str:
+    pad = " " * 12
+    actor = "null" if r.actor is None else _argument(r.actor, pad)
+    return f'''{{
+          "verb_lemma": {_str(r.verb_lemma)},
+          "polarity": {_str(r.polarity.value)},
+          "actor": {actor},
+          "origin": {_array([_spatial(e) for e in r.origin], pad)},
+          "intermediate": {_array([_spatial(e) for e in r.intermediate], pad)},
+          "destination": {_array([_spatial(e) for e in r.destination], pad)},
+          "temporal": {_array([_temporal(e) for e in r.temporal], pad)},
+          "source_nary": {source_nary}
+        }}'''
+
+
+def _sentence(s: SentenceResult) -> str:
+    narys = s.nary_relations
+    pad = " " * 8
+    itineraries = _array([_itinerary(r, narys.index(r.source_nary))
+                          for r in s.itinerary_relations], pad)
+    return f'''{{
+      "sent_id": {_str(s.sent_id)},
+      "text": {_str(s.text)},
+      "nary_relations": {_array([_nary(r) for r in narys], pad)},
+      "itinerary_relations": {itineraries},
+      "skips": {_array([_str(x) for x in s.skips], pad)}
+    }}'''
 
 
 class JsonWriter:
-    """Writes a document's JSON one sentence at a time: the bytes
-    ``json.dumps(document, ensure_ascii=False, indent=2) + "\\n"`` gives,
-    without holding the document."""
+    """Writes a document's JSON one sentence at a time, each rendered
+    straight from its result objects at its final depth, without holding
+    the document."""
 
     def __init__(self, write: Callable[[str], object], fingerprint: str,
                  tool_version: str = __version__):
         self._write = write
         self._added = False
-        write('{\n  "tool_version": ' + _json(tool_version)
-              + ',\n  "lexicon_fingerprint": ' + _json(fingerprint)
+        write('{\n  "tool_version": ' + _str(tool_version)
+              + ',\n  "lexicon_fingerprint": ' + _str(fingerprint)
               + ',\n  "sentences": [')
 
     def add(self, s: SentenceResult) -> None:
-        # a sentence sits two levels deep: each of its lines is indented
-        # four spaces more than json.dumps indents it on its own
-        text = _json(_sentence_dict(s))
-        self._write((",\n    " if self._added else "\n    ")
-                    + text.replace("\n", "\n    "))
+        self._write((",\n    " if self._added else "\n    ") + _sentence(s))
         self._added = True
 
     def finish(self) -> None:

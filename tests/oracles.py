@@ -3,11 +3,13 @@
 These deliberately avoid the library's graph utilities: descendants are
 computed by fixpoint iteration over the raw head column, and argument spans
 are re-derived from first principles so the two implementations can only
-agree by computing the same thing.
+agree by computing the same thing.  The JSON reference builds plain dicts
+of the records and encodes them with the json module.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Optional, Sequence
 
 from itirel.lexicon import normalize
@@ -89,3 +91,64 @@ def longest_match(toks: Sequence, i: int, phrases, fold=str):
                 for k in range(n)):
             return n, words, phrase, value
     return None
+
+
+# Reference for serialize.JsonWriter: the text it writes for a document is
+# document_json(...) of the same values.
+
+def _span_dict(span) -> dict:
+    return {"first": span.first, "last": span.last}
+
+
+def argument_dict(a) -> dict:
+    return {"role": a.role, "text": a.text, **_span_dict(a.span),
+            "pivot": a.pivot, "order": a.order,
+            "case_marker": a.case_marker, "flagged": a.flagged}
+
+
+def spatial_dict(e) -> dict:
+    return {"kind": e.kind.value, "text": e.text, **_span_dict(e.span),
+            "anchors": list(e.anchors),
+            "magnitude": ({"value": e.magnitude[0], "unit": e.magnitude[1]}
+                          if e.magnitude else None),
+            "direction": e.direction, "loose": e.loose}
+
+
+def temporal_dict(e) -> dict:
+    return {"kind": e.kind.value, "text": e.text, **_span_dict(e.span),
+            "magnitude": ({"value": e.magnitude[0], "unit": e.magnitude[1]}
+                          if e.magnitude else None),
+            "anchor_text": e.anchor_text}
+
+
+def nary_dict(r) -> dict:
+    return {"use_case": r.use_case.value,
+            "predicate_lemma": r.predicate_lemma,
+            "predicate_token": r.predicate_token,
+            "arguments": [argument_dict(a) for a in r.arguments]}
+
+
+def itinerary_dict(r, narys: Sequence) -> dict:
+    return {"verb_lemma": r.verb_lemma, "polarity": r.polarity.value,
+            "actor": argument_dict(r.actor) if r.actor else None,
+            "origin": [spatial_dict(e) for e in r.origin],
+            "intermediate": [spatial_dict(e) for e in r.intermediate],
+            "destination": [spatial_dict(e) for e in r.destination],
+            "temporal": [temporal_dict(e) for e in r.temporal],
+            "source_nary": narys.index(r.source_nary)}
+
+
+def sentence_dict(s) -> dict:
+    return {"sent_id": s.sent_id, "text": s.text,
+            "nary_relations": [nary_dict(r) for r in s.nary_relations],
+            "itinerary_relations": [itinerary_dict(r, s.nary_relations)
+                                    for r in s.itinerary_relations],
+            "skips": list(s.skips)}
+
+
+def document_json(tool_version: str, fingerprint: str, sentences) -> str:
+    """The document's text as the json module writes it."""
+    return json.dumps({"tool_version": tool_version,
+                       "lexicon_fingerprint": fingerprint,
+                       "sentences": [sentence_dict(s) for s in sentences]},
+                      ensure_ascii=False, indent=2) + "\n"

@@ -91,6 +91,22 @@ class TestExtract:
         assert len(json.loads(json_text)["sentences"]) == 8
         assert parse_turtle(ttl_text)
 
+    @pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+    def test_out_dir_that_cannot_be_created_exits_2(self, gold_file,
+                                                    tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept\n")
+        out = blocker if where == "a-file" else blocker / "out"
+        reason = "File exists" if where == "a-file" else "Not a directory"
+        assert main(["extract", str(gold_file), "--format", "both",
+                     "--base-iri", BASE, "--out-dir", str(out)]) \
+            == EXIT_LEXICON
+        assert capsys.readouterr() == (
+            "", f"itirel: cannot create --out-dir {out}: {reason}\n")
+        assert [p.name for p in tmp_path.iterdir()] == \
+            sorted(["blocker", gold_file.name])
+        assert blocker.read_bytes() == b"kept\n"
+
     def test_corrupt_conllu_exits_3_without_partial_output(
             self, tmp_path, capsys):
         bad = tmp_path / "bad.conllu"
@@ -414,14 +430,29 @@ class TestEntrypoint:
             entrypoint()
         assert exc.value.code == EXIT_OK
 
-    def test_python_m_runs_the_cli(self, gold_file, capsys):
-        assert main(["extract", str(gold_file)]) == EXIT_OK
-        expected = capsys.readouterr().out.encode("utf-8")
+    @staticmethod
+    def _run_module(args, **env):
+        """``python -m itirel.cli`` in a child process, on this checkout."""
         src = str(Path(itirel.__file__).resolve().parent.parent)
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                                if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "itirel.cli", "extract", str(gold_file)],
-            capture_output=True, env={**os.environ, "PYTHONPATH": path})
+        return subprocess.run(
+            [sys.executable, "-m", "itirel.cli", *args], capture_output=True,
+            env={**os.environ, "PYTHONPATH": path, **env})
+
+    def test_python_m_runs_the_cli(self, gold_file, capsys):
+        assert main(["extract", str(gold_file)]) == EXIT_OK
+        expected = capsys.readouterr().out.encode("utf-8")
+        proc = self._run_module(["extract", str(gold_file)])
         assert proc.returncode == EXIT_OK
         assert proc.stdout == expected
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_stdout_is_utf8_whatever_its_encoding(self, encoding):
+        proc = self._run_module(
+            ["extract", str(bundled_lexicon_dir().parent / "gold"
+                            / "gold.conllu")],
+            PYTHONIOENCODING=encoding)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout == (Path(__file__).parent / "golden"
+                               / "gold.json").read_bytes()

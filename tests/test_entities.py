@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from itirel import (NotAMarker, SpatialEntity, SpatialRelationKind,
@@ -121,6 +123,21 @@ class TestSpatialRecognition:
         assert ent.direction == "ouest"
         assert ent.anchors == ("Pic de la Fourcade",)
         assert ent.span == TokenSpan(5, 12)
+
+    def test_one_word_orientation_marker_is_its_own_direction(self, lex):
+        # a lexicon may list a one-word orientation marker; recognition of
+        # it ended in an IndexError when the direction was read from the
+        # word before the marker's last
+        one_word = replace(lex, spatial_markers={
+            **lex.spatial_markers, "nord": SpatialRelationKind.ORIENTATION})
+        g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
+                   (2, "va", "aller", "VERB", 0, "root"),
+                   (3, "nord", "nord", "ADV", 4, "advmod"),
+                   (4, "Pau", "Pau", "PROPN", 2, "obl")])
+        (ent,) = recognize_spatial(g, g.span(), one_word)
+        assert ent.kind is SpatialRelationKind.ORIENTATION
+        assert (ent.direction, ent.anchors, ent.text) == \
+            ("nord", ("Pau",), "nord Pau")
 
     def test_figure_with_three_anchors(self, taxonomy, lex):
         g = taxonomy["tax-figure"]

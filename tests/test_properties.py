@@ -10,7 +10,7 @@ import itirel
 from itirel import (LexiconSet, SentenceGraph, StructureError,
                     recognize_spatial, recognize_temporal, save_lexicons,
                     load_lexicons, TokenSpan)
-from itirel.cli import EXIT_CONLLU, EXIT_OK, main
+from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 from itirel.depgraph import Token, subtree_ids, subtree_yield
 from itirel.lexicon import (PhraseIndex, SpatialRelationKind, canon_word,
                             decode_lines, normalize)
@@ -310,6 +310,7 @@ def test_conllu_round_trip_with_any_text(graphs):
 
 
 _GOLD_LINES = _gold_file("gold.conllu").split("\n")
+_GOLD_FILE = itirel.bundled_lexicon_dir().parent / "gold" / "gold.conllu"
 
 
 @st.composite
@@ -363,3 +364,93 @@ def test_mutated_input_gives_output_or_one_line(tmp_path_factory, data):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("itirel: conllu: ")
         assert err.getvalue().count("\n") == 1
+
+
+# Values each lexicon file accepts in its second column, plus one it does not.
+_LEXICON_VALUES = {
+    "motion_verbs.tsv": ["initial", "median", "final"],
+    "spatial_markers.tsv": ["metric", "orientation", "figure", "adjacency",
+                            "inclusion"],
+    "temporal_markers.tsv": ["adjacency", "inclusion", "distance"],
+    "gazetteer.tsv": ["city", ""],
+    "units.tsv": ["spatial", "temporal"],
+}
+# Keys drawn from the words of the gold sentences, so that a mutated lexicon
+# changes what extraction finds in them; with punctuation, elisions, digits
+# and whitespace that normalizes away.
+_LEXICON_WORDS = ("Pau", "Lyon", "de", "vers", "pour", "depuis", "à", "km",
+                  "deux", "semaines", "ville", "près", "quitter", "aller",
+                  "l'", "d'", "au", ",", ".", "10", " ", " ", "#", "é")
+
+
+@st.composite
+def _lexicon_line(draw, name):
+    key = " ".join(draw(st.lists(st.sampled_from(_LEXICON_WORDS),
+                                 min_size=1, max_size=3)))
+    value = draw(st.sampled_from(_LEXICON_VALUES[name] * 3 + ["bogus"]))
+    extra = draw(st.sampled_from(["", "", "\textra", "\r", "\t"]))
+    return f"{key}\t{value}{extra}".encode("utf-8")
+
+
+@st.composite
+def mutated_lexicons(draw):
+    """The five bundled lexicon files, each kept, replaced by random bytes,
+    or with up to three of its lines deleted, repeated, swapped, cut short
+    (maybe inside a UTF-8 sequence) or added."""
+    files = {}
+    for name in itirel.lexicon.FILE_NAMES:
+        data = (itirel.bundled_lexicon_dir() / name).read_bytes()
+        how = draw(st.sampled_from(["keep", "keep", "bytes", "lines",
+                                    "lines"]))
+        if how == "bytes":
+            data = draw(st.binary(max_size=64))
+        elif how == "lines":
+            lines = data.split(b"\n")
+            for _ in range(draw(st.integers(min_value=1, max_value=3))):
+                k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+                edit = draw(st.sampled_from(
+                    ["delete", "repeat", "swap", "cut", "add", "add"]))
+                if edit == "delete" and len(lines) > 1:
+                    del lines[k]
+                elif edit == "repeat":
+                    lines.insert(k, lines[k])
+                elif edit == "swap" and k + 1 < len(lines):
+                    lines[k], lines[k + 1] = lines[k + 1], lines[k]
+                elif edit == "cut":
+                    lines[k] = lines[k][:draw(st.integers(0, len(lines[k])))]
+                elif edit == "add":
+                    lines.insert(k, draw(_lexicon_line(name)))
+            data = b"\n".join(lines)
+        event(f"{name}: {how}")
+        files[name] = data
+    return files
+
+
+@settings(max_examples=80, deadline=None)
+@given(files=mutated_lexicons())
+def test_mutated_lexicons_load_or_fail_cleanly(tmp_path_factory, files):
+    lexdir = tmp_path_factory.mktemp("lex")
+    for name, data in files.items():
+        (lexdir / name).write_bytes(data)
+    try:
+        problems = None
+        lex = load_lexicons(lexdir)
+    except itirel.LexiconError as err:
+        problems = err.problems
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["extract", str(_GOLD_FILE), "--lexicons", str(lexdir)])
+    event(f"exit {code}")
+    if problems is None:
+        assert code == EXIT_OK
+        expected = itirel.build_document(
+            itirel.parse_conllu(_gold_file("gold.conllu")), lex,
+            fingerprint=lex.fingerprint)
+        assert out.getvalue() == itirel.to_json(expected)
+        assert err.getvalue() == ""
+    else:
+        assert code == EXIT_LEXICON
+        assert out.getvalue() == ""
+        assert err.getvalue() == "".join(f"itirel: lexicon: {p}\n"
+                                         for p in problems)
+        assert all("\n" not in p for p in problems)

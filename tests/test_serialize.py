@@ -1,16 +1,22 @@
+import gc
 import json
 import shutil
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from itirel import serialize
-from itirel import (build_document, bundled_lexicon_dir, extract_sentence,
-                    from_json, lexicon_fingerprint, load_lexicons,
-                    run_extract, to_json, to_turtle)
+from itirel import (Argument, ItineraryRelation, JsonWriter, NaryRelation,
+                    SentenceResult, SpatialEntity, SpatialRelationKind,
+                    TemporalEntity, TemporalRelationKind, TokenSpan,
+                    TurtleWriter, UseCaseKind, VerbPolarity, build_document,
+                    bundled_lexicon_dir, extract_sentence, from_json,
+                    lexicon_fingerprint, load_lexicons, run_extract, to_json,
+                    to_turtle)
 
 from conftest import build
+from oracles import document_json
 
 from turtle_check import parse_turtle
 
@@ -111,6 +117,130 @@ class TestJson:
         doc = run_extract("", bundled_lexicon_dir())
         assert doc.sentences == ()
         assert from_json(to_json(doc)) == doc
+
+
+# Text the JSON escaping must get right: quotes, backslashes, control
+# characters, U+2028 / U+2029 (JavaScript line ends, written raw by JSON)
+# and non-ASCII letters, mixed with any other character.
+_text = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u2029é€😀')
+                | st.characters(), max_size=6)
+_maybe_int = st.none() | st.integers(min_value=-5, max_value=10 ** 12)
+
+
+@st.composite
+def _spans(draw):
+    first = draw(st.integers(min_value=1, max_value=60))
+    return TokenSpan(first, draw(st.integers(min_value=first,
+                                             max_value=first + 9)))
+
+
+def _magnitudes(required: bool):
+    present = st.tuples(st.integers(min_value=0, max_value=10 ** 6), _text)
+    return present if required else st.none() | present
+
+
+_arguments = st.builds(Argument, span=_spans(), text=_text, role=_text,
+                       pivot=st.integers(min_value=1, max_value=99),
+                       order=_maybe_int, case_marker=_maybe_int,
+                       flagged=st.booleans())
+
+
+@st.composite
+def _spatial_entities(draw):
+    kind = draw(st.sampled_from(list(SpatialRelationKind)))
+    event(f"spatial {kind.value}")
+    figure = kind is SpatialRelationKind.GEOMETRIC_FIGURE
+    orientation = kind is SpatialRelationKind.ORIENTATION
+    return SpatialEntity(
+        span=draw(_spans()), kind=kind,
+        anchors=tuple(draw(st.lists(_text, min_size=2 if figure else 1,
+                                    max_size=3))),
+        magnitude=draw(_magnitudes(kind is SpatialRelationKind.METRIC)),
+        direction=draw(_text.filter(bool) if orientation
+                       else st.none() | _text),
+        text=draw(_text), loose=draw(st.booleans()))
+
+
+@st.composite
+def _temporal_entities(draw):
+    kind = draw(st.sampled_from(list(TemporalRelationKind)))
+    event(f"temporal {kind.value}")
+    return TemporalEntity(
+        span=draw(_spans()), kind=kind,
+        magnitude=draw(_magnitudes(kind is TemporalRelationKind.DISTANCE)),
+        anchor_text=draw(_text), text=draw(_text))
+
+
+@st.composite
+def sentence_results(draw):
+    """A sentence's results with any values the record types admit; maybe
+    with a relation equal to an earlier one but for its argument order and
+    predicate token, which itineraries may name as their source."""
+    sent_id = draw(_text)
+    narys = draw(st.lists(st.builds(
+        NaryRelation, use_case=st.sampled_from(list(UseCaseKind)),
+        predicate_lemma=_text, predicate_token=st.integers(1, 99),
+        arguments=st.lists(_arguments, max_size=3).map(tuple),
+        sent_id=st.just(sent_id)), max_size=3))
+    if narys and draw(st.booleans()):
+        first = narys[0]
+        narys.append(replace(first, arguments=first.arguments[::-1],
+                             predicate_token=first.predicate_token + 1))
+        event("two equal relations")
+    itineraries = []
+    for _ in range(draw(st.integers(0, 2)) if narys else 0):
+        spatial = st.lists(_spatial_entities(), max_size=2).map(tuple)
+        origin, intermediate, destination = [draw(spatial)
+                                             for _ in range(3)]
+        if not (origin or intermediate or destination):
+            origin = (draw(_spatial_entities()),)
+        itineraries.append(ItineraryRelation(
+            verb_lemma=draw(_text), polarity=draw(st.sampled_from(
+                list(VerbPolarity))),
+            actor=draw(st.none() | _arguments), origin=origin,
+            intermediate=intermediate, destination=destination,
+            temporal=draw(st.lists(_temporal_entities(), max_size=2).map(
+                tuple)),
+            source_nary=draw(st.sampled_from(narys)), sent_id=sent_id))
+    return SentenceResult(sent_id=sent_id, text=draw(_text),
+                          nary_relations=tuple(narys),
+                          itinerary_relations=tuple(itineraries),
+                          skips=tuple(draw(st.lists(_text, max_size=2))))
+
+
+class TestJsonWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(tool_version=_text, fingerprint=_text,
+           sentences=st.lists(sentence_results(), max_size=2))
+    def test_writes_what_the_json_module_writes(self, tool_version,
+                                                fingerprint, sentences):
+        parts = []
+        writer = JsonWriter(parts.append, fingerprint, tool_version)
+        for s in sentences:
+            writer.add(s)
+        writer.finish()
+        text = "".join(parts)
+        assert text == document_json(tool_version, fingerprint, sentences)
+        assert to_json(from_json(text)) == text
+
+    @pytest.mark.parametrize("make_writer", [
+        lambda write, lex: JsonWriter(write, lex.fingerprint),
+        lambda write, lex: TurtleWriter(write, BASE)], ids=["json", "turtle"])
+    def test_writing_leaves_no_cyclic_garbage(self, all_graphs, lex,
+                                              make_writer):
+        results = [extract_sentence(g, lex) for g in all_graphs]
+        parts = []
+        gc.collect()
+        gc.disable()
+        try:
+            writer = make_writer(parts.append, lex)
+            for s in results:
+                writer.add(s)
+            writer.finish()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert parts
 
 
 class TestTurtle:
