@@ -7,8 +7,8 @@ Subcommands:
   itirel lexicon validate [DIR]
 
 Exit codes: 0 success, 2 lexicon/usage error (also a lexicon file that is not
-UTF-8, and an --out-dir that cannot be created), 3 CoNLL-U error (also input
-that is not UTF-8).
+UTF-8, and an --out-dir that cannot be created or whose output files cannot
+be written), 3 CoNLL-U error (also input that is not UTF-8).
 Logs go to stderr only; single-format output goes to stdout, as UTF-8 bytes
 whatever the locale.
 
@@ -21,12 +21,12 @@ a failure anywhere leaves none.
 from __future__ import annotations
 
 import argparse
+import os
 import shutil
 import sys
 import tempfile
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
-from typing import Optional
 
 from .depgraph import ConlluParseError, StructureError, iter_conllu
 from .lexicon import (LexiconError, bundled_lexicon_dir, decode_lines,
@@ -115,14 +115,20 @@ def _cmd_extract(args) -> int:
             return _fail(f"conllu: {err}", EXIT_CONLLU)
         for writer in writers:
             writer.finish()
-        out_dir = Path(args.out_dir) if args.out_dir else None
-        if out_dir:
-            try:
-                out_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as err:
-                return _fail(f"cannot create --out-dir {out_dir}: "
-                             f"{err.strerror}", EXIT_LEXICON)
-        _copy_out(outputs, out_dir)
+        if not args.out_dir:
+            _copy_to_stdout(outputs)
+            return EXIT_OK
+        out_dir = Path(args.out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            return _fail(f"cannot create --out-dir {out_dir}: "
+                         f"{err.strerror}", EXIT_LEXICON)
+        try:
+            _copy_to_out_dir(outputs, out_dir)
+        except OSError as err:
+            return _fail(f"cannot write {err.filename}: {err.strerror}",
+                         EXIT_LEXICON)
     return EXIT_OK
 
 
@@ -131,21 +137,45 @@ def _temporary_file():
     return tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
 
 
-def _copy_out(outputs: dict, out_dir: Optional[Path]) -> None:
-    """Copy finished temporary outputs, as their UTF-8 bytes, into out_dir,
-    or to stdout when there is none."""
-    for name, tmp in outputs.items():
+def _copy_to_stdout(outputs: dict) -> None:
+    """Write finished temporary outputs to stdout as their UTF-8 bytes."""
+    for tmp in outputs.values():
         tmp.seek(0)
-        if out_dir:
-            with open(out_dir / name, "wb") as out:
-                shutil.copyfileobj(tmp.buffer, out)
-            print(f"itirel: wrote {out_dir / name}", file=sys.stderr)
-        elif hasattr(sys.stdout, "buffer"):
+        if hasattr(sys.stdout, "buffer"):
             # the bytes, whatever encoding the locale gives stdout
             sys.stdout.flush()
             shutil.copyfileobj(tmp.buffer, sys.stdout.buffer)
         else:  # a text stream put in place of stdout, such as io.StringIO
             shutil.copyfileobj(tmp, sys.stdout)
+
+
+def _copy_to_out_dir(outputs: dict, out_dir: Path) -> None:
+    """Copy finished temporary outputs, as their UTF-8 bytes, into out_dir.
+
+    Every file is opened, without truncating it, before any is written, so
+    a name that cannot be written (a directory, say) raises ``OSError`` with
+    the out dir as it was: the files opened before it are closed unchanged,
+    and those that this call created are removed."""
+    created: list[Path] = []
+    with ExitStack() as stack:
+        opened = []
+        try:
+            for name, tmp in outputs.items():
+                path = out_dir / name
+                if not os.path.lexists(path):
+                    created.append(path)
+                opened.append((path, tmp, stack.enter_context(
+                    open(path, "ab"))))
+        except OSError:
+            stack.close()
+            for path in created:
+                path.unlink(missing_ok=True)
+            raise
+        for path, tmp, out in opened:
+            out.truncate(0)
+            tmp.seek(0)
+            shutil.copyfileobj(tmp.buffer, out)
+            print(f"itirel: wrote {path}", file=sys.stderr)
 
 
 def _cmd_lexicon_validate(args) -> int:

@@ -1,11 +1,13 @@
 """Recognition and classification of spatial and temporal entities.
 
-Both recognizers scan a token span left to right and ask the lexicon's
-phrase indexes (``lexicon.PhraseIndex``) for the longest marker or toponym
-at each token: markers with French contractions folded (du ~ de, aux ~ à),
-toponyms without.  Matched tokens are consumed, so entities never overlap
-and a relational entity suppresses the bare toponym inside it ("près de
-Lyon" hides a separate absolute "Lyon").
+Both recognizers normalize the forms of a token span once (``words``, one
+per token) and scan it left to right, asking the lexicon's phrase indexes
+(``lexicon.PhraseIndex``) for the longest marker or toponym at each word:
+markers with French contractions folded (du ~ de, aux ~ à), toponyms
+without.  The helpers read ``words`` and never normalize a form again.
+Matched tokens are consumed, so entities never overlap and a relational
+entity suppresses the bare toponym inside it ("près de Lyon" hides a
+separate absolute "Lyon").
 """
 
 from __future__ import annotations
@@ -89,18 +91,24 @@ def classify_temporal_marker(marker: str, lex: LexiconSet) -> TemporalRelationKi
 
 
 def number_value(tok: Token) -> Optional[int]:
-    if _DIGITS.fullmatch(tok.form):
-        return int(tok.form)
-    return FRENCH_NUMBERS.get(normalize(tok.form))
+    return _number(tok.form, normalize(tok.form))
+
+
+def _number(form: str, word: str) -> Optional[int]:
+    """Value of a digit string or French number word, given its form and
+    normalized word."""
+    if _DIGITS.fullmatch(form):
+        return int(form)
+    return FRENCH_NUMBERS.get(word)
 
 
 def _unit_class(tok: Token, lex: LexiconSet) -> Optional[str]:
     return lex.units.get(tok.lemma.casefold())
 
 
-def _match_toponym(toks, i, lex, loose):
+def _match_toponym(toks, words, i, lex, loose):
     """Longest gazetteer match at i -> (n_tokens, display name, loose?)."""
-    hit = lex.gazetteer_index.match(toks, i)
+    hit = lex.gazetteer_index.match(words, i)
     if hit is not None:
         return hit[0], hit[2], False
     tok = toks[i]
@@ -109,8 +117,8 @@ def _match_toponym(toks, i, lex, loose):
     return None
 
 
-def _temporal_evidence(tok: Token, lex: LexiconSet) -> bool:
-    return (normalize(tok.form) in MONTHS
+def _temporal_evidence(tok: Token, word: str, lex: LexiconSet) -> bool:
+    return (word in MONTHS
             or bool(_DIGITS.fullmatch(tok.form))
             or _unit_class(tok, lex) == "temporal")
 
@@ -123,19 +131,19 @@ def _make_spatial(g, toks, start, end, kind, anchors, magnitude, direction,
                          text=span_text(g, span), loose=loose)
 
 
-def _figure_entity(g, toks, start, anchors_from, figure_noun, lex, loose):
+def _figure_entity(g, toks, words, start, anchors_from, figure_noun, lex,
+                   loose):
     """Coordinated gazetteer anchors after a figure noun."""
     anchors: list[str] = []
     loose_any = False
     last_end = None
     p = anchors_from
     while p < len(toks):
-        tok = toks[p]
-        if tok.upos in ("PUNCT", "CCONJ", "DET") or \
-                normalize(tok.form) in _SEPARATOR_FORMS:
+        if toks[p].upos in ("PUNCT", "CCONJ", "DET") or \
+                words[p] in _SEPARATOR_FORMS:
             p += 1
             continue
-        hit = _match_toponym(toks, p, lex, loose)
+        hit = _match_toponym(toks, words, p, lex, loose)
         if hit is None:
             break
         n, display, lo = hit
@@ -152,19 +160,19 @@ def _figure_entity(g, toks, start, anchors_from, figure_noun, lex, loose):
     return ent, last_end + 1
 
 
-def _spatial_from_marker(g, toks, i, match, lex, loose):
-    n, words, phrase, kind = match
+def _spatial_from_marker(g, toks, words, i, match, lex, loose):
+    n, marker, phrase, kind = match
     j = i + n
     if kind is SpatialRelationKind.METRIC:
         # <marker> <number> <spatial unit> de <toponym>
-        if j + 3 > len(toks):
+        if j + 3 >= len(toks):
             return None
-        value = number_value(toks[j])
+        value = _number(toks[j].form, words[j])
         if value is None or _unit_class(toks[j + 1], lex) != "spatial":
             return None
-        if canon_word(normalize(toks[j + 2].form)) != "de":
+        if canon_word(words[j + 2]) != "de":
             return None
-        hit = _match_toponym(toks, j + 3, lex, loose)
+        hit = _match_toponym(toks, words, j + 3, lex, loose)
         if hit is None:
             return None
         hn, display, lo = hit
@@ -174,7 +182,7 @@ def _spatial_from_marker(g, toks, i, match, lex, loose):
         return ent, end + 1
 
     if kind is SpatialRelationKind.GEOMETRIC_FIGURE:
-        return _figure_entity(g, toks, i, j, phrase, lex, loose)
+        return _figure_entity(g, toks, words, i, j, phrase, lex, loose)
 
     # relational kinds: skip determiners between marker and complement
     k = j
@@ -182,17 +190,16 @@ def _spatial_from_marker(g, toks, i, match, lex, loose):
         k += 1
     if k >= len(toks):
         return None
-    if normalize(toks[k].form) in lex.figure_nouns:
-        return _figure_entity(g, toks, i, k + 1, normalize(toks[k].form),
-                              lex, loose)
-    hit = _match_toponym(toks, k, lex, loose)
+    if words[k] in lex.figure_nouns:
+        return _figure_entity(g, toks, words, i, k + 1, words[k], lex, loose)
+    hit = _match_toponym(toks, words, k, lex, loose)
     if hit is None:
         return None
     hn, display, lo = hit
     end = k + hn - 1
     # the direction is the word before the preposition ("au nord de"); a
     # one-word orientation marker is its own direction
-    direction = (words[-2:][0] if kind is SpatialRelationKind.ORIENTATION
+    direction = (marker[-2:][0] if kind is SpatialRelationKind.ORIENTATION
                  else None)
     ent = _make_spatial(g, toks, i, end, kind, [display], None, direction, lo)
     return ent, end + 1
@@ -202,18 +209,19 @@ def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
                       loose: bool = False) -> list[SpatialEntity]:
     """All maximal, non-overlapping spatial entities inside a span."""
     toks = g.span_tokens(within)
+    words = [normalize(t.form) for t in toks]
     out: list[SpatialEntity] = []
     i = 0
     while i < len(toks):
-        match = lex.spatial_marker_index.match(toks, i)
+        match = lex.spatial_marker_index.match(words, i)
         if match is not None:
-            made = _spatial_from_marker(g, toks, i, match, lex, loose)
+            made = _spatial_from_marker(g, toks, words, i, match, lex, loose)
             if made is not None:
                 ent, nxt = made
                 out.append(ent)
                 i = nxt
                 continue
-        hit = _match_toponym(toks, i, lex, loose)
+        hit = _match_toponym(toks, words, i, lex, loose)
         if hit is not None:
             n, display, lo = hit
             out.append(_make_spatial(g, toks, i, i + n - 1,
@@ -225,26 +233,26 @@ def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
     return out
 
 
-def _reference_window(toks, j, lex):
+def _reference_window(toks, words, j, lex):
     """Index of the last token with temporal evidence (month, digits,
     temporal unit) from j to the next punctuation, verb or temporal marker."""
     evidence = None
     for w in range(j, len(toks)):
         if toks[w].upos in ("PUNCT", "VERB") or \
-                lex.temporal_marker_index.match(toks, w):
+                lex.temporal_marker_index.match(words, w):
             break
-        if _temporal_evidence(toks[w], lex):
+        if _temporal_evidence(toks[w], words[w], lex):
             evidence = w
     return evidence
 
 
-def _temporal_from_marker(g, toks, i, match, lex):
-    n, words, phrase, kind = match
+def _temporal_from_marker(g, toks, words, i, match, lex):
+    n, marker, phrase, kind = match
     j = i + n
     if kind is TemporalRelationKind.DISTANCE:
         # magnitude after the marker: "depuis deux semaines"
         if j + 1 < len(toks):
-            value = number_value(toks[j])
+            value = _number(toks[j].form, words[j])
             if value is not None and _unit_class(toks[j + 1], lex) == "temporal":
                 unit = toks[j + 1].lemma.casefold()
                 span = TokenSpan(toks[i].id, toks[j + 1].id)
@@ -253,9 +261,9 @@ def _temporal_from_marker(g, toks, i, match, lex):
                                       span_text(g, span)), j + 2
         # magnitude before the marker: "20 ans après le début du siècle"
         if i >= 2:
-            value = number_value(toks[i - 2])
+            value = _number(toks[i - 2].form, words[i - 2])
             if value is not None and _unit_class(toks[i - 1], lex) == "temporal":
-                evidence = _reference_window(toks, j, lex)
+                evidence = _reference_window(toks, words, j, lex)
                 if evidence is not None:
                     unit = toks[i - 1].lemma.casefold()
                     span = TokenSpan(toks[i - 2].id, toks[evidence].id)
@@ -265,7 +273,7 @@ def _temporal_from_marker(g, toks, i, match, lex):
                                           span_text(g, span)), evidence + 1
         return None
 
-    evidence = _reference_window(toks, j, lex)
+    evidence = _reference_window(toks, words, j, lex)
     if evidence is None:
         return None
     span = TokenSpan(toks[i].id, toks[evidence].id)
@@ -274,14 +282,14 @@ def _temporal_from_marker(g, toks, i, match, lex):
                           span_text(g, span)), evidence + 1
 
 
-def _bare_date(g, toks, i):
+def _bare_date(g, toks, words, i):
     """Unmarked calendar reference: [day] <month> [year]."""
     month = None
     start = i
-    if normalize(toks[i].form) in MONTHS:
+    if words[i] in MONTHS:
         month = i
     elif (_DIGITS.fullmatch(toks[i].form) and 1 <= int(toks[i].form) <= 31
-          and i + 1 < len(toks) and normalize(toks[i + 1].form) in MONTHS):
+          and i + 1 < len(toks) and words[i + 1] in MONTHS):
         month = i + 1
     if month is None:
         return None
@@ -298,18 +306,19 @@ def recognize_temporal(g: SentenceGraph, within: TokenSpan,
                        lex: LexiconSet) -> list[TemporalEntity]:
     """All maximal, non-overlapping temporal entities inside a span."""
     toks = g.span_tokens(within)
+    words = [normalize(t.form) for t in toks]
     out: list[TemporalEntity] = []
     i = 0
     while i < len(toks):
-        match = lex.temporal_marker_index.match(toks, i)
+        match = lex.temporal_marker_index.match(words, i)
         if match is not None:
-            made = _temporal_from_marker(g, toks, i, match, lex)
+            made = _temporal_from_marker(g, toks, words, i, match, lex)
             if made is not None:
                 ent, nxt = made
                 out.append(ent)
                 i = nxt
                 continue
-        made = _bare_date(g, toks, i)
+        made = _bare_date(g, toks, words, i)
         if made is not None:
             ent, nxt = made
             out.append(ent)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class VerbPolarity(str, Enum):
@@ -71,7 +71,11 @@ def canon_word(word: str) -> str:
 
 class PhraseIndex:
     """Longest-match lookup of phrases by their folded, normalized words;
-    of phrases with the same words, the smallest in code-point order wins."""
+    of phrases with the same words, the smallest in code-point order wins.
+
+    ``match`` reads words already normalized (one per token, as
+    ``normalize`` gives them) and folds them itself.  A word that starts no
+    phrase costs one set lookup."""
 
     def __init__(self, phrases: Mapping[str, object], fold=str):
         self.fold = fold
@@ -81,16 +85,21 @@ class PhraseIndex:
             if words not in self.entries or phrase < self.entries[words][1]:
                 self.entries[words] = (words, phrase, value)
         self.max_len = max(map(len, self.entries), default=0)
+        self.first_words = frozenset(w[0] for w in self.entries if w)
 
     def key(self, phrase: str) -> tuple[str, ...]:
         return tuple(self.fold(w) for w in normalize(phrase).split())
 
-    def match(self, toks, i: int):
-        """Longest phrase at toks[i:] -> (n_tokens, words, phrase, value)."""
-        forms = tuple(self.fold(normalize(t.form))
-                      for t in toks[i:i + self.max_len])
-        for n in range(len(forms), 0, -1):
-            hit = self.entries.get(forms[:n])
+    def match(self, words: Sequence[str], i: int):
+        """Longest phrase at words[i:], for i < len(words)
+        -> (n_words, its key, phrase, value)."""
+        fold = self.fold
+        first = fold(words[i])
+        if first not in self.first_words:
+            return None
+        key = (first, *map(fold, words[i + 1:i + self.max_len]))
+        for n in range(len(key), 0, -1):
+            hit = self.entries.get(key[:n])
             if hit is not None:
                 return (n, *hit)
         return None
@@ -166,14 +175,20 @@ def files_digest(files: Mapping[str, bytes]) -> str:
     return digest.hexdigest()
 
 
-def _read_tsv(name: str, data: bytes, n_cols: int,
+def _read_tsv(name: str, data: bytes, n_cols: int, problems: list[str],
               optional_second: bool = False):
-    """Yield (line_no, columns) for data lines; '#' comments and blanks skipped."""
+    """Yield (line_no, columns) for data lines; '#' comments and blanks
+    skipped.  A line with the wrong number of columns is added to problems
+    and skipped; a file that is not UTF-8 is one problem and yields none."""
     def error(problem: str, line_no: int) -> LexiconError:
         return LexiconError([f"{name}:{line_no}: {problem}"])
 
-    # decoded whole first, so an invalid byte is the first problem reported
-    lines = list(decode_lines(io.BytesIO(data), error))
+    try:
+        # decoded whole first, so an invalid byte is the file's only problem
+        lines = list(decode_lines(io.BytesIO(data), error))
+    except LexiconError as err:
+        problems.extend(err.problems)
+        return
     for line_no, raw in enumerate(lines, 1):
         line = raw.rstrip()
         if not line or line.lstrip().startswith("#"):
@@ -182,8 +197,9 @@ def _read_tsv(name: str, data: bytes, n_cols: int,
         if optional_second and len(cols) == 1:
             cols = [cols[0], ""]
         if len(cols) != n_cols:
-            raise LexiconError(
-                [f"{name}:{line_no}: expected {n_cols} columns, got {len(cols)}"])
+            problems.append(
+                f"{name}:{line_no}: expected {n_cols} columns, got {len(cols)}")
+            continue
         yield line_no, [c.strip() for c in cols]
 
 
@@ -191,7 +207,7 @@ def _load_map(name: str, data: bytes, value_table: Mapping[str, object],
               key_norm, problems: list[str]) -> dict:
     out: dict = {}
     lines: dict[str, int] = {}
-    for line_no, (key, value) in _read_tsv(name, data, 2):
+    for line_no, (key, value) in _read_tsv(name, data, 2, problems):
         k = key_norm(key)
         if not k:
             problems.append(f"{name}:{line_no}: empty key")
@@ -215,8 +231,10 @@ def _load_map(name: str, data: bytes, value_table: Mapping[str, object],
 def load_lexicons(directory) -> LexiconSet:
     """Load the five TSV lexicons from a directory.
 
-    Raises :class:`LexiconError` listing every missing file, duplicate key
-    with a conflicting value, or unknown polarity/kind token.  Each file is
+    Raises :class:`LexiconError` listing every missing file, file that is
+    not UTF-8 (at its first bad byte), line with the wrong number of
+    columns, duplicate key with a conflicting value, or unknown
+    polarity/kind token.  Each file is
     read once; ``fingerprint`` is the digest of the bytes parsed.
     """
     directory = Path(directory)
@@ -239,7 +257,7 @@ def load_lexicons(directory) -> LexiconSet:
     gaz_lines: dict[str, int] = {}
     for line_no, (name, ftype) in _read_tsv("gazetteer.tsv",
                                             files["gazetteer.tsv"], 2,
-                                            optional_second=True):
+                                            problems, optional_second=True):
         if not normalize(name):
             problems.append(f"gazetteer.tsv:{line_no}: empty toponym {name!r} "
                             "(no words after normalization)")

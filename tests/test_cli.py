@@ -107,6 +107,28 @@ class TestExtract:
             sorted(["blocker", gold_file.name])
         assert blocker.read_bytes() == b"kept\n"
 
+    @pytest.mark.parametrize("other_exists", [False, True],
+                             ids=["other-new", "other-kept"])
+    @pytest.mark.parametrize("name", ["extraction.json", "extraction.ttl"])
+    def test_output_name_that_is_a_directory_exits_2(
+            self, gold_file, tmp_path, capsys, name, other_exists):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        other = out / ({"extraction.json", "extraction.ttl"} - {name}).pop()
+        if other_exists:
+            other.write_bytes(b"kept\n")
+        assert main(["extract", str(gold_file), "--format", "both",
+                     "--base-iri", BASE, "--out-dir", str(out)]) \
+            == EXIT_LEXICON
+        assert capsys.readouterr() == (
+            "", f"itirel: cannot write {out / name}: Is a directory\n")
+        # neither file is written: the other one is as it was
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted([name] + [other.name] * other_exists)
+        assert list((out / name).iterdir()) == []
+        if other_exists:
+            assert other.read_bytes() == b"kept\n"
+
     def test_corrupt_conllu_exits_3_without_partial_output(
             self, tmp_path, capsys):
         bad = tmp_path / "bad.conllu"
@@ -392,6 +414,24 @@ class TestLexiconValidate:
             == EXIT_LEXICON
         assert capsys.readouterr().out == (
             "error: units.tsv:2: invalid UTF-8 byte 0xff\n"
+            "result: INVALID\n")
+
+    def test_every_problem_is_reported(self, lexicon_copy, capsys):
+        units = lexicon_copy / "units.tsv"
+        verbs = lexicon_copy / "motion_verbs.tsv"
+        n_units = len(units.read_text(encoding="utf-8").splitlines())
+        n_verbs = len(verbs.read_text(encoding="utf-8").splitlines())
+        with units.open("a", encoding="utf-8") as fh:
+            fh.write("pied\nverge\n")
+        with verbs.open("a", encoding="utf-8") as fh:
+            fh.write("x\tbogus\n")
+        assert main(["lexicon", "validate", str(lexicon_copy)]) \
+            == EXIT_LEXICON
+        assert capsys.readouterr().out == (
+            f"error: motion_verbs.tsv:{n_verbs + 1}: unknown value 'bogus' "
+            "(expected one of ['final', 'initial', 'median'])\n"
+            f"error: units.tsv:{n_units + 1}: expected 2 columns, got 1\n"
+            f"error: units.tsv:{n_units + 2}: expected 2 columns, got 1\n"
             "result: INVALID\n")
 
     def test_toponym_without_words_is_invalid(self, lexicon_copy, capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -6,6 +7,7 @@ from itirel import (NotAMarker, SpatialEntity, SpatialRelationKind,
                     TemporalEntity, TemporalRelationKind, TokenSpan,
                     classify_spatial_marker, classify_temporal_marker,
                     recognize_spatial, recognize_temporal)
+from itirel import entities, lexicon
 from itirel.depgraph import Token
 from itirel.entities import number_value
 
@@ -115,6 +117,13 @@ class TestSpatialRecognition:
                    (4, "Pau", "Pau", "PROPN", 2, "obl")])
         (ent,) = recognize_spatial(g, g.span(), lex)
         assert ent.kind is SpatialRelationKind.ABSOLUTE
+
+    def test_metric_cut_before_its_toponym(self, taxonomy, lex):
+        # a span ending at "de" has no toponym to read; it ended in an
+        # IndexError when the gazetteer was asked for the word after it
+        g = taxonomy["tax-metric"]
+        assert recognize_spatial(g, TokenSpan(3, 6), lex) == []
+        assert recognize_spatial(g, TokenSpan(3, 6), lex, loose=True) == []
 
     def test_orientation_with_multiword_toponym(self, taxonomy, lex):
         g = taxonomy["tax-orientation"]
@@ -256,3 +265,38 @@ class TestTemporalRecognition:
             for i, a in enumerate(ents):
                 for b in ents[i + 1:]:
                     assert not a.span.overlaps(b.span)
+
+
+class TestNormalizeOnce:
+    def test_each_form_is_normalized_once_per_call(self, all_graphs, lex,
+                                                   monkeypatch):
+        """A recognizer call normalizes each form of its span once, through
+        ``entities.normalize``; the phrase indexes normalize nothing."""
+        # built first: building an index normalizes its phrases
+        for index in (lex.spatial_marker_index, lex.temporal_marker_index,
+                      lex.gazetteer_index):
+            assert index.entries
+        calls: Counter = Counter()
+        real = lexicon.normalize
+
+        def counting(module):
+            def normalize(phrase):
+                calls[module] += 1
+                return real(phrase)
+            return normalize
+
+        monkeypatch.setattr(entities, "normalize", counting("entities"))
+        monkeypatch.setattr(lexicon, "normalize", counting("lexicon"))
+        recognizers = (
+            lambda g, span: recognize_spatial(g, span, lex),
+            lambda g, span: recognize_spatial(g, span, lex, loose=True),
+            lambda g, span: recognize_temporal(g, span, lex))
+        for g in all_graphs:
+            n = len(g.tokens)
+            for first in range(1, n + 1):
+                for last in range(first, n + 1):
+                    span = TokenSpan(first, last)
+                    for recognize in recognizers:
+                        calls.clear()
+                        recognize(g, span)
+                        assert calls == {"entities": len(span)}

@@ -6,13 +6,13 @@ from itirel import (LexiconError, LexiconSet, SpatialRelationKind,
                     TemporalRelationKind, VerbPolarity, bundled_lexicon_dir,
                     lexicon_fingerprint, load_lexicons, motion_polarity,
                     save_lexicons, validate_lexicons)
-from itirel.depgraph import Token
 from itirel.lexicon import FILE_NAMES, PhraseIndex, canon_word, normalize
 
 
-def _row(*forms):
-    """Tokens with the given forms; phrase indexes read only the forms."""
-    return [Token(i, f, f, "X", 0, "dep") for i, f in enumerate(forms, 1)]
+def _words(*forms):
+    """Words of tokens with the given forms, normalized as the recognizers
+    hand them to phrase indexes."""
+    return [normalize(f) for f in forms]
 
 
 class TestNormalization:
@@ -28,7 +28,7 @@ class TestNormalization:
         assert canon_word("aux") == "à"
         assert canon_word("ville") == "ville"
         n, words, phrase, kind = lex.spatial_marker_index.match(
-            _row("à", "l'", "Ouest", "du", "Pau"), 0)
+            _words("à", "l'", "Ouest", "du", "Pau"), 0)
         assert (n, phrase) == (4, "à l ouest de")
         assert words == ("à", "l", "ouest", "de")
         assert kind is SpatialRelationKind.ORIENTATION
@@ -149,32 +149,38 @@ class TestMarkerTables:
                    for k in lex.temporal_markers.values())
 
     def test_longest_first_ordering(self, lex):
-        toks = _row("tout", "près", "de", "Pau")
-        assert lex.spatial_marker_index.match(toks, 0)[:3] == (
+        words = _words("tout", "près", "de", "Pau")
+        assert lex.spatial_marker_index.match(words, 0)[:3] == (
             3, ("tout", "près", "de"), "tout près de")
-        assert lex.spatial_marker_index.match(toks, 1)[2] == "près de"
+        assert lex.spatial_marker_index.match(words, 1)[2] == "près de"
 
     def test_same_words_smallest_phrase_wins(self):
         for order in (["Pau", "PAU"], ["PAU", "Pau"]):
             index = PhraseIndex({name: name.lower() for name in order})
-            assert index.match(_row("pau"), 0) == (1, ("pau",), "PAU", "pau")
+            assert index.match(_words("pau"), 0) == (1, ("pau",), "PAU", "pau")
 
     def test_toponyms_are_not_contraction_folded(self, lex):
         toponyms = PhraseIndex({"Pic de Midi": "peak"})
-        assert toponyms.match(_row("Pic", "du", "Midi"), 0) is None
-        assert toponyms.match(_row("pic", "DE", "midi"), 0)[2] == "Pic de Midi"
-        assert lex.spatial_marker_index.match(_row("Près", "du"), 0)[2] \
+        assert toponyms.match(_words("Pic", "du", "Midi"), 0) is None
+        assert toponyms.match(_words("pic", "DE", "midi"), 0)[2] == "Pic de Midi"
+        assert lex.spatial_marker_index.match(_words("Près", "du"), 0)[2] \
             == "près de"
 
     def test_shorter_phrase_when_longer_one_breaks_off(self):
         index = PhraseIndex({"a b c": 1, "a": 2})
         assert index.max_len == 3
-        assert index.match(_row("a", "b", "x"), 0)[:3] == (1, ("a",), "a")
-        assert index.match(_row("b"), 0) is None
-        assert PhraseIndex({}).match(_row("a"), 0) is None
+        assert index.match(_words("a", "b", "x"), 0)[:3] == (1, ("a",), "a")
+        assert index.match(_words("b"), 0) is None
+        assert PhraseIndex({}).match(_words("a"), 0) is None
 
     def test_phrase_without_words_never_matches(self):
-        assert PhraseIndex({"'": "city"}).match(_row("'", "x"), 0) is None
+        assert PhraseIndex({"'": "city"}).match(_words("'", "x"), 0) is None
+
+    def test_first_words_gate_the_lookup(self):
+        index = PhraseIndex({"a b c": 1, "du x": 2, "'": 3}, fold=canon_word)
+        assert index.first_words == {"a", "de"}
+        assert index.match(_words("b", "c"), 0) is None
+        assert index.match(_words("des", "x"), 0)[:3] == (2, ("de", "x"), "du x")
 
     def test_figure_nouns(self, lex):
         assert "triangle" in lex.figure_nouns
