@@ -183,7 +183,9 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
 
     Only an empty line ends a sentence; a line of whitespace only is an
     error.  Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
-    skipped; ``# sent_id`` and ``# text`` comments are captured.
+    skipped.  Only the comments whose key before ``=`` is exactly
+    ``sent_id`` or ``text`` are read; any other (``# text_en = ...``,
+    ``# newdoc id = ...``) is ignored.
     """
     lines = _split_lines(source) if isinstance(source, str) else source
     count = 0
@@ -204,12 +206,11 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
                 "line of whitespace only (only an empty line ends a "
                 "sentence)", line_no)
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("sent_id"):
-                _, _, val = body.partition("=")
+            key, _, val = line[1:].partition("=")
+            key = key.strip()
+            if key == "sent_id":
                 sent_id = val.strip()
-            elif body.startswith("text"):
-                _, _, val = body.partition("=")
+            elif key == "text":
                 text = val.strip()
             continue
         cols = line.split("\t")

@@ -98,7 +98,10 @@ def _number(form: str, word: str) -> Optional[int]:
     """Value of a digit string or French number word, given its form and
     normalized word."""
     if _DIGITS.fullmatch(form):
-        return int(form)
+        try:
+            return int(form)
+        except ValueError:  # more digits than the interpreter converts
+            return None
     return FRENCH_NUMBERS.get(word)
 
 
@@ -288,7 +291,8 @@ def _bare_date(g, toks, words, i):
     start = i
     if words[i] in MONTHS:
         month = i
-    elif (_DIGITS.fullmatch(toks[i].form) and 1 <= int(toks[i].form) <= 31
+    elif (_DIGITS.fullmatch(toks[i].form)
+          and 1 <= (_number(toks[i].form, words[i]) or 0) <= 31
           and i + 1 < len(toks) and words[i + 1] in MONTHS):
         month = i + 1
     if month is None:

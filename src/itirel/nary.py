@@ -12,7 +12,8 @@ Extraction is pivot-driven: the pivots are the main verb, the heads of its
 subject/object/oblique dependents, and the case-marking preposition of each
 oblique.  Each nominal pivot yields one argument whose span is its subtree
 minus its case marker and edge punctuation; nested material stays inside the
-argument.
+argument.  Each use-case pattern is matched once per clause verb, and the
+UC1 reason clauses and UC2 relativized objects are read from that match.
 """
 
 from __future__ import annotations
@@ -86,23 +87,11 @@ class NaryRelation:
         return hash(self._key)
 
 
-def _case_ids(g: SentenceGraph, token_id: int) -> frozenset[int]:
-    """Case-marker children of a token plus their fixed dependents."""
-    out: set[int] = set()
-    for c in dependents(g, token_id, {"case"}):
-        out |= subtree_ids(g, c)
-    return frozenset(out)
-
-
-def _mark_phrase(g: SentenceGraph, clause_head: int) -> Optional[str]:
-    marks = dependents(g, clause_head, {"mark"})
-    if not marks:
-        return None
-    ids = set()
-    for m in marks:
+def _mark_phrase(g: SentenceGraph, clause_head: int) -> str:
+    ids: set[int] = set()
+    for m in dependents(g, clause_head, {"mark"}):
         ids |= subtree_ids(g, m)
-    forms = [g.token(i).form for i in sorted(ids)]
-    return normalize(" ".join(forms))
+    return normalize(" ".join(g.token(i).form for i in sorted(ids)))
 
 
 def _enumeration_child(g: SentenceGraph, nominal: int) -> Optional[int]:
@@ -176,18 +165,6 @@ def _span_argument(g: SentenceGraph, pivot: int, role: str,
                     flagged=flagged)
 
 
-def _role_for(g: SentenceGraph, pivot: int) -> tuple[str, Optional[int]]:
-    rel = base_rel(g.token(pivot).deprel)
-    if rel in SUBJECT_RELS:
-        return "subj", None
-    cases = dependents(g, pivot, {"case"})
-    if rel in OBJECT_RELS:
-        return "obj", (cases[0] if cases else None)
-    if cases:
-        return g.token(cases[0]).lemma.casefold(), cases[0]
-    return rel, None
-
-
 def _item_arguments(g: SentenceGraph, enum_head: int) -> list[Argument]:
     items = [enum_head] + dependents(g, enum_head, {"conj"})
     args = []
@@ -204,8 +181,19 @@ def _item_arguments(g: SentenceGraph, enum_head: int) -> list[Argument]:
 
 def _argument_for(g: SentenceGraph, pivot: int,
                   exclude: frozenset[int] = frozenset()) -> list[Argument]:
-    role, case_marker = _role_for(g, pivot)
-    ids = set(subtree_ids(g, pivot)) - _case_ids(g, pivot) - exclude
+    rel = base_rel(g.token(pivot).deprel)
+    cases = dependents(g, pivot, {"case"})
+    case_marker = cases[0] if cases else None
+    if rel in SUBJECT_RELS:
+        role, case_marker = "subj", None
+    elif rel in OBJECT_RELS:
+        role = "obj"
+    else:
+        role = rel if case_marker is None else \
+            g.token(case_marker).lemma.casefold()
+    ids = set(subtree_ids(g, pivot)) - exclude
+    for c in cases:  # a subject's case marker is excluded too
+        ids -= subtree_ids(g, c)
     enum = _enumeration_child(g, pivot)
     out: list[Argument] = []
     if enum is not None:
@@ -235,61 +223,53 @@ def extract_arguments(g: SentenceGraph, pivots: Sequence[int]) -> list[Argument]
     return args
 
 
-def _use_cases_for(g: SentenceGraph, verb: int) -> list[UseCaseKind]:
-    found: list[UseCaseKind] = []
-    for c in dependents(g, verb, {"advcl"}):
-        phrase = _mark_phrase(g, c)
-        if phrase in REASON_MARKERS:
-            found.append(UseCaseKind.UC1_ADDITIONAL_INFO)
-            break
-    objects = dependents(g, verb, OBJECT_RELS)
-    if any(dependents(g, o, {"acl"}) for o in objects):
-        found.append(UseCaseKind.UC2_OBJECT_DETAIL)
-    prep_complements = [o for o in dependents(g, verb, OBLIQUE_RELS)
-                        if dependents(g, o, {"case"})]
-    if len(prep_complements) >= 2:
-        found.append(UseCaseKind.UC3_NO_PRIMARY_ARGUMENT)
-    if any(_enumeration_child(g, o) is not None for o in objects):
-        found.append(UseCaseKind.UC4_ORDERED_LIST)
+def _use_cases_for(g: SentenceGraph, struct: _PivotStruct
+                   ) -> dict[UseCaseKind, tuple[int, ...]]:
+    """Each use-case whose pattern the clause matches, in UC order, with the
+    tokens that matched it: UC1 its reason-clause heads, UC2 its relativized
+    objects, none for UC3 and UC4."""
+    found: dict[UseCaseKind, tuple[int, ...]] = {}
+    reasons = tuple(c for c in dependents(g, struct.verb, {"advcl"})
+                    if _mark_phrase(g, c) in REASON_MARKERS)
+    if reasons:
+        found[UseCaseKind.UC1_ADDITIONAL_INFO] = reasons
+    relativized = tuple(o for o in struct.objects
+                        if dependents(g, o, {"acl"}))
+    if relativized:
+        found[UseCaseKind.UC2_OBJECT_DETAIL] = relativized
+    if sum(case is not None for case, _ in struct.obliques) >= 2:
+        found[UseCaseKind.UC3_NO_PRIMARY_ARGUMENT] = ()
+    if any(_enumeration_child(g, o) is not None for o in struct.objects):
+        found[UseCaseKind.UC4_ORDERED_LIST] = ()
     return found
 
 
 def identify_use_cases(g: SentenceGraph) -> list[UseCaseKind]:
     """Every use-case whose syntactic pattern matches the sentence."""
     try:
-        verb = root_verb(g)
+        struct = _pivot_struct(g, root_verb(g))
     except NoMainVerb:
         return []
-    return _use_cases_for(g, verb)
+    return list(_use_cases_for(g, struct))
 
 
-def _reason_arguments(g: SentenceGraph, verb: int) -> list[Argument]:
-    args = []
-    for c in dependents(g, verb, {"advcl"}):
-        phrase = _mark_phrase(g, c)
-        if phrase not in REASON_MARKERS:
-            continue
-        ids = set(subtree_ids(g, c))
-        for m in dependents(g, c, {"mark"}):
-            ids -= subtree_ids(g, m)
-        arg = _span_argument(g, c, "reason", ids, None)
-        if arg is not None:
-            args.append(arg)
-    return args
+def _reason_argument(g: SentenceGraph, clause: int) -> Optional[Argument]:
+    """A reason clause minus its marker."""
+    ids = set(subtree_ids(g, clause))
+    for m in dependents(g, clause, {"mark"}):
+        ids -= subtree_ids(g, m)
+    return _span_argument(g, clause, "reason", ids, None)
 
 
-def _detail_relation_args(g: SentenceGraph, struct: _PivotStruct,
+def _detail_relation_args(g: SentenceGraph, relativized: tuple[int, ...],
                           base: list[Argument]) -> list[Argument]:
     """Replace each relativized object by its bare span plus a detail arg."""
     args = list(base)
-    for o in struct.objects:
+    for o in relativized:
         relcls = dependents(g, o, {"acl"})
-        if not relcls:
-            continue
         exclude = frozenset().union(*(subtree_ids(g, r) for r in relcls))
-        replacement = _argument_for(g, o, exclude=exclude)
         args = [a for a in args if a.pivot != o]
-        args.extend(replacement)
+        args.extend(_argument_for(g, o, exclude=exclude))
         for r in relcls:
             detail = _span_argument(g, r, "detail", set(subtree_ids(g, r)), None)
             if detail is not None:
@@ -297,42 +277,36 @@ def _detail_relation_args(g: SentenceGraph, struct: _PivotStruct,
     return args
 
 
-def _clause_verbs(g: SentenceGraph) -> list[int]:
-    main = root_verb(g)
-    verbs = [main]
-    for c in dependents(g, main, {"conj"}):
-        if g.token(c).upos == "VERB":
-            verbs.append(c)
-    return verbs
-
-
 def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
-    """All n-ary relations of a sentence, one per (clause verb, use-case)."""
+    """All n-ary relations of a sentence, one per (clause verb, use-case):
+    the main verb and each coordinated verb, which inherits the main
+    subject when it has none."""
     try:
-        verbs = _clause_verbs(g)
+        main = _pivot_struct(g, root_verb(g))
     except NoMainVerb:
         return []
-    main_struct = _pivot_struct(g, verbs[0])
+    structs = [main] + [_pivot_struct(g, c, inherited_subject=main.subject)
+                        for c in dependents(g, main.verb, {"conj"})
+                        if g.token(c).upos == "VERB"]
     relations: list[NaryRelation] = []
-    for verb in verbs:
-        struct = (_pivot_struct(g, verb, inherited_subject=main_struct.subject)
-                  if verb != verbs[0] else main_struct)
-        use_cases = _use_cases_for(g, verb)
+    for struct in structs:
+        use_cases = _use_cases_for(g, struct)
         if not use_cases:
             continue
         base = extract_arguments(g, struct.token_ids())
-        lemma = g.token(verb).lemma
-        for uc in use_cases:
+        lemma = g.token(struct.verb).lemma
+        for uc, matched in use_cases.items():
             if uc is UseCaseKind.UC1_ADDITIONAL_INFO:
-                args = base + _reason_arguments(g, verb)
+                reasons = [_reason_argument(g, c) for c in matched]
+                args = base + [a for a in reasons if a is not None]
             elif uc is UseCaseKind.UC2_OBJECT_DETAIL:
-                args = _detail_relation_args(g, struct, base)
+                args = _detail_relation_args(g, matched, base)
             else:
                 args = base
             if uc is UseCaseKind.UC3_NO_PRIMARY_ARGUMENT and len(args) < 3:
                 continue  # a binary extraction is not n-ary
             relations.append(NaryRelation(use_case=uc, predicate_lemma=lemma,
-                                          predicate_token=verb,
+                                          predicate_token=struct.verb,
                                           arguments=tuple(args),
                                           sent_id=g.sent_id))
     # relations are equal iff (use case, predicate, argument multiset)

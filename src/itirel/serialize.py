@@ -326,7 +326,8 @@ def from_json(text: str) -> ExtractionDocument:
 
 # --- Turtle ----------------------------------------------------------------
 
-_IRI_OK = re.compile(r'^[A-Za-z][A-Za-z0-9+.\-]*:[^\s<>"{}|^`\\]*$')
+# A scheme, then only characters an IRIREF admits unescaped.
+_IRI_OK = re.compile(r'[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*')
 
 # Percent-encoded in verb IRIs: what an IRIREF forbids (all ASCII), the
 # delimiters "#", "/" and "?", so that a lemma is one path segment, and a "%"
@@ -363,7 +364,7 @@ class TurtleWriter:
     property per role, spatial/temporal entities as nested nodes."""
 
     def __init__(self, write: Callable[[str], object], base_iri: str):
-        if not _IRI_OK.match(base_iri):
+        if not _IRI_OK.fullmatch(base_iri):
             raise ValueError(f"invalid base IRI: {base_iri!r}")
         self._write = write
         self._base = base_iri + ("" if base_iri.endswith(("/", "#")) else "/")

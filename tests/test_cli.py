@@ -69,6 +69,26 @@ class TestExtract:
         assert parse_turtle(captured.out)
         assert "itirel" not in captured.out  # logs stay on stderr
 
+    def test_digit_string_too_long_for_int(self, tmp_path, capsys):
+        # longer than the 4,300 digits int() converts by default
+        digits = "7" * 5000
+        path = tmp_path / "long.conllu"
+        path.write_text(
+            "# sent_id = long\n"
+            f"1\t{digits}\t{digits}\tNUM\t_\t_\t2\tnsubj\t_\t_\n"
+            "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_\n"
+            "3\tde\tde\tADP\t_\t_\t4\tcase\t_\t_\n"
+            "4\tPau\tPau\tPROPN\t_\t_\t2\tobl\t_\t_\n"
+            "5\tvers\tvers\tADP\t_\t_\t6\tcase\t_\t_\n"
+            "6\tLaruns\tLaruns\tPROPN\t_\t_\t2\tobl\t_\t_\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["extract", str(path), "--format", "both", "--base-iri",
+                     BASE, "--out-dir", str(out)]) == EXIT_OK
+        obj = json.loads((out / "extraction.json").read_text(encoding="utf-8"))
+        assert len(obj["sentences"][0]["itinerary_relations"]) == 1
+        assert parse_turtle((out / "extraction.ttl").read_text(
+            encoding="utf-8"))
+
     def test_turtle_requires_base_iri(self, gold_file, capsys):
         assert main(["extract", str(gold_file), "--format", "turtle"]) \
             == EXIT_LEXICON
@@ -363,6 +383,14 @@ class TestErrorOrder:
                      "turtle", "--base-iri", "not an iri"]) == EXIT_LEXICON
         assert capsys.readouterr() == (
             "", "itirel: invalid base IRI: 'not an iri'\n")
+
+    @pytest.mark.parametrize("base", [BASE + "\n", BASE + "/\x01iti"])
+    def test_base_iri_with_a_control_character_exits_2(self, gold_file,
+                                                         capsys, base):
+        assert main(["extract", str(gold_file), "--format", "turtle",
+                     "--base-iri", base]) == EXIT_LEXICON
+        assert capsys.readouterr() == (
+            "", f"itirel: invalid base IRI: {base!r}\n")
 
 
 def _replicated(text: str, copies: int) -> str:

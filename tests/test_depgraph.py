@@ -60,6 +60,14 @@ class TestParsing:
         assert g.sent_id == "s1"
         assert g.text == "Pau"
 
+    def test_only_the_exact_sent_id_and_text_keys_are_read(self):
+        (g,) = parse_conllu("# newdoc id = d1\n# sent_id = a\n"
+                            "# text = Il part.\n# text_en = He leaves.\n"
+                            "# sent_id_orig = zzz\n# textual note\n"
+                            "1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+                            "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_\n")
+        assert (g.sent_id, g.text) == ("a", "Il part.")
+
     def test_wrong_column_count_reports_line(self):
         with pytest.raises(ConlluParseError) as err:
             parse_conllu("# sent_id = x\n1\tPau\tPau\n")

@@ -6,7 +6,7 @@ import pytest
 from itirel import (NotAMarker, SpatialEntity, SpatialRelationKind,
                     TemporalEntity, TemporalRelationKind, TokenSpan,
                     classify_spatial_marker, classify_temporal_marker,
-                    recognize_spatial, recognize_temporal)
+                    extract_sentence, recognize_spatial, recognize_temporal)
 from itirel import entities, lexicon
 from itirel.depgraph import Token
 from itirel.entities import number_value
@@ -47,6 +47,57 @@ class TestNumbers:
         assert number_value(Token(1, "deux", "deux", "NUM", 0, "root")) == 2
         assert number_value(Token(1, "Vingt", "vingt", "NUM", 0, "root")) == 20
         assert number_value(Token(1, "bleu", "bleu", "ADJ", 0, "root")) is None
+
+
+# Longer than the 4,300 digits int() converts by default: not a number.
+LONG_DIGITS = "7" * 5000
+
+
+def long_number_sentence(case: str, number: str = LONG_DIGITS):
+    """A UC3 'partir de Pau ...' sentence with a number as its subject
+    ("subject"), as a metric magnitude ("metric") or as a temporal distance
+    ("distance")."""
+    rows = [(1, "Il", "il", "PRON", 2, "nsubj"),
+            (2, "part", "partir", "VERB", 0, "root"),
+            (3, "de", "de", "ADP", 4, "case"),
+            (4, "Pau", "Pau", "PROPN", 2, "obl")]
+    if case == "subject":
+        rows[0] = (1, number, number, "NUM", 2, "nsubj")
+    if case == "metric":
+        rows += [(5, "à", "à", "ADP", 7, "case"),
+                 (6, number, number, "NUM", 7, "nummod"),
+                 (7, "km", "km", "NOUN", 2, "obl"),
+                 (8, "de", "de", "ADP", 9, "case"),
+                 (9, "Laruns", "Laruns", "PROPN", 7, "nmod")]
+    else:
+        rows += [(5, "vers", "vers", "ADP", 6, "case"),
+                 (6, "Laruns", "Laruns", "PROPN", 2, "obl")]
+    if case == "distance":
+        rows += [(7, "depuis", "depuis", "ADP", 9, "case"),
+                 (8, number, number, "NUM", 9, "nummod"),
+                 (9, "jours", "jour", "NOUN", 2, "obl")]
+    return build(rows)
+
+
+class TestLongDigitStrings:
+    def test_is_not_a_number(self):
+        assert number_value(
+            Token(1, LONG_DIGITS, LONG_DIGITS, "NUM", 0, "root")) is None
+
+    @pytest.mark.parametrize("case", ["subject", "metric", "distance"])
+    def test_gives_no_magnitude_or_date(self, lex, case):
+        def magnitudes(number):
+            result = extract_sentence(long_number_sentence(case, number), lex)
+            (itin,) = result.itinerary_relations
+            entities = (itin.origin + itin.intermediate + itin.destination
+                        + itin.temporal)
+            assert all(e.kind is not TemporalRelationKind.ABSOLUTE
+                       for e in itin.temporal)
+            return [e.magnitude for e in entities if e.magnitude]
+
+        assert magnitudes(LONG_DIGITS) == []
+        if case != "subject":  # the same sentence with a short number
+            assert [m[0] for m in magnitudes("12")] == [12]
 
 
 class TestEntityInvariants:

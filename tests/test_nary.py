@@ -160,6 +160,42 @@ class TestRelations:
         assert [(a.role, a.text) for a in rel.arguments] == [
             ("subj", "Nous"), ("obj", "Pau"), ("reason", "notre ami y habite")]
 
+    def test_uc1_reason_arguments_are_only_the_reason_clauses(self):
+        # a "quand" adverbial clause is not a reason: it stays out of UC1
+        g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
+                   (2, "part", "partir", "VERB", 0, "root"),
+                   (3, "quand", "quand", "SCONJ", 5, "mark"),
+                   (4, "il", "il", "PRON", 5, "nsubj"),
+                   (5, "pleut", "pleuvoir", "VERB", 2, "advcl"),
+                   (6, "parce", "parce", "ADV", 10, "mark"),
+                   (7, "que", "que", "SCONJ", 6, "fixed"),
+                   (8, "son", "son", "DET", 9, "det"),
+                   (9, "ami", "ami", "NOUN", 10, "nsubj"),
+                   (10, "habite", "habiter", "VERB", 2, "advcl"),
+                   (11, ".", ".", "PUNCT", 2, "punct")])
+        assert identify_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
+        (rel,) = extract_nary(g)
+        assert rel.use_case is UseCaseKind.UC1_ADDITIONAL_INFO
+        assert [(a.role, a.text, a.pivot) for a in rel.arguments] == [
+            ("subj", "Il", 1), ("reason", "son ami habite", 10)]
+
+    def test_uc2_replaces_only_the_relativized_object(self):
+        g = build([(1, "Il", "il", "PRON", 3, "nsubj"),
+                   (2, "lui", "lui", "PRON", 3, "iobj"),
+                   (3, "donne", "donner", "VERB", 0, "root"),
+                   (4, "le", "le", "DET", 5, "det"),
+                   (5, "livre", "livre", "NOUN", 3, "obj"),
+                   (6, "qu'", "que", "PRON", 8, "obj"),
+                   (7, "il", "il", "PRON", 8, "nsubj"),
+                   (8, "aime", "aimer", "VERB", 5, "acl:relcl"),
+                   (9, ".", ".", "PUNCT", 3, "punct")])
+        assert identify_use_cases(g) == [UseCaseKind.UC2_OBJECT_DETAIL]
+        (rel,) = extract_nary(g)
+        assert rel.use_case is UseCaseKind.UC2_OBJECT_DETAIL
+        assert [(a.role, a.text, a.pivot) for a in rel.arguments] == [
+            ("subj", "Il", 1), ("obj", "lui", 2), ("obj", "le livre", 5),
+            ("detail", "qu'il aime", 8)]
+
     def test_uc2_detail_argument(self, gold):
         (rel,) = extract_nary(gold["gold-03"])
         assert rel.use_case is UseCaseKind.UC2_OBJECT_DETAIL

@@ -360,8 +360,28 @@ class TestTurtle:
             segment = iri.removeprefix(f"{BASE}/verb/")
             assert not set("#/?") & set(segment)
 
+    @settings(max_examples=100, deadline=None)
+    @given(sentences=st.lists(sentence_results(), max_size=2))
+    def test_generated_results_give_valid_turtle(self, sentences):
+        parts = []
+        writer = TurtleWriter(parts.append, BASE)
+        for s in sentences:
+            writer.add(s)
+        writer.finish()
+        triples = parse_turtle("".join(parts))
+        itins = [r for s in sentences for r in s.itinerary_relations]
+        assert {t.subject for t in triples
+                if t.subject.startswith(f"{BASE}/relation/")} == {
+            f"{BASE}/relation/{n}" for n in range(1, len(itins) + 1)}
+        directions = [e for r in itins
+                      for e in r.origin + r.intermediate + r.destination
+                      if e.direction]
+        assert len([t for t in triples
+                    if t.predicate == VOCAB + "direction"]) == len(directions)
+
     def test_invalid_base_iri_rejected(self, doc):
-        for bad in ("not an iri", "no-scheme", "1http://x", "http://a b"):
+        for bad in ("not an iri", "no-scheme", "1http://x", "http://a b",
+                    "https://example.org/iti\n", "https://example.org/\x01iti"):
             with pytest.raises(ValueError):
                 to_turtle(doc, bad)
 
