@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 lexicon/usage error (also a lexicon file that is not
 UTF-8, and an --out-dir that cannot be created or whose output files cannot
-be written), 3 CoNLL-U error (also input that is not UTF-8).
+be written), 3 CoNLL-U error (also input that is not UTF-8, or that cannot
+be opened or read; any readable path is an input, a pipe included).
 Logs go to stderr only; single-format output goes to stdout, as UTF-8 bytes
 whatever the locale.
 
@@ -27,6 +28,7 @@ import sys
 import tempfile
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
+from typing import Iterator
 
 from .depgraph import ConlluParseError, StructureError, iter_conllu
 from .lexicon import (LexiconError, bundled_lexicon_dir, decode_lines,
@@ -99,20 +101,16 @@ def _cmd_extract(args) -> int:
                 writers.append(TurtleWriter(tmp.write, args.base_iri))
         except ValueError as err:
             return _fail(str(err), EXIT_LEXICON)
-        if args.input != "-" and not Path(args.input).is_file():
-            return _fail(f"no such input file: {Path(args.input)}",
-                         EXIT_CONLLU)
-        source = (nullcontext(sys.stdin.buffer) if args.input == "-"
-                  else open(args.input, "rb"))
         try:
-            with source as binary:
-                lines = decode_lines(binary, ConlluParseError)
-                for g in iter_conllu(lines):
-                    result = extract_sentence(g, lex, args.loose_toponyms)
-                    for writer in writers:
-                        writer.add(result)
+            lines = decode_lines(_input_lines(args.input), ConlluParseError)
+            for g in iter_conllu(lines):
+                result = extract_sentence(g, lex, args.loose_toponyms)
+                for writer in writers:
+                    writer.add(result)
         except (ConlluParseError, StructureError) as err:
             return _fail(f"conllu: {err}", EXIT_CONLLU)
+        except _InputError as err:
+            return _fail(str(err), EXIT_CONLLU)
         for writer in writers:
             writer.finish()
         if not args.out_dir:
@@ -130,6 +128,24 @@ def _cmd_extract(args) -> int:
             return _fail(f"cannot write {err.filename}: {err.strerror}",
                          EXIT_LEXICON)
     return EXIT_OK
+
+
+class _InputError(Exception):
+    """The input could not be opened or read."""
+
+
+def _input_lines(path: str) -> Iterator[bytes]:
+    """The binary lines of the input at any readable path, or of stdin for
+    "-".  Only failing to open or read it raises ``_InputError``."""
+    try:
+        with (nullcontext(sys.stdin.buffer) if path == "-"
+              else open(path, "rb")) as binary:
+            yield from binary
+    except FileNotFoundError:
+        raise _InputError(f"no such input file: {Path(path)}") from None
+    except OSError as err:
+        raise _InputError(f"cannot read input {Path(path)}: "
+                          f"{err.strerror}") from None
 
 
 def _temporary_file():

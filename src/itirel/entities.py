@@ -18,7 +18,7 @@ from typing import Optional
 
 from .depgraph import SentenceGraph, Token, TokenSpan, span_text
 from .lexicon import (LexiconSet, SpatialRelationKind, TemporalRelationKind,
-                      canon_word, normalize)
+                      canon_word, lemma_key, normalize)
 
 
 class NotAMarker(KeyError):
@@ -106,7 +106,7 @@ def _number(form: str, word: str) -> Optional[int]:
 
 
 def _unit_class(tok: Token, lex: LexiconSet) -> Optional[str]:
-    return lex.units.get(tok.lemma.casefold())
+    return lex.units.get(lemma_key(tok.lemma))
 
 
 def _match_toponym(toks, words, i, lex, loose):
@@ -181,7 +181,7 @@ def _spatial_from_marker(g, toks, words, i, match, lex, loose):
         hn, display, lo = hit
         end = j + 3 + hn - 1
         ent = _make_spatial(g, toks, i, end, kind, [display],
-                            (value, toks[j + 1].lemma.casefold()), None, lo)
+                            (value, lemma_key(toks[j + 1].lemma)), None, lo)
         return ent, end + 1
 
     if kind is SpatialRelationKind.GEOMETRIC_FIGURE:
@@ -257,7 +257,7 @@ def _temporal_from_marker(g, toks, words, i, match, lex):
         if j + 1 < len(toks):
             value = _number(toks[j].form, words[j])
             if value is not None and _unit_class(toks[j + 1], lex) == "temporal":
-                unit = toks[j + 1].lemma.casefold()
+                unit = lemma_key(toks[j + 1].lemma)
                 span = TokenSpan(toks[i].id, toks[j + 1].id)
                 anchor = span_text(g, TokenSpan(toks[j].id, toks[j + 1].id))
                 return TemporalEntity(span, kind, (value, unit), anchor,
@@ -268,7 +268,7 @@ def _temporal_from_marker(g, toks, words, i, match, lex):
             if value is not None and _unit_class(toks[i - 1], lex) == "temporal":
                 evidence = _reference_window(toks, words, j, lex)
                 if evidence is not None:
-                    unit = toks[i - 1].lemma.casefold()
+                    unit = lemma_key(toks[i - 1].lemma)
                     span = TokenSpan(toks[i - 2].id, toks[evidence].id)
                     anchor = span_text(
                         g, TokenSpan(toks[j].id, toks[evidence].id))

@@ -57,10 +57,14 @@ _WS = re.compile(r"\s+")
 _CONTRACTIONS = {"au": "à", "aux": "à", "du": "de", "des": "de", "d": "de"}
 
 
+def lemma_key(lemma: str) -> str:
+    """The key of a motion-verb or unit lemma: NFC, then case-folded."""
+    return unicodedata.normalize("NFC", lemma).casefold()
+
+
 def normalize(phrase: str) -> str:
     """Case-fold and elision-normalize a phrase ("l'Ouest" -> "l ouest")."""
-    s = unicodedata.normalize("NFC", phrase).casefold()
-    s = _APOSTROPHES.sub(" ", s)
+    s = _APOSTROPHES.sub(" ", lemma_key(phrase))
     return _WS.sub(" ", s).strip()
 
 
@@ -245,14 +249,13 @@ def load_lexicons(directory) -> LexiconSet:
 
     problems: list[str] = []
     motion = _load_map("motion_verbs.tsv", files["motion_verbs.tsv"],
-                       _POLARITIES, lambda k: k.casefold(), problems)
+                       _POLARITIES, lemma_key, problems)
     spatial = _load_map("spatial_markers.tsv", files["spatial_markers.tsv"],
                         _SPATIAL_KINDS, normalize, problems)
     temporal = _load_map("temporal_markers.tsv", files["temporal_markers.tsv"],
                          _TEMPORAL_KINDS, normalize, problems)
     units = _load_map("units.tsv", files["units.tsv"],
-                      {u: u for u in _UNIT_CLASSES}, lambda k: k.casefold(),
-                      problems)
+                      {u: u for u in _UNIT_CLASSES}, lemma_key, problems)
     gazetteer: dict[str, str] = {}
     gaz_lines: dict[str, int] = {}
     for line_no, (name, ftype) in _read_tsv("gazetteer.tsv",
@@ -381,7 +384,7 @@ def validate_lexicons(lex: LexiconSet) -> ValidationReport:
 
 def motion_polarity(lex: LexiconSet, lemma: str) -> Optional[VerbPolarity]:
     """Polarity of a motion verb, or None.  Lookup is by lemma only."""
-    return lex.motion_verbs.get(lemma.casefold())
+    return lex.motion_verbs.get(lemma_key(lemma))
 
 
 def bundled_lexicon_dir() -> Path:

@@ -10,10 +10,12 @@ A sentence instantiates one of four use-cases:
 
 Extraction is pivot-driven: the pivots are the main verb, the heads of its
 subject/object/oblique dependents, and the case-marking preposition of each
-oblique.  Each nominal pivot yields one argument whose span is its subtree
-minus its case marker and edge punctuation; nested material stays inside the
-argument.  Each use-case pattern is matched once per clause verb, and the
-UC1 reason clauses and UC2 relativized objects are read from that match.
+oblique.  Every argument is a head's subtree minus the subtrees of the
+children it cuts, without edge punctuation: a pivot cuts its case markers
+and enumeration, an item its conj/cc/case children, a reason clause its
+marks, a detail nothing, and UC2's bare object its relative clauses too.
+Each use-case pattern is matched once per clause verb; UC2 moves each
+relativized object to the end: bare argument, items, one detail per clause.
 """
 
 from __future__ import annotations
@@ -87,10 +89,8 @@ class NaryRelation:
         return hash(self._key)
 
 
-def _mark_phrase(g: SentenceGraph, clause_head: int) -> str:
-    ids: set[int] = set()
-    for m in dependents(g, clause_head, {"mark"}):
-        ids |= subtree_ids(g, m)
+def _mark_phrase(g: SentenceGraph, marks: Sequence[int]) -> str:
+    ids = frozenset().union(*(subtree_ids(g, m) for m in marks))
     return normalize(" ".join(g.token(i).form for i in sorted(ids)))
 
 
@@ -115,15 +115,9 @@ class _PivotStruct:
     obliques: tuple[tuple[Optional[int], int], ...]  # (case id, nominal id)
 
     def token_ids(self) -> list[int]:
-        ids = {self.verb}
-        if self.subject is not None:
-            ids.add(self.subject)
-        ids.update(self.objects)
-        for case, nom in self.obliques:
-            if case is not None:
-                ids.add(case)
-            ids.add(nom)
-        return sorted(ids)
+        ids = {self.verb, self.subject, *self.objects,
+               *(t for oblique in self.obliques for t in oblique)}
+        return sorted(ids - {None})
 
 
 def _pivot_struct(g: SentenceGraph, verb: int,
@@ -144,43 +138,31 @@ def pivot_tokens(g: SentenceGraph) -> list[int]:
     return _pivot_struct(g, root_verb(g)).token_ids()
 
 
-def _trim_punct(g: SentenceGraph, ids: list[int]) -> list[int]:
-    while ids and g.token(ids[0]).upos == "PUNCT":
-        ids = ids[1:]
-    while ids and g.token(ids[-1]).upos == "PUNCT":
-        ids = ids[:-1]
-    return ids
-
-
-def _span_argument(g: SentenceGraph, pivot: int, role: str,
-                   ids: set[int], case_marker: Optional[int],
-                   order: Optional[int] = None) -> Optional[Argument]:
-    kept = _trim_punct(g, sorted(ids))
+def _argument(g: SentenceGraph, head: int, role: str, cut: Sequence[int],
+              case_marker: Optional[int] = None,
+              order: Optional[int] = None) -> Optional[Argument]:
+    """The head's subtree minus the subtrees of the children in `cut`,
+    without edge punctuation; None when nothing is left."""
+    ids = set(subtree_ids(g, head))
+    for c in cut:
+        ids -= subtree_ids(g, c)
+    kept = sorted(ids)
+    while kept and g.token(kept[0]).upos == "PUNCT":
+        kept.pop(0)
+    while kept and g.token(kept[-1]).upos == "PUNCT":
+        kept.pop()
     if not kept:
         return None
     span = TokenSpan(kept[0], kept[-1])
-    flagged = len(kept) != len(span)
     return Argument(span=span, text=span_text(g, span), role=role,
-                    pivot=pivot, order=order, case_marker=case_marker,
-                    flagged=flagged)
-
-
-def _item_arguments(g: SentenceGraph, enum_head: int) -> list[Argument]:
-    items = [enum_head] + dependents(g, enum_head, {"conj"})
-    args = []
-    for order, item in enumerate(items, 1):
-        ids = set(subtree_ids(g, item))
-        for c in g.children(item):
-            if base_rel(g.token(c).deprel) in ("conj", "cc", "case"):
-                ids -= subtree_ids(g, c)
-        arg = _span_argument(g, item, "item", ids, None, order)
-        if arg is not None:
-            args.append(arg)
-    return args
+                    pivot=head, order=order, case_marker=case_marker,
+                    flagged=len(kept) != len(span))
 
 
 def _argument_for(g: SentenceGraph, pivot: int,
-                  exclude: frozenset[int] = frozenset()) -> list[Argument]:
+                  relcls: Sequence[int] = ()) -> list[Argument]:
+    """A pivot's argument, cut of its case markers, enumeration and the
+    relative clauses `relcls`, then its items, then one detail per relcl."""
     rel = base_rel(g.token(pivot).deprel)
     cases = dependents(g, pivot, {"case"})
     case_marker = cases[0] if cases else None
@@ -191,19 +173,17 @@ def _argument_for(g: SentenceGraph, pivot: int,
     else:
         role = rel if case_marker is None else \
             g.token(case_marker).lemma.casefold()
-    ids = set(subtree_ids(g, pivot)) - exclude
-    for c in cases:  # a subject's case marker is excluded too
-        ids -= subtree_ids(g, c)
     enum = _enumeration_child(g, pivot)
-    out: list[Argument] = []
-    if enum is not None:
-        ids -= subtree_ids(g, enum)
-    head_arg = _span_argument(g, pivot, role, ids, case_marker)
-    if head_arg is not None:
-        out.append(head_arg)
-    if enum is not None:
-        out.extend(_item_arguments(g, enum))
-    return out
+    items = [] if enum is None else [enum] + dependents(g, enum, {"conj"})
+    # a subject's case marker is cut too; items[:1] is the enumeration
+    args = [_argument(g, pivot, role, [*cases, *items[:1], *relcls],
+                      case_marker)]
+    for n, item in enumerate(items, 1):
+        cut = dependents(g, item, {"conj", "cc", "case"})
+        args.append(_argument(g, item, "item", cut, None, n))
+    for r in relcls:
+        args.append(_argument(g, r, "detail", ()))
+    return [a for a in args if a is not None]
 
 
 def extract_arguments(g: SentenceGraph, pivots: Sequence[int]) -> list[Argument]:
@@ -224,23 +204,26 @@ def extract_arguments(g: SentenceGraph, pivots: Sequence[int]) -> list[Argument]
 
 
 def _use_cases_for(g: SentenceGraph, struct: _PivotStruct
-                   ) -> dict[UseCaseKind, tuple[int, ...]]:
-    """Each use-case whose pattern the clause matches, in UC order, with the
-    tokens that matched it: UC1 its reason-clause heads, UC2 its relativized
-    objects, none for UC3 and UC4."""
-    found: dict[UseCaseKind, tuple[int, ...]] = {}
-    reasons = tuple(c for c in dependents(g, struct.verb, {"advcl"})
-                    if _mark_phrase(g, c) in REASON_MARKERS)
+                   ) -> dict[UseCaseKind, list]:
+    """Each use-case the clause matches, in UC order, with what matched it:
+    UC1 its reason arguments (a reason clause cut of its marks, or None),
+    UC2 its (relativized object, relative clauses) pairs, nothing else."""
+    found: dict[UseCaseKind, list] = {}
+    reasons = []
+    for c in dependents(g, struct.verb, {"advcl"}):
+        marks = dependents(g, c, {"mark"})
+        if _mark_phrase(g, marks) in REASON_MARKERS:
+            reasons.append(_argument(g, c, "reason", marks))
     if reasons:
         found[UseCaseKind.UC1_ADDITIONAL_INFO] = reasons
-    relativized = tuple(o for o in struct.objects
-                        if dependents(g, o, {"acl"}))
+    relativized = [(o, relcls) for o in struct.objects
+                   if (relcls := dependents(g, o, {"acl"}))]
     if relativized:
         found[UseCaseKind.UC2_OBJECT_DETAIL] = relativized
     if sum(case is not None for case, _ in struct.obliques) >= 2:
-        found[UseCaseKind.UC3_NO_PRIMARY_ARGUMENT] = ()
+        found[UseCaseKind.UC3_NO_PRIMARY_ARGUMENT] = []
     if any(_enumeration_child(g, o) is not None for o in struct.objects):
-        found[UseCaseKind.UC4_ORDERED_LIST] = ()
+        found[UseCaseKind.UC4_ORDERED_LIST] = []
     return found
 
 
@@ -251,30 +234,6 @@ def identify_use_cases(g: SentenceGraph) -> list[UseCaseKind]:
     except NoMainVerb:
         return []
     return list(_use_cases_for(g, struct))
-
-
-def _reason_argument(g: SentenceGraph, clause: int) -> Optional[Argument]:
-    """A reason clause minus its marker."""
-    ids = set(subtree_ids(g, clause))
-    for m in dependents(g, clause, {"mark"}):
-        ids -= subtree_ids(g, m)
-    return _span_argument(g, clause, "reason", ids, None)
-
-
-def _detail_relation_args(g: SentenceGraph, relativized: tuple[int, ...],
-                          base: list[Argument]) -> list[Argument]:
-    """Replace each relativized object by its bare span plus a detail arg."""
-    args = list(base)
-    for o in relativized:
-        relcls = dependents(g, o, {"acl"})
-        exclude = frozenset().union(*(subtree_ids(g, r) for r in relcls))
-        args = [a for a in args if a.pivot != o]
-        args.extend(_argument_for(g, o, exclude=exclude))
-        for r in relcls:
-            detail = _span_argument(g, r, "detail", set(subtree_ids(g, r)), None)
-            if detail is not None:
-                args.append(detail)
-    return args
 
 
 def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
@@ -297,10 +256,15 @@ def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
         lemma = g.token(struct.verb).lemma
         for uc, matched in use_cases.items():
             if uc is UseCaseKind.UC1_ADDITIONAL_INFO:
-                reasons = [_reason_argument(g, c) for c in matched]
-                args = base + [a for a in reasons if a is not None]
+                args = base + [a for a in matched if a is not None]
             elif uc is UseCaseKind.UC2_OBJECT_DETAIL:
-                args = _detail_relation_args(g, matched, base)
+                # each relativized object moves to the end with everything
+                # under it: its bare argument, its items, then its details
+                moved = frozenset().union(
+                    *(subtree_ids(g, o) for o, _ in matched))
+                args = [a for a in base if a.pivot not in moved]
+                for o, relcls in matched:
+                    args += _argument_for(g, o, relcls)
             else:
                 args = base
             if uc is UseCaseKind.UC3_NO_PRIMARY_ARGUMENT and len(args) < 3:

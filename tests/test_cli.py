@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -253,6 +254,28 @@ class TestExtract:
         assert main(["extract", str(tmp_path / "nope.conllu")]) == EXIT_CONLLU
         assert "no such input file" in capsys.readouterr().err
 
+    def test_unreadable_input_exits_3_with_one_line(self, tmp_path, capsys):
+        assert main(["extract", str(tmp_path)]) == EXIT_CONLLU
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"itirel: cannot read input {tmp_path}: "
+                                f"Is a directory\n")
+
+    def test_input_read_error_exits_3_with_one_line(self, gold_text,
+                                                   monkeypatch, capsys):
+        class FailingReader(io.BytesIO):
+            def __next__(self):  # the first line, then a failing read
+                if self.tell():
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                return super().__next__()
+
+        stdin = io.TextIOWrapper(FailingReader(gold_text.encode("utf-8")),
+                                 encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["extract"]) == EXIT_CONLLU
+        assert capsys.readouterr() == (
+            "", f"itirel: cannot read input -: {os.strerror(errno.EIO)}\n")
+
     def test_missing_lexicons_exit_2(self, gold_file, tmp_path, capsys):
         assert main(["extract", str(gold_file),
                      "--lexicons", str(tmp_path / "empty")]) == EXIT_LEXICON
@@ -499,14 +522,24 @@ class TestEntrypoint:
         assert exc.value.code == EXIT_OK
 
     @staticmethod
-    def _run_module(args, **env):
-        """``python -m itirel.cli`` in a child process, on this checkout."""
+    def _run_module(args, stdin=None, **env):
+        """``python -m itirel.cli`` in a child process, on this checkout,
+        with the bytes ``stdin`` on a pipe as its standard input."""
         src = str(Path(itirel.__file__).resolve().parent.parent)
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                                if p)
         return subprocess.run(
             [sys.executable, "-m", "itirel.cli", *args], capture_output=True,
-            env={**os.environ, "PYTHONPATH": path, **env})
+            input=stdin, env={**os.environ, "PYTHONPATH": path, **env})
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="no /dev/stdin on this platform")
+    def test_a_pipe_named_by_path_is_read(self, gold_text):
+        proc = self._run_module(["extract", "/dev/stdin"],
+                                stdin=gold_text.encode("utf-8"))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout == (Path(__file__).parent / "golden"
+                               / "gold.json").read_bytes()
 
     def test_python_m_runs_the_cli(self, gold_file, capsys):
         assert main(["extract", str(gold_file)]) == EXIT_OK

@@ -1,3 +1,4 @@
+import unicodedata
 from collections import Counter
 from dataclasses import replace
 
@@ -159,6 +160,20 @@ class TestSpatialRecognition:
         assert ent.magnitude == (10, "km")
         assert ent.anchors == ("Pau",)
         assert ent.text == "à 10 km de Pau"
+
+    @pytest.mark.parametrize("form", ["NFC", "NFD"])
+    def test_metric_unit_lemma_in_either_normal_form(self, lex, form):
+        # « à 10 kilomètres de Pau », the unit lemma composed or decomposed
+        unit = unicodedata.normalize(form, "kilomètre")
+        g = build([(1, "à", "à", "ADP", 3, "case"),
+                   (2, "10", "10", "NUM", 3, "nummod"),
+                   (3, "kilomètres", unit, "NOUN", 0, "root"),
+                   (4, "de", "de", "ADP", 5, "case"),
+                   (5, "Pau", "Pau", "PROPN", 3, "nmod")])
+        (ent,) = recognize_spatial(g, g.span(), lex)
+        assert ent.kind is SpatialRelationKind.METRIC
+        assert ent.magnitude == (10, "kilomètre")
+        assert ent.anchors == ("Pau",)
 
     def test_metric_requires_full_pattern(self, lex):
         # "à Pau" is not metric: bare toponym wins instead

@@ -1,12 +1,15 @@
 import shutil
+import unicodedata
 
 import pytest
 
 from itirel import (LexiconError, LexiconSet, SpatialRelationKind,
                     TemporalRelationKind, VerbPolarity, bundled_lexicon_dir,
                     lexicon_fingerprint, load_lexicons, motion_polarity,
-                    save_lexicons, validate_lexicons)
+                    recognize_spatial, save_lexicons, validate_lexicons)
 from itirel.lexicon import FILE_NAMES, PhraseIndex, canon_word, normalize
+
+from conftest import build
 
 
 def _words(*forms):
@@ -45,6 +48,33 @@ class TestLoading:
         assert motion_polarity(lex, "sorti") is None  # lemma lookup only
         assert lex.gazetteer["Pau"] == "city"
         assert lex.units["semaine"] == "temporal"
+
+    def test_motion_verb_lemma_is_compared_in_nfc(self):
+        lex = LexiconSet(motion_verbs={"arrêter": VerbPolarity.FINAL},
+                         spatial_markers={}, temporal_markers={},
+                         gazetteer={}, units={})
+        decomposed = unicodedata.normalize("NFD", "Arrêter")
+        assert decomposed != "Arrêter"
+        assert motion_polarity(lex, decomposed) is VerbPolarity.FINAL
+
+    def test_decomposed_lexicon_lemmas_match_composed_input(self, tmp_path):
+        lex_dir = shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        units = (lex_dir / "units.tsv").read_text(encoding="utf-8")
+        assert "kilomètre\tspatial\n" in units
+        (lex_dir / "units.tsv").write_text(
+            unicodedata.normalize("NFD", units), encoding="utf-8")
+        with (lex_dir / "motion_verbs.tsv").open("a", encoding="utf-8") as fh:
+            fh.write(unicodedata.normalize("NFD", "arrêter\tfinal\n"))
+        lex = load_lexicons(lex_dir)
+        assert motion_polarity(lex, "arrêter") is VerbPolarity.FINAL
+        g = build([(1, "à", "à", "ADP", 3, "case"),
+                   (2, "10", "10", "NUM", 3, "nummod"),
+                   (3, "kilomètres", "kilomètre", "NOUN", 0, "root"),
+                   (4, "de", "de", "ADP", 5, "case"),
+                   (5, "Pau", "Pau", "PROPN", 3, "nmod")])
+        (ent,) = recognize_spatial(g, g.span(), lex)
+        assert ent.kind is SpatialRelationKind.METRIC
+        assert ent.magnitude == (10, "kilomètre")
 
     def test_missing_files_all_reported(self, tmp_path):
         with pytest.raises(LexiconError) as err:

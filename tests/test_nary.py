@@ -2,10 +2,28 @@ import pytest
 
 from itirel import (Argument, NaryRelation, NoMainVerb, TokenSpan,
                     UseCaseKind, extract_arguments, extract_nary,
-                    identify_use_cases, pivot_tokens, root_verb)
+                    extract_sentence, identify_use_cases, pivot_tokens,
+                    root_verb)
 
 from conftest import build
 from oracles import argument_spans
+
+
+def _relativized_enumeration(form, lemma, second):
+    """« Il <form> des villes comme Pau et <second> qu'il aime. »: an
+    object with both an enumeration (UC4) and a relative clause (UC2)."""
+    return [(1, "Il", "il", "PRON", 2, "nsubj"),
+            (2, form, lemma, "VERB", 0, "root"),
+            (3, "des", "un", "DET", 4, "det"),
+            (4, "villes", "ville", "NOUN", 2, "obj"),
+            (5, "comme", "comme", "ADP", 6, "case"),
+            (6, "Pau", "Pau", "PROPN", 4, "nmod"),
+            (7, "et", "et", "CCONJ", 8, "cc"),
+            (8, second, second, "PROPN", 6, "conj"),
+            (9, "qu'", "que", "PRON", 11, "obj"),
+            (10, "il", "il", "PRON", 11, "nsubj"),
+            (11, "aime", "aimer", "VERB", 4, "acl:relcl"),
+            (12, ".", ".", "PUNCT", 2, "punct")]
 
 
 class TestPivots:
@@ -195,6 +213,73 @@ class TestRelations:
         assert [(a.role, a.text, a.pivot) for a in rel.arguments] == [
             ("subj", "Il", 1), ("obj", "lui", 2), ("obj", "le livre", 5),
             ("detail", "qu'il aime", 8)]
+
+    def test_uc2_moves_the_relativized_object_after_an_oblique(self):
+        # « Il donne le livre qu'il aime à Marie. »
+        g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
+                   (2, "donne", "donner", "VERB", 0, "root"),
+                   (3, "le", "le", "DET", 4, "det"),
+                   (4, "livre", "livre", "NOUN", 2, "obj"),
+                   (5, "qu'", "que", "PRON", 7, "obj"),
+                   (6, "il", "il", "PRON", 7, "nsubj"),
+                   (7, "aime", "aimer", "VERB", 4, "acl:relcl"),
+                   (8, "à", "à", "ADP", 9, "case"),
+                   (9, "Marie", "Marie", "PROPN", 2, "obl"),
+                   (10, ".", ".", "PUNCT", 2, "punct")])
+        (rel,) = extract_nary(g)
+        assert rel.use_case is UseCaseKind.UC2_OBJECT_DETAIL
+        assert [(a.role, a.text, a.pivot) for a in rel.arguments] == [
+            ("subj", "Il", 1), ("à", "Marie", 9), ("obj", "le livre", 4),
+            ("detail", "qu'il aime", 7)]
+
+    def test_uc2_moves_each_relativized_object_with_its_detail(self):
+        # « Il montre l'enfant qui lit le livre qu'il aime. »
+        g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
+                   (2, "montre", "montrer", "VERB", 0, "root"),
+                   (3, "l'", "le", "DET", 4, "det"),
+                   (4, "enfant", "enfant", "NOUN", 2, "iobj"),
+                   (5, "qui", "qui", "PRON", 6, "nsubj"),
+                   (6, "lit", "lire", "VERB", 4, "acl:relcl"),
+                   (7, "le", "le", "DET", 8, "det"),
+                   (8, "livre", "livre", "NOUN", 2, "obj"),
+                   (9, "qu'", "que", "PRON", 11, "obj"),
+                   (10, "il", "il", "PRON", 11, "nsubj"),
+                   (11, "aime", "aimer", "VERB", 8, "acl:relcl"),
+                   (12, ".", ".", "PUNCT", 2, "punct")])
+        (rel,) = extract_nary(g)
+        assert rel.use_case is UseCaseKind.UC2_OBJECT_DETAIL
+        assert [(a.role, a.text, a.pivot) for a in rel.arguments] == [
+            ("subj", "Il", 1), ("obj", "l'enfant", 4),
+            ("detail", "qui lit", 6), ("obj", "le livre", 8),
+            ("detail", "qu'il aime", 11)]
+
+    def test_uc2_keeps_each_enumeration_item_once(self):
+        # « Il visite des villes comme Pau et Tarbes qu'il aime. »
+        g = build(_relativized_enumeration("visite", "visiter", "Tarbes"))
+        uc2, uc4 = extract_nary(g)
+        assert uc2.use_case is UseCaseKind.UC2_OBJECT_DETAIL
+        assert [(a.role, a.text, a.pivot, a.order)
+                for a in uc2.arguments] == [
+            ("subj", "Il", 1, None), ("obj", "des villes", 4, None),
+            ("item", "Pau", 6, 1), ("item", "Tarbes", 8, 2),
+            ("detail", "qu'il aime", 11, None)]
+        assert uc4.use_case is UseCaseKind.UC4_ORDERED_LIST
+        assert [(a.role, a.text, a.pivot, a.order, a.flagged)
+                for a in uc4.arguments] == [
+            ("subj", "Il", 1, None, False),
+            ("obj", "des villes comme Pau et Tarbes qu'il aime", 4, None,
+             True),
+            ("item", "Pau", 6, 1, False), ("item", "Tarbes", 8, 2, False)]
+
+    def test_uc2_itinerary_passes_through_each_item_once(self, lex):
+        # « Il traverse des villes comme Pau et Lourdes qu'il aime. »
+        g = build(_relativized_enumeration("traverse", "traverser",
+                                           "Lourdes"))
+        result = extract_sentence(g, lex)
+        (it,) = [it for it in result.itinerary_relations
+                 if it.source_nary.use_case is UseCaseKind.UC2_OBJECT_DETAIL]
+        assert [e.text for e in it.intermediate] == ["Pau"]
+        assert it.origin == it.destination == ()
 
     def test_uc2_detail_argument(self, gold):
         (rel,) = extract_nary(gold["gold-03"])
