@@ -7,9 +7,10 @@ Subcommands:
   itirel lexicon validate [DIR]
 
 Exit codes: 0 success, 2 lexicon/usage error (also a lexicon file that is not
-UTF-8, and an --out-dir that cannot be created or whose output files cannot
-be written), 3 CoNLL-U error (also input that is not UTF-8, or that cannot
-be opened or read; any readable path is an input, a pipe included).
+UTF-8, an --out-dir that cannot be created, and any output that cannot be
+written: a temporary file, stdout, a closed pipe, or a file of the out dir),
+3 CoNLL-U error (also input that is not UTF-8, or that cannot be opened or
+read; any readable path is an input, a pipe included).
 Logs go to stderr only; single-format output goes to stdout, as UTF-8 bytes
 whatever the locale.
 
@@ -22,6 +23,7 @@ a failure anywhere leaves none.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import shutil
 import sys
@@ -31,8 +33,8 @@ from pathlib import Path
 from typing import Iterator
 
 from .depgraph import ConlluParseError, StructureError, iter_conllu
-from .lexicon import (LexiconError, bundled_lexicon_dir, decode_lines,
-                      load_lexicons, validate_lexicons)
+from .lexicon import (LexiconError, LexiconSet, bundled_lexicon_dir,
+                      decode_lines, load_lexicons, validate_lexicons)
 from .serialize import JsonWriter, TurtleWriter, extract_sentence
 
 EXIT_OK = 0
@@ -86,6 +88,17 @@ def _cmd_extract(args) -> int:
         for problem in err.problems:
             print(f"itirel: lexicon: {problem}", file=sys.stderr)
         return EXIT_LEXICON
+    # one handler for every output write: temporary files, stdout, out dir
+    try:
+        return _extract(args, lex)
+    except BrokenPipeError:
+        return EXIT_LEXICON  # the reader of stdout has gone: tell it nothing
+    except OSError as err:
+        return _fail(f"cannot write {err.filename or 'output'}: "
+                     f"{err.strerror or err}", EXIT_LEXICON)
+
+
+def _extract(args, lex: LexiconSet) -> int:
     with ExitStack() as stack:
         # each output goes to a temporary file and is copied out only once
         # the last sentence is written, so a failure leaves no output
@@ -117,6 +130,7 @@ def _cmd_extract(args) -> int:
             _copy_to_stdout(outputs)
             return EXIT_OK
         out_dir = Path(args.out_dir)
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
@@ -124,9 +138,10 @@ def _cmd_extract(args) -> int:
                          f"{err.strerror}", EXIT_LEXICON)
         try:
             _copy_to_out_dir(outputs, out_dir)
-        except OSError as err:
-            return _fail(f"cannot write {err.filename}: {err.strerror}",
-                         EXIT_LEXICON)
+        except OSError:
+            for d in made:  # deepest first
+                d.rmdir()
+            raise
     return EXIT_OK
 
 
@@ -154,7 +169,7 @@ def _temporary_file():
 
 
 def _copy_to_stdout(outputs: dict) -> None:
-    """Write finished temporary outputs to stdout as their UTF-8 bytes."""
+    """Write finished temporary outputs to stdout as UTF-8 bytes, flushed."""
     for tmp in outputs.values():
         tmp.seek(0)
         if hasattr(sys.stdout, "buffer"):
@@ -163,35 +178,34 @@ def _copy_to_stdout(outputs: dict) -> None:
             shutil.copyfileobj(tmp.buffer, sys.stdout.buffer)
         else:  # a text stream put in place of stdout, such as io.StringIO
             shutil.copyfileobj(tmp, sys.stdout)
+    sys.stdout.flush()
 
 
 def _copy_to_out_dir(outputs: dict, out_dir: Path) -> None:
     """Copy finished temporary outputs, as their UTF-8 bytes, into out_dir.
 
-    Every file is opened, without truncating it, before any is written, so
-    a name that cannot be written (a directory, say) raises ``OSError`` with
-    the out dir as it was: the files opened before it are closed unchanged,
-    and those that this call created are removed."""
-    created: list[Path] = []
-    with ExitStack() as stack:
-        opened = []
-        try:
-            for name, tmp in outputs.items():
-                path = out_dir / name
-                if not os.path.lexists(path):
-                    created.append(path)
-                opened.append((path, tmp, stack.enter_context(
-                    open(path, "ab"))))
-        except OSError:
-            stack.close()
-            for path in created:
-                path.unlink(missing_ok=True)
-            raise
-        for path, tmp, out in opened:
-            out.truncate(0)
-            tmp.seek(0)
-            shutil.copyfileobj(tmp.buffer, out)
-            print(f"itirel: wrote {path}", file=sys.stderr)
+    Each is copied in full to a new file in out_dir first, and only then
+    are the copies renamed onto their names, so a name that cannot be
+    written (a directory, say) or a failed write raises ``OSError`` with the
+    out dir as it was."""
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for name, tmp in outputs.items():
+            path = out_dir / name
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        str(path))
+            with open(out_dir / f".{name}.{os.getpid()}", "xb") as out:
+                staged.append((Path(out.name), path))
+                tmp.seek(0)
+                shutil.copyfileobj(tmp.buffer, out)
+    except OSError:
+        for copy, _ in staged:
+            copy.unlink(missing_ok=True)
+        raise
+    for copy, path in staged:
+        os.replace(copy, path)
+        print(f"itirel: wrote {path}", file=sys.stderr)
 
 
 def _cmd_lexicon_validate(args) -> int:
@@ -216,7 +230,13 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # else what a failed write left in its buffer fails again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -7,13 +7,16 @@ detection, argument search, entity recognition) works on these graphs.
 The parser accepts a sentence only if its word ids run 1..n in order, so a
 token's id is its position plus one: ``token(i)`` is ``tokens[i - 1]`` and
 the tokens of a span are a slice.
+
+Each graph is indexed once, when it is built: its children, universal
+relations and a depth-first order in which every subtree is one run, so
+queries never walk the tree.  Entity recognition adds normalized forms.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -47,8 +50,7 @@ def base_rel(deprel: str) -> str:
     return deprel.split(":", 1)[0]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     id: int
     form: str
     lemma: str
@@ -57,6 +59,15 @@ class Token:
     deprel: str
     # XPOS, FEATS, DEPS, MISC: not interpreted, preserved for round-trips.
     extras: tuple = ("_", "_", "_", "_")
+
+    # a tuple for speed of construction, but a token equals only a token
+    def __eq__(self, other):
+        return isinstance(other, Token) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -90,20 +101,43 @@ class Yield(NamedTuple):
 
 @dataclass(frozen=True)
 class SentenceGraph:
+    """A sentence whose tokens have ids 1..n and heads in 0..n (the parser
+    checks both), indexed once, when it is built: ``root_id``; ``rels[i]``,
+    the universal relation of token i (``rels[0]`` is ""); ``_kids[i]``, the
+    children of id i in surface order; ``_order``, the ids below id 0 depth
+    first, whose ``_size[i]`` ids from place ``_first[i]`` on are the subtree
+    of token i; and ``words``, None until entity recognition fills it."""
+
     sent_id: str
     text: str
     tokens: tuple[Token, ...]
 
-    @cached_property
-    def _children(self) -> dict[int, tuple[int, ...]]:
-        kids = {i: [] for i in range(len(self.tokens) + 1)}
-        for t in self.tokens:  # ids ascend, so each list is in surface order
+    def __post_init__(self):
+        tokens = self.tokens
+        kids: list[list[int]] = [[] for _ in range(len(tokens) + 1)]
+        heads = [0]
+        for t in tokens:  # ids ascend, so each list is in surface order
             kids[t.head].append(t.id)
-        return {k: tuple(v) for k, v in kids.items()}
-
-    @cached_property
-    def root_id(self) -> int:
-        return self._children[0][0]
+            heads.append(t.head)
+        if min(heads) < 0:  # a head above n fails above, a negative one not
+            raise IndexError(f"negative head {min(heads)}")
+        order, stack = [], list(kids[0])
+        while stack:
+            order.append(stack.pop())
+            stack.extend(kids[order[-1]])
+        first, size = [0] * len(kids), [0] * len(kids)
+        for pos, cur in enumerate(order):
+            first[cur] = pos
+        # backwards, each size is whole when its head is reached; an id off
+        # the order (on a cycle) keeps size 0
+        for cur in reversed(order):
+            size[cur] += 1
+            size[heads[cur]] += size[cur]
+        self.__dict__.update(  # frozen: the index is set past __setattr__
+            root_id=kids[0][0] if kids[0] else 0,
+            rels=("",) + tuple([base_rel(t.deprel) for t in tokens]),
+            _kids=tuple(map(tuple, kids)), _order=order, _first=first,
+            _size=size, words=None)
 
     def token(self, token_id: int) -> Token:
         if not 1 <= token_id <= len(self.tokens):
@@ -111,7 +145,7 @@ class SentenceGraph:
         return self.tokens[token_id - 1]
 
     def children(self, token_id: int) -> tuple[int, ...]:
-        return self._children.get(token_id, ())
+        return self._kids[token_id] if 0 <= token_id < len(self._kids) else ()
 
     def span(self) -> TokenSpan:
         return TokenSpan(1, len(self.tokens))
@@ -155,7 +189,7 @@ def _finish_sentence(sent_id: Optional[str], text: Optional[str],
     if len(roots) != 1:
         raise StructureError(f"expected exactly one root, found {len(roots)}", sid)
     # every token has one head, so tokens on a cycle are not below the root
-    if len(subtree_ids(g, g.root_id)) != len(tokens):
+    if len(g._order) != len(tokens):
         raise StructureError("cyclic head links", sid)
     if not g.text:
         object.__setattr__(g, "text", span_text(g, g.span()))
@@ -218,19 +252,18 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
             raise ConlluParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", line_no)
         tid = cols[0]
-        if _RANGE_OR_EMPTY_NODE.fullmatch(tid):
-            continue
         try:
             token_id = int(tid)
         except ValueError:
+            if _RANGE_OR_EMPTY_NODE.fullmatch(tid):
+                continue
             raise ConlluParseError(f"non-integer token id {tid!r}", line_no)
         try:
             head = int(cols[6])
         except ValueError:
             raise ConlluParseError(f"non-integer head {cols[6]!r}", line_no)
-        tokens.append(Token(id=token_id, form=cols[1], lemma=cols[2],
-                            upos=cols[3], head=head, deprel=cols[7],
-                            extras=(cols[4], cols[5], cols[8], cols[9])))
+        tokens.append(Token(token_id, cols[1], cols[2], cols[3], head,
+                            cols[7], (cols[4], cols[5], cols[8], cols[9])))
 
 
 def parse_conllu(source: Union[str, Iterable[str]]) -> list[SentenceGraph]:
@@ -262,20 +295,17 @@ def root_verb(g: SentenceGraph) -> int:
         return root.id
     if root.upos == "AUX":
         for c in g.children(root.id):
-            if g.token(c).upos == "VERB":
+            if g.tokens[c - 1].upos == "VERB":
                 return c
     raise NoMainVerb(g.sent_id)
 
 
 def subtree_ids(g: SentenceGraph, token_id: int) -> frozenset[int]:
-    """Token id plus all its transitive dependents."""
-    out: set[int] = set()
-    stack = [token_id]
-    while stack:
-        cur = stack.pop()
-        out.add(cur)
-        stack.extend(g.children(cur))
-    return frozenset(out)
+    """Token id plus all its transitive dependents: its run of the graph's
+    depth-first order."""
+    g.token(token_id)  # KeyError for an id that is not a token
+    start = g._first[token_id]
+    return frozenset(g._order[start:start + g._size[token_id]])
 
 
 def subtree_yield(g: SentenceGraph, token_id: int) -> Yield:
@@ -293,8 +323,8 @@ def dependents(g: SentenceGraph, token_id: int,
                labels: Optional[set[str]] = None) -> list[int]:
     """Direct dependents in surface order, optionally filtered by the
     universal part of their label."""
-    out = []
-    for c in g.children(token_id):
-        if labels is None or base_rel(g.token(c).deprel) in labels:
-            out.append(c)
-    return out
+    kids = g.children(token_id)
+    if labels is None:
+        return list(kids)
+    rels = g.rels
+    return [c for c in kids if rels[c] in labels]

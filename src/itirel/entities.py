@@ -1,10 +1,10 @@
 """Recognition and classification of spatial and temporal entities.
 
-Both recognizers normalize the forms of a token span once (``words``, one
-per token) and scan it left to right, asking the lexicon's phrase indexes
-(``lexicon.PhraseIndex``) for the longest marker or toponym at each word:
-markers with French contractions folded (du ~ de, aux ~ à), toponyms
-without.  The helpers read ``words`` and never normalize a form again.
+Both recognizers scan a span's normalized forms (``words``, one per token;
+a sentence's forms are normalized once, on the first call on its graph) left
+to right, asking the lexicon's phrase indexes (``lexicon.PhraseIndex``) for
+the longest marker or toponym at each word: markers with French contractions
+folded (du ~ de, aux ~ à), toponyms without.  No form is normalized again.
 Matched tokens are consumed, so entities never overlap and a relational
 entity suppresses the bare toponym inside it ("près de Lyon" hides a
 separate absolute "Lyon").
@@ -103,6 +103,14 @@ def _number(form: str, word: str) -> Optional[int]:
         except ValueError:  # more digits than the interpreter converts
             return None
     return FRENCH_NUMBERS.get(word)
+
+
+def _words(g: SentenceGraph, within: TokenSpan) -> tuple[str, ...]:
+    """A span's slice of the graph's ``words``, filled on the first call."""
+    if g.words is None:
+        words = tuple([normalize(t.form) for t in g.tokens])
+        object.__setattr__(g, "words", words)
+    return g.words[within.first - 1:within.last]
 
 
 def _unit_class(tok: Token, lex: LexiconSet) -> Optional[str]:
@@ -212,7 +220,7 @@ def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
                       loose: bool = False) -> list[SpatialEntity]:
     """All maximal, non-overlapping spatial entities inside a span."""
     toks = g.span_tokens(within)
-    words = [normalize(t.form) for t in toks]
+    words = _words(g, within)
     out: list[SpatialEntity] = []
     i = 0
     while i < len(toks):
@@ -310,7 +318,7 @@ def recognize_temporal(g: SentenceGraph, within: TokenSpan,
                        lex: LexiconSet) -> list[TemporalEntity]:
     """All maximal, non-overlapping temporal entities inside a span."""
     toks = g.span_tokens(within)
-    words = [normalize(t.form) for t in toks]
+    words = _words(g, within)
     out: list[TemporalEntity] = []
     i = 0
     while i < len(toks):

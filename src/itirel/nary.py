@@ -13,7 +13,8 @@ subject/object/oblique dependents, and the case-marking preposition of each
 oblique.  Every argument is a head's subtree minus the subtrees of the
 children it cuts, without edge punctuation: a pivot cuts its case markers
 and enumeration, an item its conj/cc/case children, a reason clause its
-marks, a detail nothing, and UC2's bare object its relative clauses too.
+marks, a detail nothing, and UC2's bare object and any pivot heading an
+enumeration its relative clauses too.
 Each use-case pattern is matched once per clause verb; UC2 moves each
 relativized object to the end: bare argument, items, one detail per clause.
 """
@@ -26,9 +27,9 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .depgraph import (NoMainVerb, SentenceGraph, TokenSpan, base_rel,
-                       dependents, root_verb, span_text, subtree_ids)
-from .lexicon import normalize
+from .depgraph import (NoMainVerb, SentenceGraph, TokenSpan, dependents,
+                       root_verb, span_text, subtree_ids)
+from .lexicon import lemma_key, normalize
 
 
 class UseCaseKind(str, Enum):
@@ -91,7 +92,7 @@ class NaryRelation:
 
 def _mark_phrase(g: SentenceGraph, marks: Sequence[int]) -> str:
     ids = frozenset().union(*(subtree_ids(g, m) for m in marks))
-    return normalize(" ".join(g.token(i).form for i in sorted(ids)))
+    return normalize(" ".join(g.tokens[i - 1].form for i in sorted(ids)))
 
 
 def _enumeration_child(g: SentenceGraph, nominal: int) -> Optional[int]:
@@ -100,7 +101,7 @@ def _enumeration_child(g: SentenceGraph, nominal: int) -> Optional[int]:
         cases = dependents(g, c, {"case"})
         if not cases:
             continue
-        if normalize(g.token(cases[0]).lemma) not in LIST_MARKERS:
+        if normalize(g.tokens[cases[0] - 1].lemma) not in LIST_MARKERS:
             continue
         if len(dependents(g, c, {"conj"})) >= 1:
             return c
@@ -147,9 +148,10 @@ def _argument(g: SentenceGraph, head: int, role: str, cut: Sequence[int],
     for c in cut:
         ids -= subtree_ids(g, c)
     kept = sorted(ids)
-    while kept and g.token(kept[0]).upos == "PUNCT":
+    toks = g.tokens
+    while kept and toks[kept[0] - 1].upos == "PUNCT":
         kept.pop(0)
-    while kept and g.token(kept[-1]).upos == "PUNCT":
+    while kept and toks[kept[-1] - 1].upos == "PUNCT":
         kept.pop()
     if not kept:
         return None
@@ -161,9 +163,9 @@ def _argument(g: SentenceGraph, head: int, role: str, cut: Sequence[int],
 
 def _argument_for(g: SentenceGraph, pivot: int,
                   relcls: Sequence[int] = ()) -> list[Argument]:
-    """A pivot's argument, cut of its case markers, enumeration and the
-    relative clauses `relcls`, then its items, then one detail per relcl."""
-    rel = base_rel(g.token(pivot).deprel)
+    """A pivot's argument, cut of its case markers, enumeration and `relcls`
+    (all its acl under an enumeration), its items, one detail per relcl."""
+    rel = g.rels[pivot]
     cases = dependents(g, pivot, {"case"})
     case_marker = cases[0] if cases else None
     if rel in SUBJECT_RELS:
@@ -172,11 +174,12 @@ def _argument_for(g: SentenceGraph, pivot: int,
         role = "obj"
     else:
         role = rel if case_marker is None else \
-            g.token(case_marker).lemma.casefold()
+            lemma_key(g.tokens[case_marker - 1].lemma)
     enum = _enumeration_child(g, pivot)
     items = [] if enum is None else [enum] + dependents(g, enum, {"conj"})
     # a subject's case marker is cut too; items[:1] is the enumeration
-    args = [_argument(g, pivot, role, [*cases, *items[:1], *relcls],
+    acls = dependents(g, pivot, {"acl"}) if items else relcls
+    args = [_argument(g, pivot, role, [*cases, *items[:1], *acls],
                       case_marker)]
     for n, item in enumerate(items, 1):
         cut = dependents(g, item, {"conj", "cc", "case"})
@@ -195,9 +198,9 @@ def extract_arguments(g: SentenceGraph, pivots: Sequence[int]) -> list[Argument]
     """
     args: list[Argument] = []
     for p in pivots:
-        tok = g.token(p)
-        if (base_rel(tok.deprel) not in NOMINAL_RELS or tok.head == 0
-                or g.token(tok.head).upos != "VERB"):
+        head = g.token(p).head
+        if (g.rels[p] not in NOMINAL_RELS or head == 0
+                or g.tokens[head - 1].upos != "VERB"):
             continue
         args.extend(_argument_for(g, p))
     return args
@@ -246,14 +249,14 @@ def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
         return []
     structs = [main] + [_pivot_struct(g, c, inherited_subject=main.subject)
                         for c in dependents(g, main.verb, {"conj"})
-                        if g.token(c).upos == "VERB"]
+                        if g.tokens[c - 1].upos == "VERB"]
     relations: list[NaryRelation] = []
     for struct in structs:
         use_cases = _use_cases_for(g, struct)
         if not use_cases:
             continue
         base = extract_arguments(g, struct.token_ids())
-        lemma = g.token(struct.verb).lemma
+        lemma = g.tokens[struct.verb - 1].lemma
         for uc, matched in use_cases.items():
             if uc is UseCaseKind.UC1_ADDITIONAL_INFO:
                 args = base + [a for a in matched if a is not None]

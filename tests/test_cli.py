@@ -6,12 +6,14 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import itirel
-from itirel import bundled_lexicon_dir, run_extract, to_json
+from itirel import bundled_lexicon_dir, cli, run_extract, to_json
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 
 from turtle_check import parse_turtle
@@ -448,6 +450,86 @@ def test_peak_memory_does_not_grow_with_the_corpus(tmp_path, gold_text,
     assert large <= 1.25 * small + 2 ** 20, (small, large)
 
 
+class _FailingWrites:
+    """Wraps file objects and counts the writes made through them; the
+    ``fail_at``-th write raises ``OSError(ENOSPC)``."""
+
+    def __init__(self, fail_at: int):
+        self.count, self.fail_at = 0, fail_at
+
+    def wrap(self, f):
+        return _CountedFile(f, self)
+
+
+class _CountedFile:
+    def __init__(self, f, writes: _FailingWrites):
+        self._f, self._writes = f, writes
+
+    def write(self, data):
+        self._writes.count += 1
+        if self._writes.count == self._writes.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._f.write(data)
+
+    @property
+    def buffer(self):
+        return _CountedFile(self._f.buffer, self._writes)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._f.__exit__(*exc)
+
+
+def _tree(root: Path) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("fmt", ["json-stdout", "both-out-dir"])
+def test_every_failed_output_write_gives_one_line_and_exit_2(
+        tmp_path, monkeypatch, gold_text, fmt):
+    """The n-th write of any output (a temporary file, stdout, a file of the
+    out dir) fails, for every n: one line on stderr, exit 2, nothing on
+    stdout, and an out dir, existing or new, as it was."""
+    real_tmp = cli._temporary_file
+    old, new = tmp_path / "old", tmp_path / "new" / "out"
+
+    def extract(out_dir: Path, fail_at: int):
+        writes = _FailingWrites(fail_at)
+        monkeypatch.setattr(cli, "_temporary_file",
+                            lambda: writes.wrap(real_tmp()))
+        monkeypatch.setattr(cli, "open", lambda *a: writes.wrap(open(*a)),
+                            raising=False)
+        monkeypatch.setattr("sys.stdin", _stdin(gold_text.encode("utf-8")))
+        stdout = SimpleNamespace(buffer=writes.wrap(io.BytesIO()),
+                                 flush=lambda: None)
+        stderr = io.StringIO()
+        args = (["--format", "json"] if fmt == "json-stdout" else
+                ["--format", "both", "--base-iri", BASE,
+                 "--out-dir", str(out_dir)])
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["extract", *args])
+        return code, stdout.buffer.getvalue(), stderr.getvalue(), writes.count
+
+    code, out, _, total = extract(old, 0)
+    assert code == EXIT_OK and (out != b"") == (fmt == "json-stdout")
+    before = _tree(tmp_path)
+    assert total >= 10
+    for n in range(1, total + 1):
+        for out_dir in (old, new):
+            code, out, err, _ = extract(out_dir, n)
+            assert (code, out) == (EXIT_LEXICON, b"")
+            assert err.startswith("itirel: cannot write ")
+            assert err.endswith(f": {os.strerror(errno.ENOSPC)}\n")
+            assert err.count("\n") == 1
+            assert _tree(tmp_path) == before
+
+
 class TestLexiconValidate:
     def test_bundled_ok(self, capsys):
         assert main(["lexicon", "validate"]) == EXIT_OK
@@ -522,15 +604,45 @@ class TestEntrypoint:
         assert exc.value.code == EXIT_OK
 
     @staticmethod
-    def _run_module(args, stdin=None, **env):
-        """``python -m itirel.cli`` in a child process, on this checkout,
-        with the bytes ``stdin`` on a pipe as its standard input."""
+    def _module(args, **env):
+        """The ``subprocess`` arguments of ``python -m itirel.cli`` on this
+        checkout."""
         src = str(Path(itirel.__file__).resolve().parent.parent)
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                                if p)
-        return subprocess.run(
-            [sys.executable, "-m", "itirel.cli", *args], capture_output=True,
-            input=stdin, env={**os.environ, "PYTHONPATH": path, **env})
+        return {"args": [sys.executable, "-m", "itirel.cli", *args],
+                "env": {**os.environ, "PYTHONPATH": path, **env}}
+
+    @classmethod
+    def _run_module(cls, args, stdin=None, **env):
+        """``python -m itirel.cli`` in a child process, with the bytes
+        ``stdin`` on a pipe as its standard input."""
+        return subprocess.run(**cls._module(args, **env), capture_output=True,
+                              input=stdin)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this platform")
+    def test_a_full_stdout_gives_one_line_and_exit_2(self, gold_file):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(**self._module(["extract", str(gold_file)]),
+                                  stdout=full, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_LEXICON,
+            f"itirel: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+            .encode())
+
+    def test_a_closed_pipe_exits_2_without_a_traceback(self, tmp_path,
+                                                       gold_text):
+        # far more output than a pipe holds, so the child is still writing
+        path = tmp_path / "big.conllu"
+        path.write_text(_replicated(gold_text, 40), encoding="utf-8")
+        proc = subprocess.Popen(**self._module(["extract", str(path)]),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        with proc:
+            assert proc.stdout.read(10) == b'{\n  "tool_'
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == EXIT_LEXICON
+            assert proc.stderr.read() == b""
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
                         reason="no /dev/stdin on this platform")

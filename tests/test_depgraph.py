@@ -1,9 +1,10 @@
 import pytest
 
-from itirel import (ConlluParseError, NoMainVerb, StructureError, TokenSpan,
-                    dependents, iter_conllu, parse_conllu, root_verb,
-                    span_text, subtree_yield, to_conllu)
-from itirel.depgraph import base_rel, subtree_ids
+from itirel import (ConlluParseError, NoMainVerb, SentenceGraph,
+                    StructureError, TokenSpan, dependents, iter_conllu,
+                    parse_conllu, root_verb, span_text, subtree_yield,
+                    to_conllu)
+from itirel.depgraph import Token, base_rel, subtree_ids
 
 from conftest import build
 
@@ -25,6 +26,43 @@ class TestTokenSpan:
             TokenSpan(5, 4)
         with pytest.raises(ValueError):
             TokenSpan(0, 2)
+
+
+class TestToken:
+    FIELDS = (3, "Pau", "Pau", "PROPN", 2, "obl", ("_", "_", "_", "_"))
+
+    def test_fields_cannot_be_assigned(self):
+        t = Token(*self.FIELDS)
+        with pytest.raises(AttributeError):
+            t.form = "Lyon"
+        assert t.form == "Pau"
+
+    def test_equal_only_to_a_token(self):
+        t = Token(*self.FIELDS)
+        assert t != tuple(self.FIELDS) and tuple(self.FIELDS) != t
+        assert not t == tuple(self.FIELDS)
+        assert t == Token(*self.FIELDS)
+        assert t != Token(*self.FIELDS[:-1], ("_", "_", "_", "SpaceAfter=No"))
+
+    def test_equal_tokens_hash_equal(self):
+        assert hash(Token(*self.FIELDS)) == hash(Token(*self.FIELDS))
+        assert len({Token(*self.FIELDS), Token(*self.FIELDS)}) == 1
+
+    def test_keyword_construction_with_default_extras(self):
+        t = Token(id=3, form="Pau", lemma="Pau", upos="PROPN", head=2,
+                  deprel="obl")
+        assert t == Token(*self.FIELDS)
+        assert t.extras == ("_", "_", "_", "_")
+
+
+class TestSentenceGraph:
+    @pytest.mark.parametrize("head", [-1, 3])
+    def test_a_head_outside_the_sentence_is_refused(self, head):
+        # the parser refuses it first; a graph built directly must too
+        tokens = (Token(1, "Il", "il", "PRON", 2, "nsubj"),
+                  Token(2, "part", "partir", "VERB", head, "root"))
+        with pytest.raises(IndexError):
+            SentenceGraph("s", "Il part", tokens)
 
 
 class TestParsing:

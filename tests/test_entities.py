@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from itirel import (NotAMarker, SpatialEntity, SpatialRelationKind,
-                    TemporalEntity, TemporalRelationKind, TokenSpan,
-                    classify_spatial_marker, classify_temporal_marker,
-                    extract_sentence, recognize_spatial, recognize_temporal)
+from itirel import (NotAMarker, SentenceGraph, SpatialEntity,
+                    SpatialRelationKind, TemporalEntity, TemporalRelationKind,
+                    TokenSpan, classify_spatial_marker,
+                    classify_temporal_marker, extract_sentence,
+                    recognize_spatial, recognize_temporal)
 from itirel import entities, lexicon
 from itirel.depgraph import Token
 from itirel.entities import number_value
@@ -334,10 +335,11 @@ class TestTemporalRecognition:
 
 
 class TestNormalizeOnce:
-    def test_each_form_is_normalized_once_per_call(self, all_graphs, lex,
-                                                   monkeypatch):
-        """A recognizer call normalizes each form of its span once, through
-        ``entities.normalize``; the phrase indexes normalize nothing."""
+    def test_each_form_is_normalized_once_per_graph(self, all_graphs, lex,
+                                                    monkeypatch):
+        """The first recognizer call on a graph normalizes each form of the
+        sentence once, through ``entities.normalize``; every later call on
+        the graph normalizes nothing, and the phrase indexes never do."""
         # built first: building an index normalizes its phrases
         for index in (lex.spatial_marker_index, lex.temporal_marker_index,
                       lex.gazetteer_index):
@@ -359,10 +361,17 @@ class TestNormalizeOnce:
             lambda g, span: recognize_temporal(g, span, lex))
         for g in all_graphs:
             n = len(g.tokens)
-            for first in range(1, n + 1):
-                for last in range(first, n + 1):
-                    span = TokenSpan(first, last)
-                    for recognize in recognizers:
-                        calls.clear()
-                        recognize(g, span)
-                        assert calls == {"entities": len(span)}
+            spans = [TokenSpan(first, last) for first in range(1, n + 1)
+                     for last in range(first, n + 1)]
+            for recognize in recognizers:
+                for span in spans:
+                    fresh = SentenceGraph(g.sent_id, g.text, g.tokens)
+                    calls.clear()
+                    recognize(fresh, span)
+                    assert calls == {"entities": n}
+            assert fresh.words == tuple(real(t.form) for t in g.tokens)
+            for span in spans:
+                for recognize in recognizers:
+                    calls.clear()
+                    recognize(fresh, span)
+                    assert calls == {}

@@ -264,11 +264,11 @@ class TestRelations:
             ("item", "Pau", 6, 1), ("item", "Tarbes", 8, 2),
             ("detail", "qu'il aime", 11, None)]
         assert uc4.use_case is UseCaseKind.UC4_ORDERED_LIST
+        # the bare object cuts the relative clause as well as the items
         assert [(a.role, a.text, a.pivot, a.order, a.flagged)
                 for a in uc4.arguments] == [
             ("subj", "Il", 1, None, False),
-            ("obj", "des villes comme Pau et Tarbes qu'il aime", 4, None,
-             True),
+            ("obj", "des villes", 4, None, False),
             ("item", "Pau", 6, 1, False), ("item", "Tarbes", 8, 2, False)]
 
     def test_uc2_itinerary_passes_through_each_item_once(self, lex):
@@ -278,6 +278,16 @@ class TestRelations:
         result = extract_sentence(g, lex)
         (it,) = [it for it in result.itinerary_relations
                  if it.source_nary.use_case is UseCaseKind.UC2_OBJECT_DETAIL]
+        assert [e.text for e in it.intermediate] == ["Pau"]
+        assert it.origin == it.destination == ()
+
+    def test_uc4_itinerary_passes_through_each_item_once(self, lex):
+        # « Il traverse des villes comme Pau et Lourdes qu'il aime. »
+        g = build(_relativized_enumeration("traverse", "traverser",
+                                           "Lourdes"))
+        result = extract_sentence(g, lex)
+        (it,) = [it for it in result.itinerary_relations
+                 if it.source_nary.use_case is UseCaseKind.UC4_ORDERED_LIST]
         assert [e.text for e in it.intermediate] == ["Pau"]
         assert it.origin == it.destination == ()
 
@@ -315,6 +325,17 @@ class TestRelations:
                    (4, "vers", "vers", "ADP", 5, "case"),
                    (5, "Laruns", "Laruns", "PROPN", 1, "obl")])
         assert extract_nary(g) == []
+
+    def test_oblique_role_is_the_composed_lemma(self):
+        # « Il sort de Pau à Laruns », the lemma of « à » decomposed
+        g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
+                   (2, "sort", "sortir", "VERB", 0, "root"),
+                   (3, "de", "de", "ADP", 4, "case"),
+                   (4, "Pau", "Pau", "PROPN", 2, "obl"),
+                   (5, "à", "a\u0300", "ADP", 6, "case"),
+                   (6, "Laruns", "Laruns", "PROPN", 2, "obl")])
+        (rel,) = extract_nary(g)
+        assert [a.role for a in rel.arguments] == ["subj", "de", "\u00e0"]
 
     def test_uc3_invariant_on_gold(self, all_graphs):
         for g in all_graphs:

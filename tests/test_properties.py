@@ -11,7 +11,8 @@ from itirel import (LexiconSet, SentenceGraph, StructureError,
                     recognize_spatial, recognize_temporal, save_lexicons,
                     load_lexicons, TokenSpan)
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
-from itirel.depgraph import Token, subtree_ids, subtree_yield
+from itirel.depgraph import (Token, base_rel, dependents, subtree_ids,
+                             subtree_yield)
 from itirel.lexicon import (PhraseIndex, SpatialRelationKind, canon_word,
                             decode_lines, normalize)
 
@@ -21,6 +22,7 @@ from turtle_check import parse_turtle
 
 _UPOS = ("NOUN", "VERB", "ADP", "DET", "PROPN", "PUNCT", "ADV")
 _DEPRELS = ("nsubj", "obj", "obl", "nmod", "case", "det", "punct", "advmod")
+_SUBTYPED = ("obl:mod", "nmod:poss", "acl:relcl")
 
 
 @st.composite
@@ -35,7 +37,7 @@ def random_trees(draw):
         Token(id=i, form=f"w{i}", lemma=f"w{i}",
               upos=draw(st.sampled_from(_UPOS)), head=heads[i],
               deprel="root" if heads[i] == 0
-              else draw(st.sampled_from(_DEPRELS)))
+              else draw(st.sampled_from(_DEPRELS + _SUBTYPED)))
         for i in range(1, n + 1))
     return SentenceGraph(sent_id="prop", text="prop", tokens=tokens)
 
@@ -45,6 +47,16 @@ def random_trees(draw):
 def test_subtree_ids_match_head_chain_closure(g):
     for t in g.tokens:
         assert subtree_ids(g, t.id) == frozenset(closure(g.tokens, t.id))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(), st.sets(st.sampled_from(_DEPRELS)))
+def test_dependents_filter_children_by_base_relation(g, labels):
+    for t in g.tokens:
+        assert g.rels[t.id] == base_rel(g.token(t.id).deprel)
+        assert dependents(g, t.id, labels) == [
+            u.id for u in g.tokens
+            if u.head == t.id and base_rel(u.deprel) in labels]
 
 
 @settings(max_examples=60, deadline=None)
