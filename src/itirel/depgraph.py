@@ -81,9 +81,6 @@ class TokenSpan:
         if self.first > self.last or self.first < 1:
             raise ValueError(f"invalid span {self.first}..{self.last}")
 
-    def __contains__(self, token_id: int) -> bool:
-        return self.first <= token_id <= self.last
-
     def __len__(self) -> int:
         return self.last - self.first + 1
 
@@ -92,11 +89,6 @@ class TokenSpan:
 
     def overlaps(self, other: "TokenSpan") -> bool:
         return not (self.last < other.first or other.last < self.first)
-
-
-class Yield(NamedTuple):
-    span: TokenSpan
-    projective: bool
 
 
 @dataclass(frozen=True)
@@ -306,17 +298,6 @@ def subtree_ids(g: SentenceGraph, token_id: int) -> frozenset[int]:
     g.token(token_id)  # KeyError for an id that is not a token
     start = g._first[token_id]
     return frozenset(g._order[start:start + g._size[token_id]])
-
-
-def subtree_yield(g: SentenceGraph, token_id: int) -> Yield:
-    """Minimal covering span of a token's subtree.
-
-    ``projective`` is False when the yield is non-contiguous (the span then
-    covers the holes rather than silently truncating).
-    """
-    ids = subtree_ids(g, token_id)
-    span = TokenSpan(min(ids), max(ids))
-    return Yield(span, len(ids) == len(span))
 
 
 def dependents(g: SentenceGraph, token_id: int,

@@ -21,10 +21,6 @@ from .lexicon import (LexiconSet, SpatialRelationKind, TemporalRelationKind,
                       canon_word, lemma_key, normalize)
 
 
-class NotAMarker(KeyError):
-    """Phrase absent from the relevant marker lexicon."""
-
-
 MONTHS = frozenset("""janvier février mars avril mai juin juillet août
 septembre octobre novembre décembre""".split())
 
@@ -74,24 +70,6 @@ class TemporalEntity:
     def __post_init__(self):
         if self.kind is TemporalRelationKind.DISTANCE and self.magnitude is None:
             raise ValueError("temporal distance entity needs a magnitude")
-
-
-def classify_spatial_marker(marker: str, lex: LexiconSet) -> SpatialRelationKind:
-    kind = lex.spatial_markers.get(normalize(marker))
-    if kind is None:
-        raise NotAMarker(marker)
-    return kind
-
-
-def classify_temporal_marker(marker: str, lex: LexiconSet) -> TemporalRelationKind:
-    kind = lex.temporal_markers.get(normalize(marker))
-    if kind is None:
-        raise NotAMarker(marker)
-    return kind
-
-
-def number_value(tok: Token) -> Optional[int]:
-    return _number(tok.form, normalize(tok.form))
 
 
 def _number(form: str, word: str) -> Optional[int]:

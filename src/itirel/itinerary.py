@@ -15,7 +15,7 @@ prepositional complement, no UC3, so no relation, itinerary or skip reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .depgraph import SentenceGraph, TokenSpan
 from .entities import (SpatialEntity, TemporalEntity, recognize_spatial,
@@ -44,7 +44,6 @@ class ItineraryRelation:
     destination: tuple[SpatialEntity, ...]
     temporal: tuple[TemporalEntity, ...]
     source_nary: NaryRelation
-    sent_id: str
 
     def __post_init__(self):
         if not (self.origin or self.intermediate or self.destination):
@@ -52,22 +51,15 @@ class ItineraryRelation:
                              "spatial entity")
 
 
-class RoleAssignment(NamedTuple):
-    origin: tuple[SpatialEntity, ...]
-    intermediate: tuple[SpatialEntity, ...]
-    destination: tuple[SpatialEntity, ...]
-    defaulted: tuple[str, ...]  # roles placed by polarity default only
-
-
 def assign_roles(polarity: VerbPolarity,
                  es_args: Sequence[tuple[str, Sequence[SpatialEntity]]]
-                 ) -> RoleAssignment:
+                 ) -> tuple[tuple[SpatialEntity, ...], ...]:
     """Distribute the spatial entities of role-labeled arguments over
-    origin/intermediate/destination.  Prepositions win; the polarity default
-    only places unmarked (direct object or unknown-preposition) entities."""
+    (origin, intermediate, destination).  Prepositions win; the polarity
+    default only places unmarked (direct object or unknown-preposition)
+    entities."""
     buckets: dict[str, list[SpatialEntity]] = {
         "origin": [], "intermediate": [], "destination": []}
-    defaulted: list[str] = []
     for role, entities in es_args:
         prep = normalize(role)
         if prep in ORIGIN_PREPS:
@@ -78,13 +70,9 @@ def assign_roles(polarity: VerbPolarity,
             side = "intermediate"
         else:
             side = _POLARITY_DEFAULT[polarity]
-            if prep != "obj":
-                defaulted.append(role)
         buckets[side].extend(entities)
-    return RoleAssignment(tuple(buckets["origin"]),
-                          tuple(buckets["intermediate"]),
-                          tuple(buckets["destination"]),
-                          tuple(defaulted))
+    return (tuple(buckets["origin"]), tuple(buckets["intermediate"]),
+            tuple(buckets["destination"]))
 
 
 def _recognition_span(arg: Argument) -> TokenSpan:
@@ -121,10 +109,10 @@ def detect_displacement(relation: NaryRelation, g: SentenceGraph,
             es_args.append((arg.role, spatial))
     if not es_args:
         return None
-    origin, intermediate, destination, _ = assign_roles(polarity, es_args)
+    origin, intermediate, destination = assign_roles(polarity, es_args)
     return ItineraryRelation(verb_lemma=relation.predicate_lemma,
                              polarity=polarity, actor=actor,
                              origin=origin, intermediate=intermediate,
                              destination=destination,
                              temporal=tuple(temporal),
-                             source_nary=relation, sent_id=relation.sent_id)
+                             source_nary=relation)

@@ -235,19 +235,26 @@ def _load_map(name: str, data: bytes, value_table: Mapping[str, object],
 def load_lexicons(directory) -> LexiconSet:
     """Load the five TSV lexicons from a directory.
 
-    Raises :class:`LexiconError` listing every missing file, file that is
-    not UTF-8 (at its first bad byte), line with the wrong number of
-    columns, duplicate key with a conflicting value, or unknown
-    polarity/kind token.  Each file is
-    read once; ``fingerprint`` is the digest of the bytes parsed.
+    Raises :class:`LexiconError` listing every missing or unreadable file,
+    file that is not UTF-8 (at its first bad byte), line with the wrong
+    number of columns, duplicate key with a conflicting value, or unknown
+    polarity/kind token.  Each file is read once; ``fingerprint`` is the
+    digest of the bytes parsed.
     """
     directory = Path(directory)
-    missing = [n for n in FILE_NAMES if not (directory / n).is_file()]
-    if missing:
-        raise LexiconError([f"missing lexicon file: {n}" for n in missing])
-    files = {n: (directory / n).read_bytes() for n in FILE_NAMES}
-
+    files: dict[str, bytes] = {}
     problems: list[str] = []
+    for n in FILE_NAMES:
+        try:
+            files[n] = (directory / n).read_bytes()
+        except FileNotFoundError:
+            problems.append(f"missing lexicon file: {n}")
+        except OSError as err:  # a directory, a denied or failed read
+            problems.append(f"cannot read lexicon file {n}: "
+                            f"{err.strerror or err}")
+    if problems:
+        raise LexiconError(problems)
+
     motion = _load_map("motion_verbs.tsv", files["motion_verbs.tsv"],
                        _POLARITIES, lemma_key, problems)
     spatial = _load_map("spatial_markers.tsv", files["spatial_markers.tsv"],

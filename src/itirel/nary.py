@@ -72,7 +72,6 @@ class NaryRelation:
     predicate_lemma: str
     predicate_token: int
     arguments: tuple[Argument, ...]
-    sent_id: str
 
     # A relation is characterized by the multiset of its arguments; it is
     # frozen, so the key is computed once, on first comparison.
@@ -274,8 +273,7 @@ def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
                 continue  # a binary extraction is not n-ary
             relations.append(NaryRelation(use_case=uc, predicate_lemma=lemma,
                                           predicate_token=struct.verb,
-                                          arguments=tuple(args),
-                                          sent_id=g.sent_id))
+                                          arguments=tuple(args)))
     # relations are equal iff (use case, predicate, argument multiset)
     deduped: list[NaryRelation] = []
     for r in relations:

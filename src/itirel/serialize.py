@@ -15,16 +15,14 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from . import __version__
-from .depgraph import (NoMainVerb, SentenceGraph, TokenSpan, iter_conllu,
-                       root_verb)
+from .depgraph import NoMainVerb, SentenceGraph, TokenSpan, root_verb
 from .entities import SpatialEntity, TemporalEntity
 from .itinerary import ItineraryRelation, detect_displacement
 from .lexicon import (FILE_NAMES, LexiconSet, SpatialRelationKind,
-                      TemporalRelationKind, VerbPolarity, files_digest,
-                      load_lexicons)
+                      TemporalRelationKind, VerbPolarity, files_digest)
 from .nary import Argument, NaryRelation, UseCaseKind, extract_nary
 
 
@@ -35,12 +33,6 @@ class SentenceResult:
     nary_relations: tuple[NaryRelation, ...]
     itinerary_relations: tuple[ItineraryRelation, ...]
     skips: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SkipRecord:
-    sent_id: str
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -80,32 +72,6 @@ def build_document(graphs: Iterable[SentenceGraph], lex: LexiconSet,
     return ExtractionDocument(
         tool_version=__version__, lexicon_fingerprint=fingerprint,
         sentences=tuple([extract_sentence(g, lex, loose) for g in graphs]))
-
-
-def extract_itineraries(corpus: Sequence[SentenceGraph], lex: LexiconSet,
-                        loose: bool = False,
-                        report: Optional[list[SkipRecord]] = None
-                        ) -> list[ItineraryRelation]:
-    """Itinerary relations over a corpus, sentence granularity, input order.
-
-    Per-sentence problems (no main verb) go into ``report`` when given and
-    never abort the corpus.
-    """
-    out: list[ItineraryRelation] = []
-    for g in corpus:
-        result = extract_sentence(g, lex, loose)
-        out.extend(result.itinerary_relations)
-        if report is not None:
-            report.extend(SkipRecord(g.sent_id, r) for r in result.skips)
-    return out
-
-
-def run_extract(conllu_text: str, lexicon_dir,
-                loose: bool = False) -> ExtractionDocument:
-    """End-to-end driver: CoNLL-U text + lexicon directory -> document."""
-    lex = load_lexicons(lexicon_dir)
-    return build_document(iter_conllu(conllu_text), lex, loose=loose,
-                          fingerprint=lex.fingerprint)
 
 
 # --- JSON ------------------------------------------------------------------
@@ -289,13 +255,12 @@ def _temporal_from(d: dict) -> TemporalEntity:
                           anchor_text=d["anchor_text"], text=d["text"])
 
 
-def _nary_from(d: dict, sent_id: str) -> NaryRelation:
+def _nary_from(d: dict) -> NaryRelation:
     return NaryRelation(use_case=UseCaseKind(d["use_case"]),
                         predicate_lemma=d["predicate_lemma"],
                         predicate_token=d["predicate_token"],
                         arguments=tuple(_argument_from(a)
-                                        for a in d["arguments"]),
-                        sent_id=sent_id)
+                                        for a in d["arguments"]))
 
 
 def from_json(text: str) -> ExtractionDocument:
@@ -303,7 +268,7 @@ def from_json(text: str) -> ExtractionDocument:
     obj = json.loads(text)
     sentences = []
     for s in obj["sentences"]:
-        narys = tuple(_nary_from(d, s["sent_id"]) for d in s["nary_relations"])
+        narys = tuple(_nary_from(d) for d in s["nary_relations"])
         itins = []
         for d in s["itinerary_relations"]:
             itins.append(ItineraryRelation(
@@ -314,8 +279,7 @@ def from_json(text: str) -> ExtractionDocument:
                 intermediate=tuple(_spatial_from(e) for e in d["intermediate"]),
                 destination=tuple(_spatial_from(e) for e in d["destination"]),
                 temporal=tuple(_temporal_from(e) for e in d["temporal"]),
-                source_nary=narys[d["source_nary"]],
-                sent_id=s["sent_id"]))
+                source_nary=narys[d["source_nary"]]))
         sentences.append(SentenceResult(
             sent_id=s["sent_id"], text=s["text"], nary_relations=narys,
             itinerary_relations=tuple(itins), skips=tuple(s["skips"])))

@@ -22,6 +22,23 @@ def build(rows, sent_id="t1", text=None):
     return itirel.parse_conllu("\n".join(lines) + "\n")[0]
 
 
+def figurative_sentence():
+    """« Il a quitté sa femme pour une autre depuis deux semaines. »: a UC3
+    relation of the motion verb quitter, with no place in it."""
+    return build([(1, "Il", "il", "PRON", 3, "nsubj"),
+                  (2, "a", "avoir", "AUX", 3, "aux"),
+                  (3, "quitté", "quitter", "VERB", 0, "root"),
+                  (4, "sa", "son", "DET", 5, "det"),
+                  (5, "femme", "femme", "NOUN", 3, "obj"),
+                  (6, "pour", "pour", "ADP", 8, "case"),
+                  (7, "une", "un", "DET", 8, "det"),
+                  (8, "autre", "autre", "PRON", 3, "obl"),
+                  (9, "depuis", "depuis", "ADP", 11, "case"),
+                  (10, "deux", "deux", "NUM", 11, "nummod"),
+                  (11, "semaines", "semaine", "NOUN", 3, "obl"),
+                  (12, ".", ".", "PUNCT", 3, "punct")], sent_id="figurative")
+
+
 @pytest.fixture(scope="session")
 def gold_text():
     return _gold_file("gold.conllu")

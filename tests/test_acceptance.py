@@ -7,11 +7,13 @@ Each test prints a single PASS/FAIL line for its criterion (visible with
 import json
 
 from itirel import (NoMainVerb, SpatialRelationKind, TemporalRelationKind,
-                    UseCaseKind, VerbPolarity, bundled_lexicon_dir,
-                    extract_arguments, extract_itineraries, from_json,
-                    identify_use_cases, pivot_tokens, recognize_spatial,
-                    recognize_temporal, run_extract, to_json, to_turtle)
+                    UseCaseKind, VerbPolarity, build_document,
+                    extract_arguments, extract_sentence, from_json,
+                    identify_use_cases, iter_conllu, motion_polarity,
+                    pivot_tokens, recognize_spatial, recognize_temporal,
+                    to_json, to_turtle)
 
+from conftest import figurative_sentence
 from oracles import argument_spans
 from turtle_check import parse_turtle, TurtleSyntaxError
 
@@ -72,16 +74,21 @@ def test_acceptance_3_taxonomy_table(taxonomy, lex):
 
 
 def test_acceptance_4_polysemy_biconditional(gold, lex):
-    positive = extract_itineraries([gold["gold-01"]], lex)
-    negative_no_es = extract_itineraries([gold["gold-06"]], lex)
-    negative_no_motion = extract_itineraries([gold["gold-02"]], lex)
-    ok = (len(positive) == 1 and negative_no_es == []
-          and negative_no_motion == [])
+    positive = extract_sentence(gold["gold-01"], lex)
+    # a motion verb whose relation holds no spatial entity
+    negative_no_es = extract_sentence(figurative_sentence(), lex)
+    negative_no_motion = extract_sentence(gold["gold-02"], lex)
+    ok = (len(positive.itinerary_relations) == 1
+          and any(motion_polarity(lex, r.predicate_lemma) is not None
+                  for r in negative_no_es.nary_relations)
+          and negative_no_es.itinerary_relations == ()
+          and len(negative_no_motion.nary_relations) == 1
+          and negative_no_motion.itinerary_relations == ())
     _check(4, "polysemy biconditional (1 positive, 2 negatives)", ok)
 
 
 def test_acceptance_5_sortir_itinerary(gold, lex):
-    itins = extract_itineraries([gold["gold-05"]], lex)
+    itins = extract_sentence(gold["gold-05"], lex).itinerary_relations
     ok = False
     if len(itins) == 1:
         itin = itins[0]
@@ -124,10 +131,12 @@ def test_acceptance_7_oracle_equivalence(all_graphs):
     _check(7, f"oracle equivalence {agreed}/{checked}", ok)
 
 
-def test_acceptance_8_determinism_and_round_trips(gold_text):
+def test_acceptance_8_determinism_and_round_trips(gold_text, lex):
     base = "https://example.org/iti"
-    doc_a = run_extract(gold_text, bundled_lexicon_dir())
-    doc_b = run_extract(gold_text, bundled_lexicon_dir())
+    doc_a = build_document(iter_conllu(gold_text), lex,
+                           fingerprint=lex.fingerprint)
+    doc_b = build_document(iter_conllu(gold_text), lex,
+                           fingerprint=lex.fingerprint)
     json_a, json_b = to_json(doc_a), to_json(doc_b)
     ttl_a, ttl_b = to_turtle(doc_a, base), to_turtle(doc_b, base)
     try:
@@ -148,5 +157,6 @@ def test_acceptance_8_determinism_and_round_trips(gold_text):
 
 
 def test_acceptance_9_gold_corpus_count(gold, lex):
-    itins = extract_itineraries(list(gold.values()), lex)
-    _check(9, f"gold-corpus itinerary count = {len(itins)}", len(itins) == 2)
+    count = sum(len(s.itinerary_relations)
+                for s in build_document(gold.values(), lex).sentences)
+    _check(9, f"gold-corpus itinerary count = {count}", count == 2)

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import pytest
 
 import itirel
-from itirel import bundled_lexicon_dir, cli, run_extract, to_json
+from itirel import (build_document, bundled_lexicon_dir, cli, iter_conllu,
+                    lexicon_fingerprint, load_lexicons, to_json)
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 
 from turtle_check import parse_turtle
@@ -46,14 +47,49 @@ def lexicon_copy(tmp_path):
     return Path(shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex"))
 
 
+@pytest.fixture
+def unreadable_units(monkeypatch):
+    """Reading any file named units.tsv fails as a denied read would; the
+    tests run as root, so file modes deny no read."""
+    read_bytes = Path.read_bytes
+
+    def read(path):
+        if path.name == "units.tsv":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read)
+    return f"cannot read lexicon file units.tsv: {os.strerror(errno.EACCES)}"
+
+
 class TestExtract:
     def test_json_to_stdout(self, gold_file, capsys):
         assert main(["extract", str(gold_file)]) == EXIT_OK
         out = capsys.readouterr().out
         obj = json.loads(out)
         assert len(obj["sentences"]) == 8
-        assert out == to_json(run_extract(gold_file.read_text(),
-                                          bundled_lexicon_dir()))
+        lex = load_lexicons(bundled_lexicon_dir())
+        assert out == to_json(build_document(
+            iter_conllu(gold_file.read_text()), lex,
+            fingerprint=lex.fingerprint))
+
+    def test_fingerprint_is_of_the_bytes_loaded(self, gold_file, lexicon_copy,
+                                                monkeypatch, capsys):
+        loaded = lexicon_fingerprint(lexicon_copy)
+
+        def load_then_edit(directory):
+            lex = load_lexicons(directory)
+            with (lexicon_copy / "units.tsv").open("a") as fh:
+                fh.write("# written after the load\n")
+            return lex
+
+        monkeypatch.setattr(cli, "load_lexicons", load_then_edit)
+        assert main(["extract", str(gold_file), "--lexicons",
+                     str(lexicon_copy)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["lexicon_fingerprint"] == loaded
+        assert lexicon_fingerprint(lexicon_copy) != loaded
 
     def test_stdin_default(self, gold_text, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", _stdin(gold_text.encode("utf-8")))
@@ -282,6 +318,12 @@ class TestExtract:
         assert main(["extract", str(gold_file),
                      "--lexicons", str(tmp_path / "empty")]) == EXIT_LEXICON
         assert "missing lexicon file" in capsys.readouterr().err
+
+    def test_unreadable_lexicon_file_exits_2_with_one_line(
+            self, gold_file, unreadable_units, capsys):
+        assert main(["extract", str(gold_file)]) == EXIT_LEXICON
+        assert capsys.readouterr() == ("", f"itirel: lexicon: "
+                                           f"{unreadable_units}\n")
 
     def test_loose_toponyms_flag(self, tmp_path, capsys):
         conllu = ("# sent_id = x\n"
@@ -589,6 +631,12 @@ class TestLexiconValidate:
         assert main(["lexicon", "validate", str(tmp_path / "none")]) \
             == EXIT_LEXICON
         assert "result: INVALID" in capsys.readouterr().out
+
+    def test_unreadable_lexicon_file_is_invalid(self, unreadable_units,
+                                                capsys):
+        assert main(["lexicon", "validate"]) == EXIT_LEXICON
+        assert capsys.readouterr() == (
+            f"error: {unreadable_units}\nresult: INVALID\n", "")
 
 
 class TestEntrypoint:

@@ -2,18 +2,16 @@ import pytest
 
 from itirel import (ConlluParseError, NoMainVerb, SentenceGraph,
                     StructureError, TokenSpan, dependents, iter_conllu,
-                    parse_conllu, root_verb, span_text, subtree_yield,
-                    to_conllu)
+                    parse_conllu, root_verb, span_text, to_conllu)
 from itirel.depgraph import Token, base_rel, subtree_ids
 
 from conftest import build
 
 
 class TestTokenSpan:
-    def test_membership_and_length(self):
-        s = TokenSpan(3, 6)
-        assert 3 in s and 6 in s and 2 not in s and 7 not in s
-        assert len(s) == 4
+    def test_length(self):
+        assert len(TokenSpan(3, 6)) == 4
+        assert len(TokenSpan(5, 5)) == 1
 
     def test_covers_and_overlaps(self):
         assert TokenSpan(1, 9).covers(TokenSpan(3, 5))
@@ -215,31 +213,27 @@ class TestRootVerb:
 class TestSubtrees:
     def test_subject_yield(self, gold):
         g = gold["gold-01"]
-        y = subtree_yield(g, 2)
-        assert y.span == TokenSpan(1, 5) and y.projective
-        assert span_text(g, y.span) == "Le frère de mon ami"
+        assert subtree_ids(g, 2) == frozenset(range(1, 6))
+        assert span_text(g, TokenSpan(1, 5)) == "Le frère de mon ami"
 
     def test_oblique_yield_includes_its_preposition(self, gold):
         g = gold["gold-01"]
-        y = subtree_yield(g, 12)
-        assert y.span == TokenSpan(9, 15) and y.projective
+        assert subtree_ids(g, 12) == frozenset(range(9, 16))
         assert span_text(g, TokenSpan(11, 15)) == "une ville près de Lyon"
 
     def test_leaf_yield(self, gold):
-        y = subtree_yield(gold["gold-01"], 8)
-        assert y.span == TokenSpan(8, 8) and y.projective
+        assert subtree_ids(gold["gold-01"], 8) == frozenset({8})
 
     def test_root_yield_covers_sentence(self, all_graphs):
         for g in all_graphs:
-            assert subtree_yield(g, g.root_id).span == g.span()
+            assert subtree_ids(g, g.root_id) \
+                == frozenset(range(1, len(g.tokens) + 1))
 
     def test_non_projective_yield_is_flagged_covering_span(self):
         g = build([(1, "a", "a", "NOUN", 2, "nmod"),
                    (2, "b", "b", "VERB", 0, "root"),
                    (3, "c", "c", "NOUN", 2, "obj"),
                    (4, "d", "d", "NOUN", 1, "nmod")])
-        y = subtree_yield(g, 1)
-        assert y.span == TokenSpan(1, 4) and not y.projective
         assert subtree_ids(g, 1) == frozenset({1, 4})
 
 

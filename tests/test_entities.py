@@ -4,51 +4,56 @@ from dataclasses import replace
 
 import pytest
 
-from itirel import (NotAMarker, SentenceGraph, SpatialEntity,
-                    SpatialRelationKind, TemporalEntity, TemporalRelationKind,
-                    TokenSpan, classify_spatial_marker,
-                    classify_temporal_marker, extract_sentence,
-                    recognize_spatial, recognize_temporal)
+from itirel import (SentenceGraph, SpatialEntity, SpatialRelationKind,
+                    TemporalEntity, TemporalRelationKind, TokenSpan,
+                    extract_sentence, recognize_spatial, recognize_temporal)
 from itirel import entities, lexicon
-from itirel.depgraph import Token
-from itirel.entities import number_value
+from itirel.lexicon import normalize
 
 from conftest import build
 
 
 class TestClassifiers:
     def test_spatial_kinds(self, lex):
-        assert classify_spatial_marker("près de", lex) \
-            is SpatialRelationKind.ADJACENCY
-        assert classify_spatial_marker("à l'ouest de", lex) \
+        kinds = lex.spatial_markers
+        assert kinds[normalize("près de")] is SpatialRelationKind.ADJACENCY
+        assert kinds[normalize("à l'ouest de")] \
             is SpatialRelationKind.ORIENTATION
-        assert classify_spatial_marker("Au Centre De", lex) \
+        assert kinds[normalize("Au Centre De")] \
             is SpatialRelationKind.INCLUSION
-        assert classify_spatial_marker("à", lex) is SpatialRelationKind.METRIC
-        assert classify_spatial_marker("triangle", lex) \
+        assert kinds[normalize("à")] is SpatialRelationKind.METRIC
+        assert kinds[normalize("triangle")] \
             is SpatialRelationKind.GEOMETRIC_FIGURE
 
     def test_temporal_kinds(self, lex):
-        assert classify_temporal_marker("depuis", lex) \
-            is TemporalRelationKind.DISTANCE
-        assert classify_temporal_marker("aux alentours de", lex) \
+        kinds = lex.temporal_markers
+        assert kinds[normalize("depuis")] is TemporalRelationKind.DISTANCE
+        assert kinds[normalize("aux alentours de")] \
             is TemporalRelationKind.ADJACENCY
-        assert classify_temporal_marker("au milieu de", lex) \
+        assert kinds[normalize("au milieu de")] \
             is TemporalRelationKind.INCLUSION
 
     def test_unknown_marker_raises(self, lex):
-        with pytest.raises(NotAMarker):
-            classify_spatial_marker("sur", lex)
-        with pytest.raises(NotAMarker):
-            classify_temporal_marker("lorsque", lex)
+        with pytest.raises(KeyError):
+            lex.spatial_markers[normalize("sur")]
+        with pytest.raises(KeyError):
+            lex.temporal_markers[normalize("lorsque")]
+
+
+def distance_magnitudes(lex, number: str) -> list:
+    """Magnitudes of the temporal entities of « depuis <number> jours »."""
+    g = build([(1, "depuis", "depuis", "ADP", 3, "case"),
+               (2, number, number.lower(), "NUM", 3, "nummod"),
+               (3, "jours", "jour", "NOUN", 0, "root")])
+    return [e.magnitude for e in recognize_temporal(g, g.span(), lex)]
 
 
 class TestNumbers:
-    def test_digit_and_word_numbers(self):
-        assert number_value(Token(1, "3", "3", "NUM", 0, "root")) == 3
-        assert number_value(Token(1, "deux", "deux", "NUM", 0, "root")) == 2
-        assert number_value(Token(1, "Vingt", "vingt", "NUM", 0, "root")) == 20
-        assert number_value(Token(1, "bleu", "bleu", "ADJ", 0, "root")) is None
+    def test_digit_and_word_numbers(self, lex):
+        assert distance_magnitudes(lex, "3") == [(3, "jour")]
+        assert distance_magnitudes(lex, "deux") == [(2, "jour")]
+        assert distance_magnitudes(lex, "Vingt") == [(20, "jour")]
+        assert distance_magnitudes(lex, "bleu") == []
 
 
 # Longer than the 4,300 digits int() converts by default: not a number.
@@ -82,9 +87,8 @@ def long_number_sentence(case: str, number: str = LONG_DIGITS):
 
 
 class TestLongDigitStrings:
-    def test_is_not_a_number(self):
-        assert number_value(
-            Token(1, LONG_DIGITS, LONG_DIGITS, "NUM", 0, "root")) is None
+    def test_is_not_a_number(self, lex):
+        assert distance_magnitudes(lex, LONG_DIGITS) == []
 
     @pytest.mark.parametrize("case", ["subject", "metric", "distance"])
     def test_gives_no_magnitude_or_date(self, lex, case):

@@ -1,14 +1,13 @@
 import pytest
 
-from itirel import (ItineraryRelation, NaryRelation, NoMainVerb, SkipRecord,
+from itirel import (ItineraryRelation, NaryRelation, NoMainVerb,
                     SpatialRelationKind, TemporalRelationKind, UseCaseKind,
-                    VerbPolarity, assign_roles, detect_displacement,
-                    extract_arguments, extract_itineraries, extract_nary,
-                    extract_sentence,
-                    motion_polarity, pivot_tokens, recognize_spatial,
-                    root_verb)
+                    VerbPolarity, assign_roles, build_document,
+                    detect_displacement, extract_arguments, extract_nary,
+                    extract_sentence, motion_polarity, pivot_tokens,
+                    recognize_spatial, root_verb)
 
-from conftest import build
+from conftest import build, figurative_sentence
 
 
 def _relation(g, lex, lemma=None):
@@ -18,8 +17,7 @@ def _relation(g, lex, lemma=None):
     args = tuple(extract_arguments(g, pivot_tokens(g)))
     return NaryRelation(use_case=UseCaseKind.UC3_NO_PRIMARY_ARGUMENT,
                         predicate_lemma=lemma or g.token(verb).lemma,
-                        predicate_token=verb, arguments=args,
-                        sent_id=g.sent_id)
+                        predicate_token=verb, arguments=args)
 
 
 class TestAssignRoles:
@@ -27,35 +25,32 @@ class TestAssignRoles:
         g = gold["gold-05"]
         pau = recognize_spatial(g, g.span(), lex)[0]
         laruns = recognize_spatial(g, g.span(), lex)[1]
-        assigned = assign_roles(VerbPolarity.FINAL,
-                                [("de", [pau]), ("vers", [laruns])])
-        assert assigned.origin == (pau,)
-        assert assigned.destination == (laruns,)
-        assert assigned.intermediate == ()
-        assert assigned.defaulted == ()
+        assert assign_roles(VerbPolarity.FINAL,
+                            [("de", [pau]), ("vers", [laruns])]) \
+            == ((pau,), (), (laruns,))
 
     def test_bare_object_falls_to_polarity_default(self, gold, lex):
         (pau,) = recognize_spatial(gold["gold-01"], gold["gold-01"].span(),
                                    lex)[:1]
-        for polarity, side in ((VerbPolarity.INITIAL, "origin"),
-                               (VerbPolarity.MEDIAN, "intermediate"),
-                               (VerbPolarity.FINAL, "destination")):
+        # (origin, intermediate, destination)
+        for polarity, side in ((VerbPolarity.INITIAL, 0),
+                               (VerbPolarity.MEDIAN, 1),
+                               (VerbPolarity.FINAL, 2)):
             assigned = assign_roles(polarity, [("obj", [pau])])
-            assert getattr(assigned, side) == (pau,)
-            assert assigned.defaulted == ()  # a direct object is expected
+            assert assigned[side] == (pau,)
+            assert sum(map(len, assigned)) == 1
 
-    def test_unknown_preposition_is_defaulted_and_recorded(self, gold, lex):
+    def test_unknown_preposition_falls_to_polarity_default(self, gold, lex):
         (pau,) = recognize_spatial(gold["gold-01"], gold["gold-01"].span(),
                                    lex)[:1]
-        assigned = assign_roles(VerbPolarity.INITIAL, [("chez", [pau])])
-        assert assigned.origin == (pau,)
-        assert assigned.defaulted == ("chez",)
+        assert assign_roles(VerbPolarity.INITIAL, [("chez", [pau])]) \
+            == ((pau,), (), ())
 
     def test_intermediate_prepositions(self, gold, lex):
         (pau,) = recognize_spatial(gold["gold-01"], gold["gold-01"].span(),
                                    lex)[:1]
-        assigned = assign_roles(VerbPolarity.FINAL, [("par", [pau])])
-        assert assigned.intermediate == (pau,)
+        assert assign_roles(VerbPolarity.FINAL, [("par", [pau])]) \
+            == ((), (pau,), ())
 
 
 class TestPolysemyFilter:
@@ -70,20 +65,7 @@ class TestPolysemyFilter:
         assert detect_displacement(rel, g, lex) is None
 
     def test_figurative_motion_reaches_the_filter_and_is_rejected(self, lex):
-        # « Il a quitté sa femme pour une autre depuis deux semaines. »:
-        # a UC3 relation of the motion verb quitter, with no place in it
-        g = build([(1, "Il", "il", "PRON", 3, "nsubj"),
-                   (2, "a", "avoir", "AUX", 3, "aux"),
-                   (3, "quitté", "quitter", "VERB", 0, "root"),
-                   (4, "sa", "son", "DET", 5, "det"),
-                   (5, "femme", "femme", "NOUN", 3, "obj"),
-                   (6, "pour", "pour", "ADP", 8, "case"),
-                   (7, "une", "un", "DET", 8, "det"),
-                   (8, "autre", "autre", "PRON", 3, "obl"),
-                   (9, "depuis", "depuis", "ADP", 11, "case"),
-                   (10, "deux", "deux", "NUM", 11, "nummod"),
-                   (11, "semaines", "semaine", "NOUN", 3, "obl"),
-                   (12, ".", ".", "PUNCT", 3, "punct")], sent_id="figurative")
+        g = figurative_sentence()
         result = extract_sentence(g, lex)
         (rel,) = result.nary_relations
         assert rel.use_case is UseCaseKind.UC3_NO_PRIMARY_ARGUMENT
@@ -127,7 +109,10 @@ class TestItineraryAssembly:
         assert len(itin.temporal) == 1
         assert itin.temporal[0].kind is TemporalRelationKind.DISTANCE
         assert itin.temporal[0].magnitude == (2, "semaine")
-        assert itin.source_nary == rel and itin.sent_id == "gold-01"
+        assert itin.source_nary == rel
+        result = extract_sentence(g, lex)
+        assert result.itinerary_relations == (itin,)
+        assert result.sent_id == "gold-01"
 
     def test_sortir_example(self, gold, lex):
         g = gold["gold-05"]
@@ -169,24 +154,24 @@ class TestItineraryAssembly:
                               polarity=itin.polarity, actor=itin.actor,
                               origin=(), intermediate=(), destination=(),
                               temporal=itin.temporal,
-                              source_nary=itin.source_nary,
-                              sent_id=itin.sent_id)
+                              source_nary=itin.source_nary)
 
 
 class TestCorpusExtraction:
     def test_gold_corpus_yields_two_itineraries(self, gold, lex):
-        report = []
-        itins = extract_itineraries(list(gold.values()), lex, report=report)
-        assert [i.sent_id for i in itins] == ["gold-01", "gold-05"]
-        assert report == [SkipRecord("gold-07", "no main verb")]
+        sentences = build_document(gold.values(), lex).sentences
+        assert [s.sent_id for s in sentences
+                for _ in s.itinerary_relations] == ["gold-01", "gold-05"]
+        assert [(s.sent_id, s.skips) for s in sentences if s.skips] \
+            == [("gold-07", ("no main verb",))]
 
     def test_empty_corpus(self, lex):
-        assert extract_itineraries([], lex) == []
+        assert build_document([], lex).sentences == ()
 
     def test_verbless_corpus_is_all_skips(self, gold, lex):
-        report = []
-        assert extract_itineraries([gold["gold-07"]], lex, report=report) == []
-        assert len(report) == 1
+        result = extract_sentence(gold["gold-07"], lex)
+        assert result.itinerary_relations == ()
+        assert result.skips == ("no main verb",)
 
     def test_emission_biconditional(self, all_graphs, lex):
         for g in all_graphs:
@@ -205,7 +190,7 @@ class TestCorpusExtraction:
 
     def test_role_totality(self, all_graphs, lex):
         for g in all_graphs:
-            for itin in extract_itineraries([g], lex):
+            for itin in extract_sentence(g, lex).itinerary_relations:
                 es_bearing = sum(
                     len(recognize_spatial(g, a.span, lex))
                     for a in itin.source_nary.arguments if a.role != "subj")
@@ -213,7 +198,7 @@ class TestCorpusExtraction:
                         + len(itin.destination)) == es_bearing
 
     def test_temporal_attachment_unique(self, gold, lex):
-        (itin,) = extract_itineraries([gold["gold-01"]], lex)
+        (itin,) = extract_sentence(gold["gold-01"], lex).itinerary_relations
         assert len(itin.temporal) == len(set(itin.temporal)) == 1
 
     def test_loose_mode_threads_through(self, lex):

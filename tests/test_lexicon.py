@@ -123,6 +123,17 @@ class TestLoading:
             f"gazetteer.tsv:{len(lines)}: empty toponym \"'\" "
             "(no words after normalization)"]
 
+    def test_a_directory_in_place_of_a_file_is_unreadable(self, tmp_path):
+        shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        (tmp_path / "lex" / "units.tsv").unlink()
+        (tmp_path / "lex" / "units.tsv").mkdir()
+        (tmp_path / "lex" / "gazetteer.tsv").unlink()
+        with pytest.raises(LexiconError) as err:
+            load_lexicons(tmp_path / "lex")
+        assert err.value.problems == [
+            "missing lexicon file: gazetteer.tsv",
+            "cannot read lexicon file units.tsv: Is a directory"]
+
     def test_invalid_utf8_is_a_lexicon_error(self, tmp_path):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
         path = tmp_path / "lex" / "units.tsv"

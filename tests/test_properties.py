@@ -11,8 +11,7 @@ from itirel import (LexiconSet, SentenceGraph, StructureError,
                     recognize_spatial, recognize_temporal, save_lexicons,
                     load_lexicons, TokenSpan)
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
-from itirel.depgraph import (Token, base_rel, dependents, subtree_ids,
-                             subtree_yield)
+from itirel.depgraph import Token, base_rel, dependents, subtree_ids
 from itirel.lexicon import (PhraseIndex, SpatialRelationKind, canon_word,
                             decode_lines, normalize)
 
@@ -62,29 +61,22 @@ def test_dependents_filter_children_by_base_relation(g, labels):
 @settings(max_examples=60, deadline=None)
 @given(random_trees())
 def test_root_yield_covers_every_token(g):
-    y = subtree_yield(g, g.root_id)
-    assert all(t.id in y.span for t in g.tokens)
-    assert y.projective
+    assert subtree_ids(g, g.root_id) == frozenset(t.id for t in g.tokens)
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_trees())
-def test_yield_flag_agrees_with_contiguity(g):
-    for t in g.tokens:
-        ids = subtree_ids(g, t.id)
-        y = subtree_yield(g, t.id)
-        assert y.span == TokenSpan(min(ids), max(ids))
-        assert y.projective == (len(ids) == len(y.span))
+def _covering_span(ids) -> TokenSpan:
+    return TokenSpan(min(ids), max(ids))
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_trees())
 def test_sibling_yields_disjoint_when_tree_projective(g):
-    if not all(subtree_yield(g, t.id).projective for t in g.tokens):
+    if not all(len(ids) == len(_covering_span(ids))
+               for ids in (subtree_ids(g, t.id) for t in g.tokens)):
         return
     for t in g.tokens:
         kids = g.children(t.id)
-        spans = [subtree_yield(g, c).span for c in kids]
+        spans = [_covering_span(subtree_ids(g, c)) for c in kids]
         for i, a in enumerate(spans):
             for b in spans[i + 1:]:
                 assert not a.overlaps(b)
@@ -367,8 +359,10 @@ def test_mutated_input_gives_output_or_one_line(tmp_path_factory, data):
     assert code in (EXIT_OK, EXIT_CONLLU)
     event(f"exit {code}")
     if code == EXIT_OK:
-        expected = itirel.run_extract(data.decode("utf-8"),
-                                      itirel.bundled_lexicon_dir())
+        lex = itirel.load_lexicons(itirel.bundled_lexicon_dir())
+        expected = itirel.build_document(
+            itirel.iter_conllu(data.decode("utf-8")), lex,
+            fingerprint=lex.fingerprint)
         assert out.getvalue() == itirel.to_json(expected)
         assert out.getvalue() == json.dumps(json.loads(out.getvalue()),
                                             ensure_ascii=False, indent=2) + "\n"

@@ -6,13 +6,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from itirel import serialize
 from itirel import (Argument, ItineraryRelation, JsonWriter, NaryRelation,
                     SentenceResult, SpatialEntity, SpatialRelationKind,
                     TemporalEntity, TemporalRelationKind, TokenSpan,
                     TurtleWriter, UseCaseKind, VerbPolarity, build_document,
                     bundled_lexicon_dir, extract_sentence, from_json,
-                    lexicon_fingerprint, load_lexicons, run_extract, to_json,
+                    iter_conllu, lexicon_fingerprint, load_lexicons, to_json,
                     to_turtle)
 
 from conftest import build
@@ -25,9 +24,15 @@ BASE = "https://example.org/iti"
 VOCAB = BASE + "/vocab#"
 
 
+def extract_text(conllu_text: str, lex):
+    """The document of CoNLL-U text, with the lexicon's fingerprint."""
+    return build_document(iter_conllu(conllu_text), lex,
+                          fingerprint=lex.fingerprint)
+
+
 @pytest.fixture(scope="module")
-def doc(gold_text):
-    return run_extract(gold_text, bundled_lexicon_dir())
+def doc(gold_text, lex):
+    return extract_text(gold_text, lex)
 
 
 class TestDocument:
@@ -36,8 +41,8 @@ class TestDocument:
         assert len(doc.sentences) == 8
         assert doc.lexicon_fingerprint == \
             lexicon_fingerprint(bundled_lexicon_dir())
-        itins = [i for s in doc.sentences for i in s.itinerary_relations]
-        assert [i.sent_id for i in itins] == ["gold-01", "gold-05"]
+        assert [s.sent_id for s in doc.sentences
+                for _ in s.itinerary_relations] == ["gold-01", "gold-05"]
 
     def test_skips_recorded(self, doc):
         by_id = {s.sent_id: s for s in doc.sentences}
@@ -70,22 +75,6 @@ class TestDocument:
         assert lexicon_fingerprint(tmp_path / "lex") != \
             lexicon_fingerprint(bundled_lexicon_dir())
 
-    def test_fingerprint_is_of_the_bytes_loaded(self, tmp_path, monkeypatch,
-                                                gold_text):
-        lexdir = tmp_path / "lex"
-        shutil.copytree(bundled_lexicon_dir(), lexdir)
-        loaded = lexicon_fingerprint(lexdir)
-
-        def load_then_edit(directory):
-            lex = load_lexicons(directory)
-            with (lexdir / "units.tsv").open("a") as fh:
-                fh.write("# written after the load\n")
-            return lex
-
-        monkeypatch.setattr(serialize, "load_lexicons", load_then_edit)
-        assert run_extract(gold_text, lexdir).lexicon_fingerprint == loaded
-        assert lexicon_fingerprint(lexdir) != loaded
-
 
 class TestJson:
     def test_round_trip_exact(self, doc):
@@ -100,8 +89,10 @@ class TestJson:
                                   indent=2) + "\n"
 
     def test_byte_determinism(self, gold_text):
-        a = to_json(run_extract(gold_text, bundled_lexicon_dir()))
-        b = to_json(run_extract(gold_text, bundled_lexicon_dir()))
+        a = to_json(extract_text(gold_text, load_lexicons(
+            bundled_lexicon_dir())))
+        b = to_json(extract_text(gold_text, load_lexicons(
+            bundled_lexicon_dir())))
         assert a == b
 
     def test_is_plain_json(self, doc):
@@ -113,8 +104,8 @@ class TestJson:
         assert itin["polarity"] == "initial"
         assert itin["origin"][0]["anchors"] == ["Pau"]
 
-    def test_empty_input(self):
-        doc = run_extract("", bundled_lexicon_dir())
+    def test_empty_input(self, lex):
+        doc = extract_text("", lex)
         assert doc.sentences == ()
         assert from_json(to_json(doc)) == doc
 
@@ -180,8 +171,8 @@ def sentence_results(draw):
     narys = draw(st.lists(st.builds(
         NaryRelation, use_case=st.sampled_from(list(UseCaseKind)),
         predicate_lemma=_text, predicate_token=st.integers(1, 99),
-        arguments=st.lists(_arguments, max_size=3).map(tuple),
-        sent_id=st.just(sent_id)), max_size=3))
+        arguments=st.lists(_arguments, max_size=3).map(tuple)),
+        max_size=3))
     if narys and draw(st.booleans()):
         first = narys[0]
         narys.append(replace(first, arguments=first.arguments[::-1],
@@ -201,7 +192,7 @@ def sentence_results(draw):
             intermediate=intermediate, destination=destination,
             temporal=draw(st.lists(_temporal_entities(), max_size=2).map(
                 tuple)),
-            source_nary=draw(st.sampled_from(narys)), sent_id=sent_id))
+            source_nary=draw(st.sampled_from(narys))))
     return SentenceResult(sent_id=sent_id, text=draw(_text),
                           nary_relations=tuple(narys),
                           itinerary_relations=tuple(itineraries),
@@ -280,11 +271,11 @@ class TestTurtle:
         assert (VOCAB + "kind", '"absolute"') in payload
         assert (VOCAB + "anchor", '"Pau"') in payload
 
-    def test_identical_relations_get_distinct_nodes(self, gold_text):
+    def test_identical_relations_get_distinct_nodes(self, gold_text, lex):
         block = gold_text.split("\n\n")[4]  # gold-05
         twice = (block.replace("gold-05", "dup-a") + "\n\n"
                  + block.replace("gold-05", "dup-b") + "\n")
-        doc = run_extract(twice, bundled_lexicon_dir())
+        doc = extract_text(twice, lex)
         triples = parse_turtle(to_turtle(doc, BASE))
         subjects = {t.subject for t in triples if t.predicate == RDF_TYPE}
         assert len(subjects) == 2
@@ -296,8 +287,10 @@ class TestTurtle:
                                   indent=2) + "\n"
 
     def test_byte_determinism(self, gold_text):
-        a = to_turtle(run_extract(gold_text, bundled_lexicon_dir()), BASE)
-        b = to_turtle(run_extract(gold_text, bundled_lexicon_dir()), BASE)
+        a = to_turtle(extract_text(gold_text, load_lexicons(
+            bundled_lexicon_dir())), BASE)
+        b = to_turtle(extract_text(gold_text, load_lexicons(
+            bundled_lexicon_dir())), BASE)
         assert a == b
 
     def test_literal_escaping(self, doc):
@@ -391,6 +384,6 @@ class TestTurtle:
         assert any(t.subject == "https://example.org/iti/relation/1"
                    for t in triples)
 
-    def test_empty_document_is_header_only(self):
-        doc = run_extract("", bundled_lexicon_dir())
+    def test_empty_document_is_header_only(self, lex):
+        doc = extract_text("", lex)
         assert parse_turtle(to_turtle(doc, BASE)) == []
