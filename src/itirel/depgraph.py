@@ -191,7 +191,7 @@ def _finish_sentence(sent_id: Optional[str], text: Optional[str],
 _RANGE_OR_EMPTY_NODE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")
 
 
-def _split_lines(text: str) -> Iterator[str]:
+def split_lines(text: str) -> Iterator[str]:
     """The lines of a string, split at LF only (as ``io.StringIO`` reads
     them), without holding a second copy of the text."""
     start = 0
@@ -201,6 +201,23 @@ def _split_lines(text: str) -> Iterator[str]:
             end = len(text)
         yield text[start:end]
         start = end + 1
+
+
+# the ids and heads of sentences under 256 words, found without a parse
+_SMALL_INTS = {str(n): n for n in range(256)}
+
+
+def _ascii_int(col: str) -> Optional[int]:
+    """The integer of ASCII digits, maybe after a minus sign, or None: int()
+    alone also reads "+1", " 1", "١" and "1_0", and fails on a string of
+    over 4,300 digits."""
+    n = _SMALL_INTS.get(col)
+    if n is None and col.isascii() and col.removeprefix("-").isdigit():
+        try:
+            n = int(col)
+        except ValueError:
+            pass
+    return n
 
 
 def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
@@ -213,7 +230,7 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
     ``sent_id`` or ``text`` are read; any other (``# text_en = ...``,
     ``# newdoc id = ...``) is ignored.
     """
-    lines = _split_lines(source) if isinstance(source, str) else source
+    lines = split_lines(source) if isinstance(source, str) else source
     count = 0
     sent_id: Optional[str] = None
     text: Optional[str] = None
@@ -244,15 +261,13 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
             raise ConlluParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", line_no)
         tid = cols[0]
-        try:
-            token_id = int(tid)
-        except ValueError:
+        token_id = _ascii_int(tid)
+        if token_id is None:
             if _RANGE_OR_EMPTY_NODE.fullmatch(tid):
                 continue
             raise ConlluParseError(f"non-integer token id {tid!r}", line_no)
-        try:
-            head = int(cols[6])
-        except ValueError:
+        head = _ascii_int(cols[6])
+        if head is None:
             raise ConlluParseError(f"non-integer head {cols[6]!r}", line_no)
         tokens.append(Token(token_id, cols[1], cols[2], cols[3], head,
                             cols[7], (cols[4], cols[5], cols[8], cols[9])))

@@ -4,12 +4,15 @@ Five TSV files drive the extraction patterns: motion verbs with aspectual
 polarity, spatial relation markers, temporal relation markers, a toponym
 gazetteer, and measure units.  All of them are data, not code: the bundled
 files under ``itirel/data/lexicons`` are a seed that users can amend.
+
+``load_lexicons`` reads each file in one pass: it decodes the bytes once,
+normalizes each toponym once, and builds the gazetteer's phrase index from
+those words while it reads them.  The marker indexes are built on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -17,6 +20,8 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+from .depgraph import split_lines
 
 
 class VerbPolarity(str, Enum):
@@ -51,7 +56,6 @@ class LexiconError(Exception):
 
 
 _APOSTROPHES = re.compile("['’‘ʼ`]")
-_WS = re.compile(r"\s+")
 
 # French contracted prepositions, folded for marker matching only.
 _CONTRACTIONS = {"au": "à", "aux": "à", "du": "de", "des": "de", "d": "de"}
@@ -62,10 +66,14 @@ def lemma_key(lemma: str) -> str:
     return unicodedata.normalize("NFC", lemma).casefold()
 
 
+def _words(phrase: str) -> list[str]:
+    # str.split() splits at the whitespace re's \s matches
+    return _APOSTROPHES.sub(" ", lemma_key(phrase)).split()
+
+
 def normalize(phrase: str) -> str:
     """Case-fold and elision-normalize a phrase ("l'Ouest" -> "l ouest")."""
-    s = _APOSTROPHES.sub(" ", lemma_key(phrase))
-    return _WS.sub(" ", s).strip()
+    return " ".join(_words(phrase))
 
 
 def canon_word(word: str) -> str:
@@ -73,26 +81,30 @@ def canon_word(word: str) -> str:
     return _CONTRACTIONS.get(word, word)
 
 
+def phrase_key(phrase: str, fold=str) -> tuple[str, ...]:
+    """The words a phrase is indexed by: its normalized words, each folded."""
+    return tuple(map(fold, _words(phrase)))
+
+
 class PhraseIndex:
     """Longest-match lookup of phrases by their folded, normalized words;
     of phrases with the same words, the smallest in code-point order wins.
 
-    ``match`` reads words already normalized (one per token, as
-    ``normalize`` gives them) and folds them itself.  A word that starts no
-    phrase costs one set lookup."""
+    It is built from ``(words, phrase, value)`` entries whose words are
+    ``phrase_key(phrase, fold)``.  ``match`` reads words already normalized
+    (one per token, as ``normalize`` gives them) and folds them itself.  A
+    word that starts no phrase costs one set lookup."""
 
-    def __init__(self, phrases: Mapping[str, object], fold=str):
+    def __init__(self, entries: Iterable[tuple[tuple[str, ...], str, object]],
+                 fold=str):
         self.fold = fold
         self.entries: dict[tuple[str, ...], tuple] = {}
-        for phrase, value in phrases.items():
-            words = self.key(phrase)
-            if words not in self.entries or phrase < self.entries[words][1]:
-                self.entries[words] = (words, phrase, value)
+        for entry in entries:
+            kept = self.entries.get(entry[0])
+            if kept is None or entry[1] < kept[1]:
+                self.entries[entry[0]] = entry  # as given: no second tuple
         self.max_len = max(map(len, self.entries), default=0)
         self.first_words = frozenset(w[0] for w in self.entries if w)
-
-    def key(self, phrase: str) -> tuple[str, ...]:
-        return tuple(self.fold(w) for w in normalize(phrase).split())
 
     def match(self, words: Sequence[str], i: int):
         """Longest phrase at words[i:], for i < len(words)
@@ -107,6 +119,12 @@ class PhraseIndex:
             if hit is not None:
                 return (n, *hit)
         return None
+
+
+def phrase_index(phrases: Mapping[str, object], fold=str) -> PhraseIndex:
+    """The PhraseIndex of a phrase -> value table."""
+    return PhraseIndex(((phrase_key(p, fold), p, v)
+                        for p, v in phrases.items()), fold)
 
 
 FILE_NAMES = ("motion_verbs.tsv", "spatial_markers.tsv",
@@ -134,15 +152,16 @@ class LexiconSet:
 
     @cached_property
     def spatial_marker_index(self) -> PhraseIndex:
-        return PhraseIndex(self.spatial_markers, fold=canon_word)
+        return phrase_index(self.spatial_markers, fold=canon_word)
 
     @cached_property
     def temporal_marker_index(self) -> PhraseIndex:
-        return PhraseIndex(self.temporal_markers, fold=canon_word)
+        return phrase_index(self.temporal_markers, fold=canon_word)
 
     @cached_property
     def gazetteer_index(self) -> PhraseIndex:
-        return PhraseIndex(self.gazetteer)
+        # load_lexicons sets the index it built while reading the file
+        return phrase_index(self.gazetteer)
 
     @cached_property
     def figure_nouns(self) -> frozenset[str]:
@@ -179,39 +198,42 @@ def files_digest(files: Mapping[str, bytes]) -> str:
     return digest.hexdigest()
 
 
-def _read_tsv(name: str, data: bytes, n_cols: int, problems: list[str],
+def _read_tsv(name: str, data: bytes, problems: list[str],
               optional_second: bool = False):
-    """Yield (line_no, columns) for data lines; '#' comments and blanks
-    skipped.  A line with the wrong number of columns is added to problems
-    and skipped; a file that is not UTF-8 is one problem and yields none."""
-    def error(problem: str, line_no: int) -> LexiconError:
-        return LexiconError([f"{name}:{line_no}: {problem}"])
-
+    """Yield (line_no, key, value) for data lines of two columns; '#'
+    comments and blanks skipped.  CRLF and CR end lines as LF does.  A line
+    with the wrong number of columns is added to problems and skipped; a file
+    that is not UTF-8 is one problem (its first bad byte, on a line counted
+    at LF only) and yields none."""
     try:
         # decoded whole first, so an invalid byte is the file's only problem
-        lines = list(decode_lines(io.BytesIO(data), error))
-    except LexiconError as err:
-        problems.extend(err.problems)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no = data.count(b"\n", 0, err.start) + 1
+        problems.append(f"{name}:{line_no}: invalid UTF-8 byte "
+                        f"0x{data[err.start]:02x}")
         return
-    for line_no, raw in enumerate(lines, 1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw in enumerate(split_lines(text), 1):
         line = raw.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue
         cols = line.split("\t")
         if optional_second and len(cols) == 1:
-            cols = [cols[0], ""]
-        if len(cols) != n_cols:
+            cols.append("")
+        if len(cols) != 2:
             problems.append(
-                f"{name}:{line_no}: expected {n_cols} columns, got {len(cols)}")
+                f"{name}:{line_no}: expected 2 columns, got {len(cols)}")
             continue
-        yield line_no, [c.strip() for c in cols]
+        yield line_no, cols[0].strip(), cols[1].strip()
 
 
 def _load_map(name: str, data: bytes, value_table: Mapping[str, object],
               key_norm, problems: list[str]) -> dict:
     out: dict = {}
     lines: dict[str, int] = {}
-    for line_no, (key, value) in _read_tsv(name, data, 2, problems):
+    for line_no, key, value in _read_tsv(name, data, problems):
         k = key_norm(key)
         if not k:
             problems.append(f"{name}:{line_no}: empty key")
@@ -263,27 +285,60 @@ def load_lexicons(directory) -> LexiconSet:
                          _TEMPORAL_KINDS, normalize, problems)
     units = _load_map("units.tsv", files["units.tsv"],
                       {u: u for u in _UNIT_CLASSES}, lemma_key, problems)
-    gazetteer: dict[str, str] = {}
-    gaz_lines: dict[str, int] = {}
-    for line_no, (name, ftype) in _read_tsv("gazetteer.tsv",
-                                            files["gazetteer.tsv"], 2,
-                                            problems, optional_second=True):
-        if not normalize(name):
-            problems.append(f"gazetteer.tsv:{line_no}: empty toponym {name!r} "
-                            "(no words after normalization)")
-            continue
-        if name in gazetteer and gazetteer[name] != ftype:
-            problems.append(
-                f"gazetteer.tsv:{line_no}: duplicate toponym {name!r} conflicts "
-                f"with line {gaz_lines[name]}")
-            continue
-        gazetteer[name] = ftype
-        gaz_lines.setdefault(name, line_no)
+    gazetteer, gazetteer_index = _load_gazetteer(files["gazetteer.tsv"],
+                                                 problems)
     if problems:
         raise LexiconError(problems)
-    return LexiconSet(motion_verbs=motion, spatial_markers=spatial,
-                      temporal_markers=temporal, gazetteer=gazetteer,
-                      units=units, fingerprint=files_digest(files))
+    lex = LexiconSet(motion_verbs=motion, spatial_markers=spatial,
+                     temporal_markers=temporal, gazetteer=gazetteer,
+                     units=units, fingerprint=files_digest(files))
+    # frozen: the cached property is filled past __setattr__
+    lex.__dict__["gazetteer_index"] = gazetteer_index
+    return lex
+
+
+def _load_gazetteer(data: bytes, problems: list[str]
+                    ) -> tuple[dict[str, str], PhraseIndex]:
+    """The toponym -> type table of gazetteer.tsv and its PhraseIndex, built
+    from each new toponym's words as the file is read."""
+    tsv = "gazetteer.tsv"
+    gazetteer: dict[str, str] = {}
+    # (index in problems, toponym) of each conflict whose message still
+    # lacks the number of the line it conflicts with
+    conflicts: list[tuple[int, str]] = []
+
+    def entries():
+        for line_no, name, ftype in _read_tsv(tsv, data, problems,
+                                              optional_second=True):
+            seen = gazetteer.get(name)
+            if seen is not None:
+                if seen != ftype:
+                    conflicts.append((len(problems), name))
+                    problems.append(f"{tsv}:{line_no}: duplicate toponym "
+                                    f"{name!r} conflicts with line ")
+                continue
+            words = tuple(_words(name))
+            if not words:
+                problems.append(f"{tsv}:{line_no}: empty toponym {name!r} "
+                                "(no words after normalization)")
+                continue
+            gazetteer[name] = ftype
+            yield words, name, ftype
+
+    index = PhraseIndex(entries())
+    if conflicts:
+        # found again on this path only, so that no toponym -> line table
+        # stays beside the index: a toponym was kept from the first line of
+        # two columns that gives it, as a line refused as empty has no words
+        # and a conflict needs an earlier line
+        names = {name for _, name in conflicts}
+        first: dict[str, int] = {}
+        for line_no, name, _ in _read_tsv(tsv, data, [], optional_second=True):
+            if name in names:
+                first.setdefault(name, line_no)
+        for at, name in conflicts:
+            problems[at] += str(first[name])
+    return gazetteer, index
 
 
 def save_lexicons(lex: LexiconSet, directory) -> None:
@@ -365,13 +420,17 @@ def validate_lexicons(lex: LexiconSet) -> ValidationReport:
                        "be recognized")
     marker_phrases = set(lex.spatial_markers) | set(lex.temporal_markers)
     toponyms = lex.gazetteer_index
+    words_of = {name: words for words, name, _ in toponyms.entries.values()}
     for name in sorted(lex.gazetteer):
-        words = toponyms.key(name)
+        words = words_of.get(name)
+        if words is None:  # not matched: another name has the same words
+            words = phrase_key(name)
         if not words:
             errors.append(f"gazetteer: empty toponym {name!r} "
                           "(no words after normalization)")
             continue
-        if normalize(name) in marker_phrases or normalize(name) in lex.units:
+        phrase = " ".join(words)
+        if phrase in marker_phrases or phrase in lex.units:
             notices.append(f"gazetteer entry {name!r} collides with a "
                            "common-noun marker or unit")
         kept = toponyms.entries[words][1]

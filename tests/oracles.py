@@ -10,6 +10,8 @@ of the records and encodes them with the json module.
 from __future__ import annotations
 
 import json
+import re
+import unicodedata
 from typing import Optional, Sequence
 
 from itirel.lexicon import normalize
@@ -71,6 +73,13 @@ def argument_spans(tokens: Sequence) -> Optional[list[tuple[int, int]]]:
         if ids:
             spans.append((ids[0], ids[-1]))
     return sorted(spans)
+
+
+def normalize_two_regex(phrase: str) -> str:
+    """``lexicon.normalize`` as two regex passes: NFC and case-fold, each
+    apostrophe to a space, each run of whitespace to one space, stripped."""
+    s = re.sub("['’‘ʼ`]", " ", unicodedata.normalize("NFC", phrase).casefold())
+    return re.sub(r"\s+", " ", s).strip()
 
 
 def longest_match(toks: Sequence, i: int, phrases, fold=str):

@@ -148,6 +148,25 @@ class TestParsing:
         with pytest.raises(ConlluParseError, match="non-integer token id"):
             parse_conllu(text)
 
+    @pytest.mark.parametrize("column", [0, 6], ids=["id", "head"])
+    @pytest.mark.parametrize("number", [
+        "+1", " 1", "1 ", "\u0661", "1_0", "\uff11", "--1", "1\u0300",
+        pytest.param("7" * 5000, id="5000-digits")])
+    def test_only_ascii_digits_are_integers(self, column, number):
+        """int() alone reads the first six as numbers; the digits are more
+        than it reads by default."""
+        row = ["1", "Pau", "Pau", "PROPN", "_", "_", "0", "root", "_", "_"]
+        row[column] = number
+        what = "token id" if column == 0 else "head"
+        with pytest.raises(ConlluParseError,
+                           match=f"^line 1: non-integer {what} "):
+            parse_conllu("\t".join(row) + "\n")
+
+    def test_leading_zeros_are_still_integers(self):
+        g, = parse_conllu("01\tIl\til\tPRON\t_\t_\t002\tnsubj\t_\t_\n"
+                          "2\tpart\tpartir\tVERB\t_\t_\t00\troot\t_\t_\n")
+        assert [(t.id, t.head) for t in g.tokens] == [(1, 2), (2, 0)]
+
     def test_iter_conllu_yields_before_a_later_error(self, gold_text):
         text = gold_text + "\n# sent_id = bad\n1\tPau\tPau\n"
         first = next(iter_conllu(text))

@@ -7,7 +7,7 @@ from itirel import (LexiconError, LexiconSet, SpatialRelationKind,
                     TemporalRelationKind, VerbPolarity, bundled_lexicon_dir,
                     lexicon_fingerprint, load_lexicons, motion_polarity,
                     recognize_spatial, save_lexicons, validate_lexicons)
-from itirel.lexicon import FILE_NAMES, PhraseIndex, canon_word, normalize
+from itirel.lexicon import FILE_NAMES, canon_word, normalize, phrase_index
 
 from conftest import build
 
@@ -197,28 +197,28 @@ class TestMarkerTables:
 
     def test_same_words_smallest_phrase_wins(self):
         for order in (["Pau", "PAU"], ["PAU", "Pau"]):
-            index = PhraseIndex({name: name.lower() for name in order})
+            index = phrase_index({name: name.lower() for name in order})
             assert index.match(_words("pau"), 0) == (1, ("pau",), "PAU", "pau")
 
     def test_toponyms_are_not_contraction_folded(self, lex):
-        toponyms = PhraseIndex({"Pic de Midi": "peak"})
+        toponyms = phrase_index({"Pic de Midi": "peak"})
         assert toponyms.match(_words("Pic", "du", "Midi"), 0) is None
         assert toponyms.match(_words("pic", "DE", "midi"), 0)[2] == "Pic de Midi"
         assert lex.spatial_marker_index.match(_words("Près", "du"), 0)[2] \
             == "près de"
 
     def test_shorter_phrase_when_longer_one_breaks_off(self):
-        index = PhraseIndex({"a b c": 1, "a": 2})
+        index = phrase_index({"a b c": 1, "a": 2})
         assert index.max_len == 3
         assert index.match(_words("a", "b", "x"), 0)[:3] == (1, ("a",), "a")
         assert index.match(_words("b"), 0) is None
-        assert PhraseIndex({}).match(_words("a"), 0) is None
+        assert phrase_index({}).match(_words("a"), 0) is None
 
     def test_phrase_without_words_never_matches(self):
-        assert PhraseIndex({"'": "city"}).match(_words("'", "x"), 0) is None
+        assert phrase_index({"'": "city"}).match(_words("'", "x"), 0) is None
 
     def test_first_words_gate_the_lookup(self):
-        index = PhraseIndex({"a b c": 1, "du x": 2, "'": 3}, fold=canon_word)
+        index = phrase_index({"a b c": 1, "du x": 2, "'": 3}, fold=canon_word)
         assert index.first_words == {"a", "de"}
         assert index.match(_words("b", "c"), 0) is None
         assert index.match(_words("des", "x"), 0)[:3] == (2, ("de", "x"), "du x")

@@ -12,11 +12,11 @@ from itirel import (LexiconSet, SentenceGraph, StructureError,
                     load_lexicons, TokenSpan)
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 from itirel.depgraph import Token, base_rel, dependents, subtree_ids
-from itirel.lexicon import (PhraseIndex, SpatialRelationKind, canon_word,
-                            decode_lines, normalize)
+from itirel.lexicon import (SpatialRelationKind, canon_word, decode_lines,
+                            normalize, phrase_index)
 
 from conftest import _gold_file
-from oracles import closure, longest_match
+from oracles import closure, longest_match, normalize_two_regex
 from turtle_check import parse_turtle
 
 _UPOS = ("NOUN", "VERB", "ADP", "DET", "PROPN", "PUNCT", "ADV")
@@ -122,9 +122,54 @@ def test_phrase_index_agrees_with_linear_scan(phrases, forms, fold):
     toks = [Token(id=i, form=f, lemma=f, upos="X", head=0, deprel="dep")
             for i, f in enumerate(forms, 1)]
     words = [normalize(t.form) for t in toks]
-    index = PhraseIndex(phrases, fold=fold)
+    index = phrase_index(phrases, fold=fold)
     for i in range(len(toks)):
         assert index.match(words, i) == longest_match(toks, i, phrases, fold)
+
+
+# Whitespace that str.split() and re's \s both split at (NEL, no-break
+# space, the information separators), combining marks, every apostrophe
+# normalize turns into a space, and letters that change under NFC or
+# case folding.
+_NORM_CHARS = ("ab Pé\t\n\r\x0b\x0c\x85\xa0\x1c\x1d\x1e\x1f\u1680\u2000"
+               "\u2028\u2029\u202f\u3000\u200b\u0300\u0301\u0327\u0308"
+               "'’‘ʼ`ßİΣﬁÅ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=_NORM_CHARS, max_size=12) | st.text(max_size=12))
+def test_normalize_agrees_with_two_regex_version(text):
+    assert normalize(text) == normalize_two_regex(text)
+
+
+_toponym = st.lists(st.text(alphabet="aAéÉe\u0301 '’`\xa0", min_size=1,
+                            max_size=4), min_size=1, max_size=3).map(
+    lambda parts: "".join(parts).strip()).filter(normalize)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gazetteer=st.dictionaries(_toponym, st.sampled_from(["", "city",
+                                                             "peak"]),
+                                 max_size=12),
+       data=st.data())
+def test_gazetteer_index_built_at_load_equals_rebuilt_one(
+        tmp_path_factory, gazetteer, data):
+    lines = [f"{name}\t{ftype}" for name, ftype in gazetteer.items()]
+    lines += data.draw(st.lists(st.sampled_from(lines), max_size=4)
+                       if lines else st.just([]))  # same-type repeats
+    lines = data.draw(st.permutations(lines))
+    end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lexdir = tmp_path_factory.mktemp("lex")
+    for name in itirel.lexicon.FILE_NAMES:
+        (lexdir / name).write_bytes(
+            (itirel.bundled_lexicon_dir() / name).read_bytes())
+    (lexdir / "gazetteer.tsv").write_bytes(
+        "".join(line + end for line in lines).encode("utf-8"))
+    lex = load_lexicons(lexdir)
+    built, rebuilt = lex.gazetteer_index, phrase_index(lex.gazetteer)
+    assert built.entries == rebuilt.entries
+    assert built.max_len == rebuilt.max_len
+    assert built.first_words == rebuilt.first_words
 
 
 @settings(max_examples=40, deadline=None)
