@@ -32,9 +32,10 @@ from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from typing import Iterator
 
-from .depgraph import ConlluParseError, StructureError, iter_conllu
+from .depgraph import (ConlluParseError, StructureError, decode_lines,
+                       iter_conllu)
 from .lexicon import (LexiconError, LexiconSet, bundled_lexicon_dir,
-                      decode_lines, load_lexicons, validate_lexicons)
+                      load_lexicons, validate_lexicons)
 from .serialize import JsonWriter, TurtleWriter, extract_sentence
 
 EXIT_OK = 0

@@ -4,8 +4,8 @@ A sentence is an immutable directed graph: tokens are nodes, the HEAD/DEPREL
 columns give one labeled edge per token.  Everything downstream (pivot
 detection, argument search, entity recognition) works on these graphs.
 
-The parser accepts a sentence only if its word ids run 1..n in order, so a
-token's id is its position plus one: ``token(i)`` is ``tokens[i - 1]`` and
+A graph is built only if its word ids run 1..n in order, so a token's id
+is its position plus one: ``token(i)`` is ``tokens[i - 1]`` and
 the tokens of a span are a slice.
 
 Each graph is indexed once, when it is built: its children, universal
@@ -93,40 +93,53 @@ class TokenSpan:
 
 @dataclass(frozen=True)
 class SentenceGraph:
-    """A sentence whose tokens have ids 1..n and heads in 0..n (the parser
-    checks both), indexed once, when it is built: ``root_id``; ``rels[i]``,
-    the universal relation of token i (``rels[0]`` is ""); ``_kids[i]``, the
-    children of id i in surface order; ``_order``, the ids below id 0 depth
-    first, whose ``_size[i]`` ids from place ``_first[i]`` on are the subtree
-    of token i; and ``words``, None until entity recognition fills it."""
+    """A sentence whose tokens have ids 1..n and whose head links form one
+    tree, checked when it is built (:class:`StructureError` otherwise), and
+    indexed then: ``root_id``; ``rels[i]``, the universal relation of token
+    i (``rels[0]`` is ""); ``_kids[i]``, the children of id i in surface
+    order; ``_order``, the ids below id 0 depth first, whose ``_size[i]`` ids
+    from place ``_first[i]`` on are the subtree of token i; and ``words``,
+    None until entity recognition fills it."""
 
     sent_id: str
     text: str
     tokens: tuple[Token, ...]
 
     def __post_init__(self):
-        tokens = self.tokens
-        kids: list[list[int]] = [[] for _ in range(len(tokens) + 1)]
-        heads = [0]
+        tokens, sid, n = self.tokens, self.sent_id, len(self.tokens)
+        for expected, t in enumerate(tokens, 1):
+            if t.id != expected:
+                problem = ("is below 1" if t.id < 1
+                           else "is duplicated" if t.id < expected
+                           else f"where {expected} was expected")
+                raise StructureError(f"token id {t.id} {problem}", sid)
+        kids: list[list[int]] = [[] for _ in range(n + 1)]
         for t in tokens:  # ids ascend, so each list is in surface order
+            if t.head == t.id:
+                raise StructureError(f"token {t.id} is its own head", sid)
+            if not 0 <= t.head <= n:
+                raise StructureError(
+                    f"token {t.id} has dangling head {t.head}", sid)
             kids[t.head].append(t.id)
-            heads.append(t.head)
-        if min(heads) < 0:  # a head above n fails above, a negative one not
-            raise IndexError(f"negative head {min(heads)}")
+        if len(kids[0]) != 1:
+            raise StructureError(
+                f"expected exactly one root, found {len(kids[0])}", sid)
         order, stack = [], list(kids[0])
         while stack:
             order.append(stack.pop())
             stack.extend(kids[order[-1]])
+        # every token has one head, so tokens on a cycle are not below the root
+        if len(order) != n:
+            raise StructureError("cyclic head links", sid)
         first, size = [0] * len(kids), [0] * len(kids)
         for pos, cur in enumerate(order):
             first[cur] = pos
-        # backwards, each size is whole when its head is reached; an id off
-        # the order (on a cycle) keeps size 0
+        # backwards, each size is whole when its head is reached
         for cur in reversed(order):
             size[cur] += 1
-            size[heads[cur]] += size[cur]
+            size[tokens[cur - 1].head] += size[cur]
         self.__dict__.update(  # frozen: the index is set past __setattr__
-            root_id=kids[0][0] if kids[0] else 0,
+            root_id=kids[0][0],
             rels=("",) + tuple([base_rel(t.deprel) for t in tokens]),
             _kids=tuple(map(tuple, kids)), _order=order, _first=first,
             _size=size, words=None)
@@ -162,27 +175,8 @@ def span_text(g: SentenceGraph, span: TokenSpan) -> str:
 
 def _finish_sentence(sent_id: Optional[str], text: Optional[str],
                      tokens: list[Token], index: int) -> SentenceGraph:
-    sid = sent_id if sent_id is not None else f"s{index}"
-    for expected, t in enumerate(tokens, 1):
-        if t.id != expected:
-            problem = ("is below 1" if t.id < 1
-                       else "is duplicated" if t.id < expected
-                       else f"where {expected} was expected")
-            raise StructureError(f"token id {t.id} {problem}", sid)
-    for t in tokens:
-        if t.head == t.id:
-            raise StructureError(f"token {t.id} is its own head", sid)
-        if not 0 <= t.head <= len(tokens):
-            raise StructureError(f"token {t.id} has dangling head {t.head}", sid)
-    g = SentenceGraph(sent_id=sid,
-                      text=text if text is not None else "",
-                      tokens=tuple(tokens))
-    roots = g.children(0)
-    if len(roots) != 1:
-        raise StructureError(f"expected exactly one root, found {len(roots)}", sid)
-    # every token has one head, so tokens on a cycle are not below the root
-    if len(g._order) != len(tokens):
-        raise StructureError("cyclic head links", sid)
+    g = SentenceGraph(sent_id if sent_id is not None else f"s{index}",
+                      text or "", tuple(tokens))
     if not g.text:
         object.__setattr__(g, "text", span_text(g, g.span()))
     return g
@@ -203,6 +197,32 @@ def split_lines(text: str) -> Iterator[str]:
         start = end + 1
 
 
+def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
+    """Text lines, without their ends, of strict UTF-8 chunks that each end
+    at an LF or at the end of the input (a binary file's lines, or a whole
+    file as one chunk).  LF, CRLF and CR end lines alike.  An invalid byte
+    raises ``error(message, line_no)``, its line counted the same way,
+    before any line of its chunk is yielded."""
+    line_no = 1  # of the chunk's first line
+    for chunk in chunks:
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as err:
+            before = chunk[:err.start]  # UTF-8 has 0x0a, 0x0d only as LF, CR
+            line_no += (before.count(b"\n") + before.count(b"\r")
+                        - before.count(b"\r\n"))
+            raise error(f"invalid UTF-8 byte 0x{chunk[err.start]:02x}",
+                        line_no) from None
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        elif text.find("\n") == len(text) - 1 and text:  # one LF-ended line
+            line_no += 1
+            yield text[:-1]
+            continue
+        line_no += text.count("\n")
+        yield from split_lines(text)
+
+
 # the ids and heads of sentences under 256 words, found without a parse
 _SMALL_INTS = {str(n): n for n in range(256)}
 
@@ -221,8 +241,9 @@ def _ascii_int(col: str) -> Optional[int]:
 
 
 def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
-    """Sentence graphs of CoNLL-U text (a string, or an iterable of lines),
-    one at a time, each checked when its sentence ends.
+    """Sentence graphs of CoNLL-U text (a string, whose lines end at LF
+    only, or an iterable of lines), one at a time, each checked when its
+    sentence ends.
 
     Only an empty line ends a sentence; a line of whitespace only is an
     error.  Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .depgraph import split_lines
+from .depgraph import decode_lines
 
 
 class VerbPolarity(str, Enum):
@@ -169,24 +169,6 @@ class LexiconSet:
                          if k is SpatialRelationKind.GEOMETRIC_FIGURE)
 
 
-def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
-    """Text lines, without their ends, of binary lines that each end at the
-    first LF (a binary file's lines), decoded as strict UTF-8; CRLF and CR
-    end lines as LF does.  An invalid byte raises ``error(message, line_no)``,
-    counting lines at LF only."""
-    for line_no, chunk in enumerate(chunks, 1):
-        try:
-            text = chunk.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise error(f"invalid UTF-8 byte 0x{chunk[err.start]:02x}",
-                        line_no) from None
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-            yield from text.removesuffix("\n").split("\n")
-        else:
-            yield text.removesuffix("\n")
-
-
 def files_digest(files: Mapping[str, bytes]) -> str:
     """SHA-256 over the lexicon files' names and bytes, in FILE_NAMES order."""
     digest = hashlib.sha256()
@@ -201,32 +183,26 @@ def files_digest(files: Mapping[str, bytes]) -> str:
 def _read_tsv(name: str, data: bytes, problems: list[str],
               optional_second: bool = False):
     """Yield (line_no, key, value) for data lines of two columns; '#'
-    comments and blanks skipped.  CRLF and CR end lines as LF does.  A line
+    comments and blanks skipped.  LF, CRLF and CR end lines alike.  A line
     with the wrong number of columns is added to problems and skipped; a file
-    that is not UTF-8 is one problem (its first bad byte, on a line counted
-    at LF only) and yields none."""
+    that is not UTF-8 is one problem (its first bad byte) and yields none."""
+    lines = decode_lines(  # one chunk: a bad byte comes before any line
+        [data], lambda message, at: LexiconError([f"{name}:{at}: {message}"]))
     try:
-        # decoded whole first, so an invalid byte is the file's only problem
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line_no = data.count(b"\n", 0, err.start) + 1
-        problems.append(f"{name}:{line_no}: invalid UTF-8 byte "
-                        f"0x{data[err.start]:02x}")
-        return
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for line_no, raw in enumerate(split_lines(text), 1):
-        line = raw.rstrip()
-        if not line or line.lstrip().startswith("#"):
-            continue
-        cols = line.split("\t")
-        if optional_second and len(cols) == 1:
-            cols.append("")
-        if len(cols) != 2:
-            problems.append(
-                f"{name}:{line_no}: expected 2 columns, got {len(cols)}")
-            continue
-        yield line_no, cols[0].strip(), cols[1].strip()
+        for line_no, raw in enumerate(lines, 1):
+            line = raw.rstrip()
+            if not line or line.lstrip().startswith("#"):
+                continue
+            cols = line.split("\t")
+            if optional_second and len(cols) == 1:
+                cols.append("")
+            if len(cols) != 2:
+                problems.append(
+                    f"{name}:{line_no}: expected 2 columns, got {len(cols)}")
+                continue
+            yield line_no, cols[0].strip(), cols[1].strip()
+    except LexiconError as err:
+        problems += err.problems
 
 
 def _load_map(name: str, data: bytes, value_table: Mapping[str, object],

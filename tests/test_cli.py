@@ -267,6 +267,22 @@ class TestExtract:
         main(["extract"])
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_invalid_byte_line_counts_every_line_end(self, gold_text,
+                                                     tmp_path, capsys,
+                                                     monkeypatch, newline):
+        lines = gold_text.encode("utf-8").split(b"\n")
+        lines[16] = lines[16].replace(b"\t", b"\t\xe8", 1)
+        bad = tmp_path / "bad.conllu"
+        bad.write_bytes(newline.join(lines))
+        want = "itirel: conllu: line 17: invalid UTF-8 byte 0xe8\n"
+        assert main(["extract", str(bad)]) == EXIT_CONLLU
+        assert capsys.readouterr() == ("", want)
+        monkeypatch.setattr("sys.stdin", _stdin(bad.read_bytes()))
+        assert main(["extract"]) == EXIT_CONLLU
+        assert capsys.readouterr() == ("", want)
+
     def test_invalid_utf8_lexicon_exits_2(self, gold_file, lexicon_copy,
                                           capsys):
         (lexicon_copy / "gazetteer.tsv").write_bytes(b"Pau\tcity\nB\xe9arn\n")

@@ -56,11 +56,32 @@ class TestToken:
 class TestSentenceGraph:
     @pytest.mark.parametrize("head", [-1, 3])
     def test_a_head_outside_the_sentence_is_refused(self, head):
-        # the parser refuses it first; a graph built directly must too
+        # the parser's check: a graph built directly is refused the same way
         tokens = (Token(1, "Il", "il", "PRON", 2, "nsubj"),
                   Token(2, "part", "partir", "VERB", head, "root"))
-        with pytest.raises(IndexError):
+        with pytest.raises(StructureError, match="has dangling head"):
             SentenceGraph("s", "Il part", tokens)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(2, "part", "partir", "VERB", 0, "root"),
+          (1, "Il", "il", "PRON", 2, "nsubj")],
+         "token id 2 where 1 was expected"),
+        ([(1, "a", "a", "NOUN", 0, "root"),
+          (2, "b", "b", "NOUN", 0, "root")],
+         "expected exactly one root, found 2"),
+        ([(1, "a", "a", "NOUN", 2, "nmod"),
+          (2, "b", "b", "NOUN", 1, "nmod"),
+          (3, "c", "c", "VERB", 0, "root")],
+         "cyclic head links"),
+    ], ids=["ids-2-1", "two-roots", "cycle"])
+    def test_a_graph_built_directly_is_checked_as_parsed(self, rows,
+                                                          message):
+        with pytest.raises(StructureError) as parsed:
+            build(rows, sent_id="t1")
+        with pytest.raises(StructureError) as direct:
+            SentenceGraph("t1", "", tuple(Token(*row) for row in rows))
+        assert str(direct.value) == str(parsed.value) == \
+            f"sentence 't1': {message}"
 
 
 class TestParsing:

@@ -196,6 +196,27 @@ class TestSpatialRecognition:
         assert recognize_spatial(g, TokenSpan(3, 6), lex) == []
         assert recognize_spatial(g, TokenSpan(3, 6), lex, loose=True) == []
 
+    def test_metric_without_de_leaves_the_toponym_absolute(self, lex):
+        # « à 10 km vers Pau »: no « de » after the unit
+        g = build([(1, "à", "à", "ADP", 3, "case"),
+                   (2, "10", "10", "NUM", 3, "nummod"),
+                   (3, "km", "km", "NOUN", 0, "root"),
+                   (4, "vers", "vers", "ADP", 5, "case"),
+                   (5, "Pau", "Pau", "PROPN", 3, "nmod")])
+        (ent,) = recognize_spatial(g, g.span(), lex)
+        assert ent.kind is SpatialRelationKind.ABSOLUTE
+        assert (ent.anchors, ent.span) == (("Pau",), TokenSpan(5, 5))
+
+    def test_metric_without_a_toponym_after_de(self, lex):
+        # « à 10 km de la ville »
+        g = build([(1, "à", "à", "ADP", 3, "case"),
+                   (2, "10", "10", "NUM", 3, "nummod"),
+                   (3, "km", "km", "NOUN", 0, "root"),
+                   (4, "de", "de", "ADP", 6, "case"),
+                   (5, "la", "le", "DET", 6, "det"),
+                   (6, "ville", "ville", "NOUN", 3, "nmod")])
+        assert recognize_spatial(g, g.span(), lex) == []
+
     def test_orientation_with_multiword_toponym(self, taxonomy, lex):
         g = taxonomy["tax-orientation"]
         (ent,) = recognize_spatial(g, g.span(), lex)
@@ -235,6 +256,21 @@ class TestSpatialRecognition:
         ents = recognize_spatial(g, g.span(), lex)
         # the figure fails (2 < 3 anchors); the bare toponyms remain
         assert [e.kind for e in ents] == [SpatialRelationKind.ABSOLUTE] * 2
+
+    def test_figure_anchors_stop_at_a_word_that_is_no_toponym(self, lex):
+        # « triangle Pau , Lyon et maison Laruns »: the anchors stop at
+        # « maison », so the triangle has two of its three
+        g = build([(1, "triangle", "triangle", "NOUN", 0, "root"),
+                   (2, "Pau", "Pau", "PROPN", 1, "nmod"),
+                   (3, ",", ",", "PUNCT", 4, "punct"),
+                   (4, "Lyon", "Lyon", "PROPN", 2, "conj"),
+                   (5, "et", "et", "CCONJ", 6, "cc"),
+                   (6, "maison", "maison", "NOUN", 2, "conj"),
+                   (7, "Laruns", "Laruns", "PROPN", 6, "nmod")])
+        ents = recognize_spatial(g, g.span(), lex)
+        assert [(e.kind, e.anchors) for e in ents] == [
+            (SpatialRelationKind.ABSOLUTE, (name,))
+            for name in ("Pau", "Lyon", "Laruns")]
 
     def test_adjacency_and_inclusion(self, taxonomy, lex):
         (adj,) = recognize_spatial(taxonomy["tax-adjacency"],

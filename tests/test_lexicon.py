@@ -279,6 +279,16 @@ class TestValidation:
             "gazetteer entry 'Pau' has the same words as 'PAU'; "
             "'PAU' is matched",)
 
+    def test_toponym_with_the_words_of_a_marker_notice(self):
+        dans = LexiconSet(motion_verbs={}, spatial_markers={
+            "dans": SpatialRelationKind.INCLUSION}, temporal_markers={},
+            gazetteer={"Dans": "village"}, units={})
+        report = validate_lexicons(dans)
+        assert report.valid
+        assert report.notices == (
+            "gazetteer entry 'Dans' collides with a common-noun marker or "
+            "unit",)
+
     def test_purity_of_polarity_lookup(self, lex):
         assert all(motion_polarity(lex, "quitter") is VerbPolarity.INITIAL
                    for _ in range(3))

@@ -103,6 +103,21 @@ class TestArguments:
         (_, obj) = extract_arguments(g, pivot_tokens(g))
         assert obj.flagged and obj.span == TokenSpan(2, 4)
 
+    def test_trailing_punctuation_is_trimmed(self):
+        # « Il va de Pau , vers Lyon » with the comma under Pau: the span
+        # ends before the comma, so it has no hole and is not flagged
+        g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
+                   (2, "va", "aller", "VERB", 0, "root"),
+                   (3, "de", "de", "ADP", 4, "case"),
+                   (4, "Pau", "Pau", "PROPN", 2, "obl"),
+                   (5, ",", ",", "PUNCT", 4, "punct"),
+                   (6, "vers", "vers", "ADP", 7, "case"),
+                   (7, "Lyon", "Lyon", "PROPN", 2, "obl")])
+        (_, pau, lyon) = extract_arguments(g, pivot_tokens(g))
+        assert (pau.role, pau.text, pau.span) == ("de", "Pau", TokenSpan(4, 4))
+        assert not pau.flagged
+        assert (lyon.role, lyon.span) == ("vers", TokenSpan(7, 7))
+
     def test_clausal_subject_is_an_argument(self):
         # "Que tu partes surprend Marie": the subject is a clause (a VERB)
         g = build([(1, "Que", "que", "SCONJ", 3, "mark"),

@@ -11,8 +11,9 @@ from itirel import (LexiconSet, SentenceGraph, StructureError,
                     recognize_spatial, recognize_temporal, save_lexicons,
                     load_lexicons, TokenSpan)
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
-from itirel.depgraph import Token, base_rel, dependents, subtree_ids
-from itirel.lexicon import (SpatialRelationKind, canon_word, decode_lines,
+from itirel.depgraph import (Token, base_rel, decode_lines, dependents,
+                             subtree_ids)
+from itirel.lexicon import (SpatialRelationKind, canon_word,
                             normalize, phrase_index)
 
 from conftest import _gold_file
@@ -357,6 +358,34 @@ def test_conllu_round_trip_with_any_text(graphs):
     binary = io.BytesIO(text.encode("utf-8"))
     assert itirel.parse_conllu(
         decode_lines(binary, itirel.ConlluParseError)) == graphs
+
+
+_LINE = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters="\n\r"),
+                max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(_LINE, min_size=1, max_size=6),
+       end=st.sampled_from(["\n", "\r\n", "\r"]),
+       bad=st.tuples(st.integers(min_value=0), st.integers(min_value=0)))
+def test_every_line_end_counts_alike(lines, end, bad):
+    """LF, CRLF and CR give the same lines and the same line number for an
+    invalid byte, read as binary lines or as one chunk."""
+    data = "".join(line + end for line in lines).encode("utf-8")
+    k = bad[0] % len(lines)
+    start = len("".join(line + end for line in lines[:k]).encode("utf-8"))
+    # the bad byte goes before a character of line k, or before its end
+    cut = [start + len(lines[k][:i].encode("utf-8"))
+           for i in range(len(lines[k]) + 1)]
+    at = cut[bad[1] % len(cut)]
+    broken = data[:at] + b"\xff" + data[at:]
+    for chunks in (io.BytesIO(data), [data]):
+        assert list(decode_lines(chunks, itirel.ConlluParseError)) == lines
+    for chunks in (io.BytesIO(broken), [broken]):
+        with pytest.raises(itirel.ConlluParseError) as err:
+            list(decode_lines(chunks, itirel.ConlluParseError))
+        assert str(err.value) == f"line {k + 1}: invalid UTF-8 byte 0xff"
 
 
 _GOLD_LINES = _gold_file("gold.conllu").split("\n")
