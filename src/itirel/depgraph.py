@@ -1,7 +1,7 @@
 """CoNLL-U ingestion and dependency-graph queries.
 
-A sentence is an immutable directed graph: tokens are nodes, the HEAD/DEPREL
-columns give one labeled edge per token.  Everything downstream (pivot
+A sentence is a directed graph: tokens are nodes, the HEAD/DEPREL columns
+give one labeled edge per token.  Everything downstream (pivot
 detection, argument search, entity recognition) works on these graphs.
 
 A graph is built only if its word ids run 1..n in order, so a token's id
@@ -16,8 +16,8 @@ queries never walk the tree.  Entity recognition adds normalized forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -70,16 +70,38 @@ class Token(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class TokenSpan:
+class Record:
+    """A record equals a record of its own type whose ``_fields`` are equal,
+    hashes by them and shows them.  The library does not assign to a
+    record's fields once it has built it."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class TokenSpan(Record):
     """Contiguous, inclusive range of token ids."""
 
-    first: int
-    last: int
+    __slots__ = _fields = ("first", "last")
 
-    def __post_init__(self):
-        if self.first > self.last or self.first < 1:
-            raise ValueError(f"invalid span {self.first}..{self.last}")
+    def __init__(self, first: int, last: int):
+        if first > last or first < 1:
+            raise ValueError(f"invalid span {first}..{last}")
+        self.first, self.last = first, last
 
     def __len__(self) -> int:
         return self.last - self.first + 1
@@ -91,22 +113,21 @@ class TokenSpan:
         return not (self.last < other.first or other.last < self.first)
 
 
-@dataclass(frozen=True)
-class SentenceGraph:
+class SentenceGraph(Record):
     """A sentence whose tokens have ids 1..n and whose head links form one
     tree, checked when it is built (:class:`StructureError` otherwise), and
     indexed then: ``root_id``; ``rels[i]``, the universal relation of token
     i (``rels[0]`` is ""); ``_kids[i]``, the children of id i in surface
     order; ``_order``, the ids below id 0 depth first, whose ``_size[i]`` ids
     from place ``_first[i]`` on are the subtree of token i; and ``words``,
-    None until entity recognition fills it."""
+    None until entity recognition fills it.  Equal by ``_fields`` only."""
 
-    sent_id: str
-    text: str
-    tokens: tuple[Token, ...]
+    _fields = ("sent_id", "text", "tokens")
+    __slots__ = _fields + ("root_id", "rels", "_kids", "_order", "_first",
+                           "_size", "words")
 
-    def __post_init__(self):
-        tokens, sid, n = self.tokens, self.sent_id, len(self.tokens)
+    def __init__(self, sent_id: str, text: str, tokens: tuple[Token, ...]):
+        sid, n = sent_id, len(tokens)
         for expected, t in enumerate(tokens, 1):
             if t.id != expected:
                 problem = ("is below 1" if t.id < 1
@@ -138,11 +159,12 @@ class SentenceGraph:
         for cur in reversed(order):
             size[cur] += 1
             size[tokens[cur - 1].head] += size[cur]
-        self.__dict__.update(  # frozen: the index is set past __setattr__
-            root_id=kids[0][0],
-            rels=("",) + tuple([base_rel(t.deprel) for t in tokens]),
-            _kids=tuple(map(tuple, kids)), _order=order, _first=first,
-            _size=size, words=None)
+        self.sent_id, self.text, self.tokens = sent_id, text, tokens
+        self.root_id = kids[0][0]
+        self.rels = ("",) + tuple([base_rel(t.deprel) for t in tokens])
+        self._kids = tuple(map(tuple, kids))
+        self._order, self._first, self._size = order, first, size
+        self.words = None
 
     def token(self, token_id: int) -> Token:
         if not 1 <= token_id <= len(self.tokens):
@@ -163,10 +185,15 @@ _ELIDED = ("'", "’")
 
 
 def span_text(g: SentenceGraph, span: TokenSpan) -> str:
-    """Surface text of a span: space-joined forms, minus spaces after
-    elisions (l', j') and before punctuation."""
+    """Surface text of a span; see :func:`_surface`."""
+    return _surface(g.span_tokens(span))
+
+
+def _surface(tokens: Sequence[Token]) -> str:
+    """Space-joined forms, minus spaces after elisions (l', j') and before
+    punctuation."""
     parts: list[str] = []
-    for tok in g.span_tokens(span):
+    for tok in tokens:
         if parts and tok.upos != "PUNCT" and not parts[-1].endswith(_ELIDED):
             parts.append(" ")
         parts.append(tok.form)
@@ -175,11 +202,8 @@ def span_text(g: SentenceGraph, span: TokenSpan) -> str:
 
 def _finish_sentence(sent_id: Optional[str], text: Optional[str],
                      tokens: list[Token], index: int) -> SentenceGraph:
-    g = SentenceGraph(sent_id if sent_id is not None else f"s{index}",
-                      text or "", tuple(tokens))
-    if not g.text:
-        object.__setattr__(g, "text", span_text(g, g.span()))
-    return g
+    return SentenceGraph(sent_id if sent_id is not None else f"s{index}",
+                         text or _surface(tokens), tuple(tokens))
 
 
 _RANGE_OR_EMPTY_NODE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")

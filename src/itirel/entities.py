@@ -13,10 +13,9 @@ separate absolute "Lyon").
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
-from .depgraph import SentenceGraph, Token, TokenSpan, span_text
+from .depgraph import Record, SentenceGraph, Token, TokenSpan, span_text
 from .lexicon import (LexiconSet, SpatialRelationKind, TemporalRelationKind,
                       canon_word, lemma_key, normalize)
 
@@ -37,39 +36,39 @@ _DIGITS = re.compile(r"\d+")
 _SEPARATOR_FORMS = {",", ";", "et", "ou"}
 
 
-@dataclass(frozen=True)
-class SpatialEntity:
-    span: TokenSpan
-    kind: SpatialRelationKind
-    anchors: tuple[str, ...]
-    magnitude: Optional[tuple[int, str]]  # (value, unit lemma), Metric only
-    direction: Optional[str]              # Orientation only
-    text: str
-    loose: bool = False                   # an anchor came from loose matching
+class SpatialEntity(Record):
+    """``magnitude`` is (value, unit lemma), of a Metric only; ``direction``
+    that of an Orientation only; ``loose`` says an anchor came from loose
+    matching."""
 
-    def __post_init__(self):
-        if not self.anchors:
+    __slots__ = _fields = ("span", "kind", "anchors", "magnitude",
+                           "direction", "text", "loose")
+
+    def __init__(self, span, kind, anchors, magnitude, direction, text,
+                 loose=False):
+        if not anchors:
             raise ValueError("spatial entity needs at least one anchor")
-        if self.kind is SpatialRelationKind.METRIC and self.magnitude is None:
+        if kind is SpatialRelationKind.METRIC and magnitude is None:
             raise ValueError("metric entity needs a magnitude")
-        if self.kind is SpatialRelationKind.ORIENTATION and not self.direction:
+        if kind is SpatialRelationKind.ORIENTATION and not direction:
             raise ValueError("orientation entity needs a direction")
-        if (self.kind is SpatialRelationKind.GEOMETRIC_FIGURE
-                and len(self.anchors) < 2):
+        if kind is SpatialRelationKind.GEOMETRIC_FIGURE and len(anchors) < 2:
             raise ValueError("geometric figure needs at least two anchors")
+        self.span, self.kind, self.anchors = span, kind, anchors
+        self.magnitude, self.direction = magnitude, direction
+        self.text, self.loose = text, loose
 
 
-@dataclass(frozen=True)
-class TemporalEntity:
-    span: TokenSpan
-    kind: TemporalRelationKind
-    magnitude: Optional[tuple[int, str]]  # (value, unit lemma), Distance only
-    anchor_text: str
-    text: str
+class TemporalEntity(Record):
+    """``magnitude`` is (value, unit lemma), of a Distance only."""
 
-    def __post_init__(self):
-        if self.kind is TemporalRelationKind.DISTANCE and self.magnitude is None:
+    __slots__ = _fields = ("span", "kind", "magnitude", "anchor_text", "text")
+
+    def __init__(self, span, kind, magnitude, anchor_text, text):
+        if kind is TemporalRelationKind.DISTANCE and magnitude is None:
             raise ValueError("temporal distance entity needs a magnitude")
+        self.span, self.kind, self.magnitude = span, kind, magnitude
+        self.anchor_text, self.text = anchor_text, text
 
 
 def _number(form: str, word: str) -> Optional[int]:
@@ -86,8 +85,7 @@ def _number(form: str, word: str) -> Optional[int]:
 def _words(g: SentenceGraph, within: TokenSpan) -> tuple[str, ...]:
     """A span's slice of the graph's ``words``, filled on the first call."""
     if g.words is None:
-        words = tuple([normalize(t.form) for t in g.tokens])
-        object.__setattr__(g, "words", words)
+        g.words = tuple([normalize(t.form) for t in g.tokens])
     return g.words[within.first - 1:within.last]
 
 

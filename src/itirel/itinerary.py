@@ -14,10 +14,9 @@ prepositional complement, no UC3, so no relation, itinerary or skip reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .depgraph import SentenceGraph, TokenSpan
+from .depgraph import Record, SentenceGraph, TokenSpan
 from .entities import (SpatialEntity, TemporalEntity, recognize_spatial,
                        recognize_temporal)
 from .lexicon import LexiconSet, VerbPolarity, motion_polarity, normalize
@@ -34,21 +33,21 @@ _POLARITY_DEFAULT = {
 }
 
 
-@dataclass(frozen=True)
-class ItineraryRelation:
-    verb_lemma: str
-    polarity: VerbPolarity
-    actor: Optional[Argument]
-    origin: tuple[SpatialEntity, ...]
-    intermediate: tuple[SpatialEntity, ...]
-    destination: tuple[SpatialEntity, ...]
-    temporal: tuple[TemporalEntity, ...]
-    source_nary: NaryRelation
+class ItineraryRelation(Record):
+    __slots__ = _fields = ("verb_lemma", "polarity", "actor", "origin",
+                           "intermediate", "destination", "temporal",
+                           "source_nary")
 
-    def __post_init__(self):
-        if not (self.origin or self.intermediate or self.destination):
+    def __init__(self, verb_lemma, polarity, actor, origin, intermediate,
+                 destination, temporal, source_nary):
+        if not (origin or intermediate or destination):
             raise ValueError("itinerary relation needs at least one "
                              "spatial entity")
+        self.verb_lemma, self.polarity = verb_lemma, polarity
+        self.actor = actor
+        self.origin, self.intermediate = origin, intermediate
+        self.destination, self.temporal = destination, temporal
+        self.source_nary = source_nary
 
 
 def assign_roles(polarity: VerbPolarity,

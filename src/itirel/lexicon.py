@@ -15,13 +15,12 @@ from __future__ import annotations
 import hashlib
 import re
 import unicodedata
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .depgraph import decode_lines
+from .depgraph import Record, decode_lines
 
 
 class VerbPolarity(str, Enum):
@@ -138,17 +137,21 @@ _TEMPORAL_KINDS = {k.value: k for k in TemporalRelationKind
 _UNIT_CLASSES = {"spatial", "temporal"}
 
 
-@dataclass(frozen=True)
-class LexiconSet:
-    """Immutable bundle of the five lexicons, keys already normalized."""
+class LexiconSet(Record):
+    """The five lexicons, keys already normalized: ``gazetteer`` maps each
+    display toponym to its feature type ('' if none), ``units`` each unit
+    lemma to 'spatial' or 'temporal'.  ``fingerprint``, the digest of the
+    file bytes the set was parsed from ('' if built directly), takes no part
+    in equality.  A ``__dict__`` holds the indexes built on first use."""
 
-    motion_verbs: Mapping[str, VerbPolarity]
-    spatial_markers: Mapping[str, SpatialRelationKind]
-    temporal_markers: Mapping[str, TemporalRelationKind]
-    gazetteer: Mapping[str, str]  # display toponym -> feature type ('' if none)
-    units: Mapping[str, str]      # unit lemma -> 'spatial' | 'temporal'
-    # digest of the file bytes this set was parsed from ('' if built directly)
-    fingerprint: str = field(default="", compare=False)
+    _fields = ("motion_verbs", "spatial_markers", "temporal_markers",
+               "gazetteer", "units")
+
+    def __init__(self, motion_verbs, spatial_markers, temporal_markers,
+                 gazetteer, units, fingerprint=""):
+        self.motion_verbs, self.spatial_markers = motion_verbs, spatial_markers
+        self.temporal_markers, self.gazetteer = temporal_markers, gazetteer
+        self.units, self.fingerprint = units, fingerprint
 
     @cached_property
     def spatial_marker_index(self) -> PhraseIndex:
@@ -268,8 +271,7 @@ def load_lexicons(directory) -> LexiconSet:
     lex = LexiconSet(motion_verbs=motion, spatial_markers=spatial,
                      temporal_markers=temporal, gazetteer=gazetteer,
                      units=units, fingerprint=files_digest(files))
-    # frozen: the cached property is filled past __setattr__
-    lex.__dict__["gazetteer_index"] = gazetteer_index
+    lex.gazetteer_index = gazetteer_index  # in place of the cached property
     return lex
 
 
@@ -333,11 +335,11 @@ def save_lexicons(lex: LexiconSet, directory) -> None:
     dump("units.tsv", lex.units.items())
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple[str, ...]
-    notices: tuple[str, ...]
-    counts: Mapping[str, int]
+class ValidationReport(Record):
+    __slots__ = _fields = ("errors", "notices", "counts")
+
+    def __init__(self, errors, notices, counts):
+        self.errors, self.notices, self.counts = errors, notices, counts
 
     @property
     def valid(self) -> bool:
@@ -431,5 +433,4 @@ def motion_polarity(lex: LexiconSet, lemma: str) -> Optional[VerbPolarity]:
 
 def bundled_lexicon_dir() -> Path:
     """Directory of the seed lexicons shipped with the package."""
-    from importlib.resources import files
-    return Path(str(files("itirel") / "data" / "lexicons"))
+    return Path(__file__).parent / "data" / "lexicons"

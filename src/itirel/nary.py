@@ -22,13 +22,12 @@ relativized object to the end: bare argument, items, one detail per clause.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .depgraph import (NoMainVerb, SentenceGraph, TokenSpan, dependents,
-                       root_verb, span_text, subtree_ids)
+from .depgraph import (NoMainVerb, Record, SentenceGraph, TokenSpan,
+                       dependents, root_verb, span_text, subtree_ids)
 from .lexicon import lemma_key, normalize
 
 
@@ -55,26 +54,32 @@ REASON_MARKERS = frozenset({
 LIST_MARKERS = frozenset({"comme"})
 
 
-@dataclass(frozen=True)
-class Argument:
-    span: TokenSpan
-    text: str
-    role: str
-    pivot: int
-    order: Optional[int] = None       # ordinal for UC4 list items
-    case_marker: Optional[int] = None  # id of the excluded preposition
-    flagged: bool = False             # non-projective yield, covering span used
+class Argument(Record):
+    """``order`` numbers the items of a UC4 list; ``case_marker`` is the id
+    of the preposition left out of the span; ``flagged`` says the yield is
+    not projective, so the span covering it is used."""
+
+    __slots__ = _fields = ("span", "text", "role", "pivot", "order",
+                           "case_marker", "flagged")
+
+    def __init__(self, span, text, role, pivot, order=None, case_marker=None,
+                 flagged=False):
+        self.span, self.text, self.role, self.pivot = span, text, role, pivot
+        self.order, self.case_marker = order, case_marker
+        self.flagged = flagged
 
 
-@dataclass(frozen=True, eq=False)
-class NaryRelation:
-    use_case: UseCaseKind
-    predicate_lemma: str
-    predicate_token: int
-    arguments: tuple[Argument, ...]
+class NaryRelation(Record):
+    """Equal to a relation of the same use case and predicate lemma with
+    the same multiset of arguments; it has a ``__dict__`` for that key."""
 
-    # A relation is characterized by the multiset of its arguments; it is
-    # frozen, so the key is computed once, on first comparison.
+    _fields = ("use_case", "predicate_lemma", "predicate_token", "arguments")
+
+    def __init__(self, use_case, predicate_lemma, predicate_token, arguments):
+        self.use_case, self.predicate_lemma = use_case, predicate_lemma
+        self.predicate_token, self.arguments = predicate_token, arguments
+
+    # computed once, on first comparison
     @cached_property
     def _key(self):
         return (self.use_case, self.predicate_lemma,
@@ -107,12 +112,12 @@ def _enumeration_child(g: SentenceGraph, nominal: int) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class _PivotStruct:
-    verb: int
-    subject: Optional[int]
-    objects: tuple[int, ...]
-    obliques: tuple[tuple[Optional[int], int], ...]  # (case id, nominal id)
+class _PivotStruct(Record):
+    __slots__ = _fields = ("verb", "subject", "objects", "obliques")
+
+    def __init__(self, verb, subject, objects, obliques):
+        self.verb, self.subject, self.objects = verb, subject, objects
+        self.obliques = obliques  # (case id, nominal id) pairs
 
     def token_ids(self) -> list[int]:
         ids = {self.verb, self.subject, *self.objects,

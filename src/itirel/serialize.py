@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from . import __version__
-from .depgraph import NoMainVerb, SentenceGraph, TokenSpan, root_verb
+from .depgraph import NoMainVerb, Record, SentenceGraph, TokenSpan, root_verb
 from .entities import SpatialEntity, TemporalEntity
 from .itinerary import ItineraryRelation, detect_displacement
 from .lexicon import (FILE_NAMES, LexiconSet, SpatialRelationKind,
@@ -26,20 +25,23 @@ from .lexicon import (FILE_NAMES, LexiconSet, SpatialRelationKind,
 from .nary import Argument, NaryRelation, UseCaseKind, extract_nary
 
 
-@dataclass(frozen=True)
-class SentenceResult:
-    sent_id: str
-    text: str
-    nary_relations: tuple[NaryRelation, ...]
-    itinerary_relations: tuple[ItineraryRelation, ...]
-    skips: tuple[str, ...]
+class SentenceResult(Record):
+    __slots__ = _fields = ("sent_id", "text", "nary_relations",
+                           "itinerary_relations", "skips")
+
+    def __init__(self, sent_id, text, nary_relations, itinerary_relations,
+                 skips):
+        self.sent_id, self.text, self.skips = sent_id, text, skips
+        self.nary_relations = nary_relations
+        self.itinerary_relations = itinerary_relations
 
 
-@dataclass(frozen=True)
-class ExtractionDocument:
-    tool_version: str
-    lexicon_fingerprint: str
-    sentences: tuple[SentenceResult, ...]
+class ExtractionDocument(Record):
+    __slots__ = _fields = ("tool_version", "lexicon_fingerprint", "sentences")
+
+    def __init__(self, tool_version, lexicon_fingerprint, sentences):
+        self.tool_version, self.sentences = tool_version, sentences
+        self.lexicon_fingerprint = lexicon_fingerprint
 
 
 def lexicon_fingerprint(directory) -> str:

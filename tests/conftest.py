@@ -1,3 +1,4 @@
+import inspect
 from importlib import resources
 
 import pytest
@@ -20,6 +21,16 @@ def build(rows, sent_id="t1", text=None):
         lines.append(
             f"{tid}\t{form}\t{lemma}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_")
     return itirel.parse_conllu("\n".join(lines) + "\n")[0]
+
+
+def rebuilt(record, **changes):
+    """A new record of the same type with some fields changed: its class
+    called with each constructor argument read back from the record."""
+    fields = {name: getattr(record, name)
+              for name in inspect.signature(type(record)).parameters}
+    unknown = changes.keys() - fields.keys()
+    assert not unknown, f"no such field: {sorted(unknown)}"
+    return type(record)(**{**fields, **changes})
 
 
 def figurative_sentence():

@@ -724,6 +724,25 @@ class TestEntrypoint:
         assert proc.returncode == EXIT_OK
         assert proc.stdout == expected
 
+    def test_a_run_imports_neither_dataclasses_nor_inspect(self, gold_file,
+                                                             tmp_path):
+        # importing them slowed every start; under ``python -S`` no site
+        # hook imports them first
+        script = f"""
+import sys
+from itirel.cli import main
+codes = (main(["extract", {str(gold_file)!r}, "--format", "both",
+               "--base-iri", "https://example.org/iti",
+               "--out-dir", {str(tmp_path / "out")!r}]),
+         main(["lexicon", "validate"]))
+print(*codes, *sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
+"""
+        module = self._module([])
+        proc = subprocess.run([sys.executable, "-S", "-c", script],
+                              env=module["env"], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().splitlines()[-1] == "0 0"
+
     @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
     def test_stdout_is_utf8_whatever_its_encoding(self, encoding):
         proc = self._run_module(

@@ -1,6 +1,5 @@
 import unicodedata
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -10,7 +9,7 @@ from itirel import (SentenceGraph, SpatialEntity, SpatialRelationKind,
 from itirel import entities, lexicon
 from itirel.lexicon import normalize
 
-from conftest import build
+from conftest import build, rebuilt
 
 
 class TestClassifiers:
@@ -229,7 +228,7 @@ class TestSpatialRecognition:
         # a lexicon may list a one-word orientation marker; recognition of
         # it ended in an IndexError when the direction was read from the
         # word before the marker's last
-        one_word = replace(lex, spatial_markers={
+        one_word = rebuilt(lex, spatial_markers={
             **lex.spatial_markers, "nord": SpatialRelationKind.ORIENTATION})
         g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
                    (2, "va", "aller", "VERB", 0, "root"),

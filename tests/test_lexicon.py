@@ -1,5 +1,6 @@
 import shutil
 import unicodedata
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,12 @@ class TestLoading:
         assert motion_polarity(lex, "sorti") is None  # lemma lookup only
         assert lex.gazetteer["Pau"] == "city"
         assert lex.units["semaine"] == "temporal"
+
+    def test_the_bundled_directory_is_the_package_data(self):
+        from importlib.resources import files
+        where = bundled_lexicon_dir()
+        assert where == Path(str(files("itirel") / "data" / "lexicons"))
+        assert all((where / name).is_file() for name in FILE_NAMES)
 
     def test_motion_verb_lemma_is_compared_in_nfc(self):
         lex = LexiconSet(motion_verbs={"arrêter": VerbPolarity.FINAL},

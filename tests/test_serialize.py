@@ -1,7 +1,6 @@
 import gc
 import json
 import shutil
-from dataclasses import replace
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -14,7 +13,7 @@ from itirel import (Argument, ItineraryRelation, JsonWriter, NaryRelation,
                     iter_conllu, lexicon_fingerprint, load_lexicons, to_json,
                     to_turtle)
 
-from conftest import build
+from conftest import build, rebuilt
 from oracles import document_json
 
 from turtle_check import parse_turtle
@@ -84,7 +83,7 @@ class TestJson:
 
     @pytest.mark.parametrize("count", [8, 1, 0])
     def test_writer_gives_the_bytes_of_one_json_dumps(self, doc, count):
-        text = to_json(replace(doc, sentences=doc.sentences[:count]))
+        text = to_json(rebuilt(doc, sentences=doc.sentences[:count]))
         assert text == json.dumps(json.loads(text), ensure_ascii=False,
                                   indent=2) + "\n"
 
@@ -175,7 +174,7 @@ def sentence_results(draw):
         max_size=3))
     if narys and draw(st.booleans()):
         first = narys[0]
-        narys.append(replace(first, arguments=first.arguments[::-1],
+        narys.append(rebuilt(first, arguments=first.arguments[::-1],
                              predicate_token=first.predicate_token + 1))
         event("two equal relations")
     itineraries = []
@@ -282,7 +281,7 @@ class TestTurtle:
 
     @pytest.mark.parametrize("count", [8, 1, 0])
     def test_writer_gives_the_bytes_of_one_json_dumps(self, doc, count):
-        text = to_json(replace(doc, sentences=doc.sentences[:count]))
+        text = to_json(rebuilt(doc, sentences=doc.sentences[:count]))
         assert text == json.dumps(json.loads(text), ensure_ascii=False,
                                   indent=2) + "\n"
 
@@ -315,10 +314,10 @@ class TestTurtle:
 
     def test_only_iriref_forbidden_characters_are_encoded(self, doc):
         sentence = next(s for s in doc.sentences if s.itinerary_relations)
-        itin = replace(sentence.itinerary_relations[0],
+        itin = rebuilt(sentence.itinerary_relations[0],
                        verb_lemma='a b\t<c>"d{e}|f^g`h\\i\x01é\'%j')
-        one = replace(doc, sentences=(
-            replace(sentence, itinerary_relations=(itin,)),))
+        one = rebuilt(doc, sentences=(
+            rebuilt(sentence, itinerary_relations=(itin,)),))
         text = to_turtle(one, BASE)
         triples = parse_turtle(text)
         assert [t.object for t in triples if t.predicate == RDF_TYPE] == [
@@ -328,10 +327,10 @@ class TestTurtle:
     def _verb_iris(doc, lemmas):
         """The verb IRIs, as parsed back, of one relation per lemma."""
         sentence = next(s for s in doc.sentences if s.itinerary_relations)
-        itins = tuple(replace(sentence.itinerary_relations[0], verb_lemma=v)
+        itins = tuple(rebuilt(sentence.itinerary_relations[0], verb_lemma=v)
                       for v in lemmas)
-        one = replace(doc, sentences=(
-            replace(sentence, itinerary_relations=itins),))
+        one = rebuilt(doc, sentences=(
+            rebuilt(sentence, itinerary_relations=itins),))
         return [t.object for t in parse_turtle(to_turtle(one, BASE))
                 if t.predicate == RDF_TYPE]
 
