@@ -6,15 +6,14 @@ __version__ = "0.1.0"
 
 from .depgraph import (ConlluParseError, NoMainVerb, SentenceGraph,
                        StructureError, Token, TokenSpan, dependents,
-                       iter_conllu, parse_conllu, root_verb, span_text,
-                       to_conllu)
+                       iter_conllu, parse_conllu, root_verb, span_text)
 from .entities import (SpatialEntity, TemporalEntity, recognize_spatial,
                        recognize_temporal)
 from .itinerary import ItineraryRelation, assign_roles, detect_displacement
 from .lexicon import (LexiconError, LexiconSet, SpatialRelationKind,
                       TemporalRelationKind, ValidationReport, VerbPolarity,
                       bundled_lexicon_dir, load_lexicons, motion_polarity,
-                      save_lexicons, validate_lexicons)
+                      validate_lexicons)
 from .nary import (Argument, NaryRelation, UseCaseKind, extract_arguments,
                    extract_nary, identify_use_cases, pivot_tokens)
 from .serialize import (ExtractionDocument, JsonWriter, SentenceResult,

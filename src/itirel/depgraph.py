@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -128,27 +128,32 @@ class SentenceGraph(Record):
 
     def __init__(self, sent_id: str, text: str, tokens: tuple[Token, ...]):
         sid, n = sent_id, len(tokens)
-        for expected, t in enumerate(tokens, 1):
-            if t.id != expected:
-                problem = ("is below 1" if t.id < 1
-                           else "is duplicated" if t.id < expected
+        heads, rels = [], [""]
+        for expected, (tid, _, _, _, head, deprel, _) in enumerate(tokens, 1):
+            if tid != expected:
+                problem = ("is below 1" if tid < 1
+                           else "is duplicated" if tid < expected
                            else f"where {expected} was expected")
-                raise StructureError(f"token id {t.id} {problem}", sid)
+                raise StructureError(f"token id {tid} {problem}", sid)
+            heads.append(head)
+            rels.append(deprel.partition(":")[0])
         kids: list[list[int]] = [[] for _ in range(n + 1)]
-        for t in tokens:  # ids ascend, so each list is in surface order
-            if t.head == t.id:
-                raise StructureError(f"token {t.id} is its own head", sid)
-            if not 0 <= t.head <= n:
+        # ids ascend, so each list is in surface order
+        for tid, head in enumerate(heads, 1):
+            if head == tid:
+                raise StructureError(f"token {tid} is its own head", sid)
+            if not 0 <= head <= n:
                 raise StructureError(
-                    f"token {t.id} has dangling head {t.head}", sid)
-            kids[t.head].append(t.id)
+                    f"token {tid} has dangling head {head}", sid)
+            kids[head].append(tid)
         if len(kids[0]) != 1:
             raise StructureError(
                 f"expected exactly one root, found {len(kids[0])}", sid)
         order, stack = [], list(kids[0])
         while stack:
-            order.append(stack.pop())
-            stack.extend(kids[order[-1]])
+            cur = stack.pop()
+            order.append(cur)
+            stack.extend(kids[cur])
         # every token has one head, so tokens on a cycle are not below the root
         if len(order) != n:
             raise StructureError("cyclic head links", sid)
@@ -158,10 +163,10 @@ class SentenceGraph(Record):
         # backwards, each size is whole when its head is reached
         for cur in reversed(order):
             size[cur] += 1
-            size[tokens[cur - 1].head] += size[cur]
+            size[heads[cur - 1]] += size[cur]
         self.sent_id, self.text, self.tokens = sent_id, text, tokens
         self.root_id = kids[0][0]
-        self.rels = ("",) + tuple([base_rel(t.deprel) for t in tokens])
+        self.rels = tuple(rels)
         self._kids = tuple(map(tuple, kids))
         self._order, self._first, self._size = order, first, size
         self.words = None
@@ -209,18 +214,6 @@ def _finish_sentence(sent_id: Optional[str], text: Optional[str],
 _RANGE_OR_EMPTY_NODE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")
 
 
-def split_lines(text: str) -> Iterator[str]:
-    """The lines of a string, split at LF only (as ``io.StringIO`` reads
-    them), without holding a second copy of the text."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        if end < 0:
-            end = len(text)
-        yield text[start:end]
-        start = end + 1
-
-
 def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
     """Text lines, without their ends, of strict UTF-8 chunks that each end
     at an LF or at the end of the input (a binary file's lines, or a whole
@@ -244,7 +237,13 @@ def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
             yield text[:-1]
             continue
         line_no += text.count("\n")
-        yield from split_lines(text)
+        start = 0  # a line at a time: no list of a whole file's lines
+        while start < len(text):
+            end = text.find("\n", start)
+            if end < 0:
+                end = len(text)
+            yield text[start:end]
+            start = end + 1
 
 
 # the ids and heads of sentences under 256 words, found without a parse
@@ -254,20 +253,20 @@ _SMALL_INTS = {str(n): n for n in range(256)}
 def _ascii_int(col: str) -> Optional[int]:
     """The integer of ASCII digits, maybe after a minus sign, or None: int()
     alone also reads "+1", " 1", "١" and "1_0", and fails on a string of
-    over 4,300 digits."""
-    n = _SMALL_INTS.get(col)
-    if n is None and col.isascii() and col.removeprefix("-").isdigit():
+    over 4,300 digits.  The parser looks in ``_SMALL_INTS`` first."""
+    if col.isascii() and col.removeprefix("-").isdigit():
         try:
-            n = int(col)
+            return int(col)
         except ValueError:
             pass
-    return n
+    return None
 
 
 def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
-    """Sentence graphs of CoNLL-U text (a string, whose lines end at LF
-    only, or an iterable of lines), one at a time, each checked when its
-    sentence ends.
+    """Sentence graphs of CoNLL-U text (a string, or an iterable of lines),
+    one at a time, each checked when its sentence ends.  A string's lines
+    end at LF, CRLF and CR alike, as :func:`decode_lines` ends the lines of
+    bytes, so a line number counts them the same way.
 
     Only an empty line ends a sentence; a line of whitespace only is an
     error.  Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
@@ -275,14 +274,19 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
     ``sent_id`` or ``text`` are read; any other (``# text_en = ...``,
     ``# newdoc id = ...``) is ignored.
     """
-    lines = split_lines(source) if isinstance(source, str) else source
+    if isinstance(source, str):
+        if "\r" in source:
+            source = source.replace("\r\n", "\n").replace("\r", "\n")
+        lines = source.split("\n")
+        lines.append("")  # an empty line after the last ends its sentence
+    else:
+        lines = chain(map(methodcaller("rstrip", "\n"), source), [""])
+    small_int, new_tuple = _SMALL_INTS.get, tuple.__new__
     count = 0
     sent_id: Optional[str] = None
     text: Optional[str] = None
     tokens: list[Token] = []
-    # the empty line after the last one ends the last sentence
-    for line_no, raw in enumerate(chain(lines, [""]), 1):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(lines, 1):
         if not line:
             if tokens:
                 count += 1
@@ -306,34 +310,28 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
             raise ConlluParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", line_no)
         tid = cols[0]
-        token_id = _ascii_int(tid)
+        token_id = small_int(tid)
         if token_id is None:
-            if _RANGE_OR_EMPTY_NODE.fullmatch(tid):
-                continue
-            raise ConlluParseError(f"non-integer token id {tid!r}", line_no)
-        head = _ascii_int(cols[6])
+            token_id = _ascii_int(tid)
+            if token_id is None:
+                if _RANGE_OR_EMPTY_NODE.fullmatch(tid):
+                    continue
+                raise ConlluParseError(f"non-integer token id {tid!r}",
+                                       line_no)
+        head = small_int(cols[6])
         if head is None:
-            raise ConlluParseError(f"non-integer head {cols[6]!r}", line_no)
-        tokens.append(Token(token_id, cols[1], cols[2], cols[3], head,
-                            cols[7], (cols[4], cols[5], cols[8], cols[9])))
+            head = _ascii_int(cols[6])
+            if head is None:
+                raise ConlluParseError(f"non-integer head {cols[6]!r}",
+                                       line_no)
+        tokens.append(new_tuple(Token, (
+            token_id, cols[1], cols[2], cols[3], head, cols[7],
+            (cols[4], cols[5], cols[8], cols[9]))))
 
 
 def parse_conllu(source: Union[str, Iterable[str]]) -> list[SentenceGraph]:
     """All sentence graphs of CoNLL-U text; see :func:`iter_conllu`."""
     return list(iter_conllu(source))
-
-
-def to_conllu(sentences: Sequence[SentenceGraph]) -> str:
-    """Serialize graphs back to CoNLL-U (opaque columns preserved)."""
-    blocks = []
-    for g in sentences:
-        lines = [f"# sent_id = {g.sent_id}", f"# text = {g.text}"]
-        for t in g.tokens:
-            xpos, feats, deps, misc = t.extras
-            lines.append("\t".join([str(t.id), t.form, t.lemma, t.upos, xpos,
-                                    feats, str(t.head), t.deprel, deps, misc]))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
 def root_verb(g: SentenceGraph) -> int:

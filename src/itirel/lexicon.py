@@ -319,22 +319,6 @@ def _load_gazetteer(data: bytes, problems: list[str]
     return gazetteer, index
 
 
-def save_lexicons(lex: LexiconSet, directory) -> None:
-    """Write a LexiconSet back to the five TSV files (sorted, no comments)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    def dump(name: str, pairs):
-        lines = [f"{k}\t{v}" for k, v in sorted(pairs)]
-        (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    dump("motion_verbs.tsv", ((k, v.value) for k, v in lex.motion_verbs.items()))
-    dump("spatial_markers.tsv", ((k, v.value) for k, v in lex.spatial_markers.items()))
-    dump("temporal_markers.tsv", ((k, v.value) for k, v in lex.temporal_markers.items()))
-    dump("gazetteer.tsv", lex.gazetteer.items())
-    dump("units.tsv", lex.units.items())
-
-
 class ValidationReport(Record):
     __slots__ = _fields = ("errors", "notices", "counts")
 

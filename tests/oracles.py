@@ -4,7 +4,9 @@ These deliberately avoid the library's graph utilities: descendants are
 computed by fixpoint iteration over the raw head column, and argument spans
 are re-derived from first principles so the two implementations can only
 agree by computing the same thing.  The JSON reference builds plain dicts
-of the records and encodes them with the json module.
+of the records and encodes them with the json module.  The CoNLL-U
+reference parses LF text line by line and checks each tree token by token;
+``to_conllu`` and ``save_lexicons`` write graphs and lexicons back out.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
+from pathlib import Path
 from typing import Optional, Sequence
 
+from itirel.depgraph import ConlluParseError, StructureError, Token
 from itirel.lexicon import normalize
 
 CORE_RELS = frozenset({"nsubj", "csubj", "obj", "iobj", "obl"})
@@ -161,3 +165,126 @@ def document_json(tool_version: str, fingerprint: str, sentences) -> str:
                        "lexicon_fingerprint": fingerprint,
                        "sentences": [sentence_dict(s) for s in sentences]},
                       ensure_ascii=False, indent=2) + "\n"
+
+
+# Reference for depgraph.parse_conllu on LF text: the parser as it read one
+# line, one token and one tree check at a time.
+
+def _reference_ids_and_tree(sent_id: str, tokens: Sequence) -> None:
+    """Raise the StructureError a graph of these tokens is refused with."""
+    n = len(tokens)
+    for expected, t in enumerate(tokens, 1):
+        if t.id != expected:
+            problem = ("is below 1" if t.id < 1
+                       else "is duplicated" if t.id < expected
+                       else f"where {expected} was expected")
+            raise StructureError(f"token id {t.id} {problem}", sent_id)
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    for t in tokens:
+        if t.head == t.id:
+            raise StructureError(f"token {t.id} is its own head", sent_id)
+        if not 0 <= t.head <= n:
+            raise StructureError(f"token {t.id} has dangling head {t.head}",
+                                 sent_id)
+        kids[t.head].append(t.id)
+    if len(kids[0]) != 1:
+        raise StructureError(
+            f"expected exactly one root, found {len(kids[0])}", sent_id)
+    if len(closure(tokens, kids[0][0])) != n:
+        raise StructureError("cyclic head links", sent_id)
+
+
+def _reference_surface(tokens: Sequence) -> str:
+    parts: list[str] = []
+    for tok in tokens:
+        if parts and tok.upos != "PUNCT" and not parts[-1].endswith(
+                ("'", "’")):
+            parts.append(" ")
+        parts.append(tok.form)
+    return "".join(parts)
+
+
+def _reference_int(col: str) -> Optional[int]:
+    if col.isascii() and col.removeprefix("-").isdigit():
+        try:
+            return int(col)
+        except ValueError:  # more digits than int() reads
+            pass
+    return None
+
+
+def reference_parse(text: str) -> list[tuple[str, str, tuple]]:
+    """(sent_id, text, tokens) of each sentence of LF text, or the
+    ConlluParseError or StructureError the first bad line or tree raises."""
+    out = []
+    sent_id = sent_text = None
+    tokens: list = []
+    lines = text.split("\n")
+    for line_no, line in enumerate(lines + [""], 1):
+        if not line:
+            if tokens:
+                sid = sent_id if sent_id is not None else f"s{len(out) + 1}"
+                _reference_ids_and_tree(sid, tokens)
+                out.append((sid, sent_text or _reference_surface(tokens),
+                            tuple(tokens)))
+            sent_id = sent_text = None
+            tokens = []
+        elif line.isspace():
+            raise ConlluParseError(
+                "line of whitespace only (only an empty line ends a "
+                "sentence)", line_no)
+        elif line.startswith("#"):
+            key, _, val = line[1:].partition("=")
+            if key.strip() == "sent_id":
+                sent_id = val.strip()
+            elif key.strip() == "text":
+                sent_text = val.strip()
+        else:
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise ConlluParseError(
+                    f"expected 10 tab-separated columns, got {len(cols)}",
+                    line_no)
+            token_id = _reference_int(cols[0])
+            if token_id is None:
+                if re.fullmatch(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+", cols[0]):
+                    continue
+                raise ConlluParseError(f"non-integer token id {cols[0]!r}",
+                                       line_no)
+            head = _reference_int(cols[6])
+            if head is None:
+                raise ConlluParseError(f"non-integer head {cols[6]!r}",
+                                       line_no)
+            tokens.append(Token(id=token_id, form=cols[1], lemma=cols[2],
+                                upos=cols[3], head=head, deprel=cols[7],
+                                extras=(cols[4], cols[5], cols[8], cols[9])))
+    return out
+
+
+def to_conllu(sentences: Sequence) -> str:
+    """Serialize graphs back to CoNLL-U (opaque columns preserved)."""
+    blocks = []
+    for g in sentences:
+        lines = [f"# sent_id = {g.sent_id}", f"# text = {g.text}"]
+        for t in g.tokens:
+            xpos, feats, deps, misc = t.extras
+            lines.append("\t".join([str(t.id), t.form, t.lemma, t.upos, xpos,
+                                    feats, str(t.head), t.deprel, deps, misc]))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + ("\n" if blocks else "")
+
+
+def save_lexicons(lex, directory) -> None:
+    """Write a LexiconSet back to the five TSV files (sorted, no comments)."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+
+    def dump(name: str, pairs):
+        lines = [f"{k}\t{v}" for k, v in sorted(pairs)]
+        (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    dump("motion_verbs.tsv", ((k, v.value) for k, v in lex.motion_verbs.items()))
+    dump("spatial_markers.tsv", ((k, v.value) for k, v in lex.spatial_markers.items()))
+    dump("temporal_markers.tsv", ((k, v.value) for k, v in lex.temporal_markers.items()))
+    dump("gazetteer.tsv", lex.gazetteer.items())
+    dump("units.tsv", lex.units.items())

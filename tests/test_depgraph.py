@@ -1,11 +1,14 @@
+import io
+
 import pytest
 
 from itirel import (ConlluParseError, NoMainVerb, SentenceGraph,
                     StructureError, TokenSpan, dependents, iter_conllu,
-                    parse_conllu, root_verb, span_text, to_conllu)
-from itirel.depgraph import Token, base_rel, subtree_ids
+                    parse_conllu, root_verb, span_text)
+from itirel.depgraph import Token, base_rel, decode_lines, subtree_ids
 
 from conftest import build
+from oracles import to_conllu
 
 
 class TestTokenSpan:
@@ -205,8 +208,7 @@ class TestParsing:
         graphs = iter_conllu(f"{row}\n\n# sent_id = b\n{row}\n{row}")
         assert [g.sent_id for g in graphs] == ["s1", "b", "s3"]
 
-    @pytest.mark.parametrize("blank", ["\t", " ", "\x0c", "\u2028", "\x85",
-                                       "\r"])
+    @pytest.mark.parametrize("blank", ["\t", " ", "\x0c", "\u2028", "\x85"])
     def test_whitespace_only_line_is_an_error(self, blank):
         text = ("# sent_id = a\n# text = Il part.\n"
                 f"{blank}\n"
@@ -214,6 +216,37 @@ class TestParsing:
                 "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_\n")
         with pytest.raises(ConlluParseError, match="^line 3: .*whitespace"):
             parse_conllu(text)
+
+    def test_a_cr_before_an_lf_is_one_line_end(self):
+        """Not a line of whitespace: "\\r\\n" ends line 2, and the empty
+        line 3 ends a sentence of no tokens, so its comments are dropped."""
+        text = ("# sent_id = a\n# text = Il part.\n"
+                "\r\n"
+                "1\tIl\til\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+                "2\tpart\tpartir\tVERB\t_\t_\t0\troot\t_\t_\n")
+        (g,) = parse_conllu(text)
+        assert (g.sent_id, g.text) == ("s1", "Il part")
+        assert [g] == parse_conllu(text.replace("\r\n", "\n"))
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends_give_the_same_graphs(self, gold_text, end):
+        assert parse_conllu(gold_text.replace("\n", end)) == \
+            parse_conllu(gold_text)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_an_error_has_the_byte_reader_s_line_number(self, gold_text, end):
+        """The LF text's error and line, from the copy as a string and as
+        bytes read by decode_lines."""
+        text = gold_text + "\n# sent_id = bad\n1\tPau\tPau\n"
+        copy = text.replace("\n", end)
+        errors = []
+        for lines in (text, copy, decode_lines(io.BytesIO(copy.encode()),
+                                               ConlluParseError)):
+            with pytest.raises(ConlluParseError) as err:
+                parse_conllu(lines)
+            errors.append((err.value.line_no, str(err.value)))
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0][1].startswith("line 117: expected 10 ")
 
     def test_conllu_round_trip(self, gold_text, gold):
         graphs = list(gold.values())

@@ -7,10 +7,11 @@ import pytest
 from itirel import (LexiconError, LexiconSet, SpatialRelationKind,
                     TemporalRelationKind, VerbPolarity, bundled_lexicon_dir,
                     lexicon_fingerprint, load_lexicons, motion_polarity,
-                    recognize_spatial, save_lexicons, validate_lexicons)
+                    recognize_spatial, validate_lexicons)
 from itirel.lexicon import FILE_NAMES, canon_word, normalize, phrase_index
 
 from conftest import build
+from oracles import save_lexicons
 
 
 def _words(*forms):

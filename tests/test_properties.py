@@ -8,8 +8,8 @@ from hypothesis import event, given, settings, strategies as st
 
 import itirel
 from itirel import (LexiconSet, SentenceGraph, StructureError,
-                    recognize_spatial, recognize_temporal, save_lexicons,
-                    load_lexicons, TokenSpan)
+                    recognize_spatial, recognize_temporal, load_lexicons,
+                    TokenSpan)
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 from itirel.depgraph import (Token, base_rel, decode_lines, dependents,
                              subtree_ids)
@@ -17,7 +17,8 @@ from itirel.lexicon import (SpatialRelationKind, canon_word,
                             normalize, phrase_index)
 
 from conftest import _gold_file
-from oracles import closure, longest_match, normalize_two_regex
+from oracles import (closure, longest_match, normalize_two_regex,
+                     reference_parse, save_lexicons, to_conllu)
 from turtle_check import parse_turtle
 
 _UPOS = ("NOUN", "VERB", "ADP", "DET", "PROPN", "PUNCT", "ADV")
@@ -302,11 +303,15 @@ def _is_tree(rows) -> bool:
             and len(roots) == 1 and len(closure(tokens, roots[0])) == n)
 
 
+def _rows_text(rows) -> str:
+    return "".join(f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{h}\t{deprel}\t_\t_\n"
+                   for i, form, lemma, upos, h, deprel in rows)
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows=conllu_sentences())
 def test_fuzzed_ids_and_heads_parse_or_fail_cleanly(rows, lex):
-    text = "".join(f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{h}\t{deprel}\t_\t_\n"
-                   for i, form, lemma, upos, h, deprel in rows)
+    text = _rows_text(rows)
     if not _is_tree(rows):
         with pytest.raises(StructureError):
             itirel.parse_conllu(text)
@@ -352,7 +357,7 @@ def unicode_trees(draw):
 @settings(max_examples=100, deadline=None)
 @given(graphs=st.lists(unicode_trees(), max_size=3))
 def test_conllu_round_trip_with_any_text(graphs):
-    text = itirel.to_conllu(graphs)
+    text = to_conllu(graphs)
     assert itirel.parse_conllu(text) == graphs
     # the CLI's way in: binary lines, decoded one at a time
     binary = io.BytesIO(text.encode("utf-8"))
@@ -395,8 +400,8 @@ _GOLD_FILE = itirel.bundled_lexicon_dir().parent / "gold" / "gold.conllu"
 @st.composite
 def mutated_gold(draw):
     """The gold corpus with up to three of its lines deleted, repeated,
-    swapped, emptied, cut short, or made whitespace only, and maybe an
-    invalid UTF-8 byte."""
+    swapped, emptied, cut short, or made whitespace only, up to three line
+    ends made CR or CRLF, and maybe an invalid UTF-8 byte."""
     lines = list(_GOLD_LINES)
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
@@ -415,7 +420,12 @@ def mutated_gold(draw):
         elif edit == "blank":
             lines[k] = draw(st.sampled_from(["\t", " ", "\x0c", "\u2028",
                                              "\x85"]))
-    data = "\n".join(lines).encode("utf-8")
+    ends = ["\n"] * (len(lines) - 1) + [""]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        ends[k] = draw(st.sampled_from(["\r", "\r\n"]))
+    data = "".join(line + end for line, end in zip(lines, ends)).encode(
+        "utf-8")
     if draw(st.integers(min_value=0, max_value=3)) == 0:
         at = draw(st.integers(min_value=0, max_value=len(data)))
         data = data[:at] + b"\xff" + data[at:]
@@ -433,11 +443,6 @@ def test_mutated_input_gives_output_or_one_line(tmp_path_factory, data):
     assert code in (EXIT_OK, EXIT_CONLLU)
     event(f"exit {code}")
     if code == EXIT_OK:
-        lex = itirel.load_lexicons(itirel.bundled_lexicon_dir())
-        expected = itirel.build_document(
-            itirel.iter_conllu(data.decode("utf-8")), lex,
-            fingerprint=lex.fingerprint)
-        assert out.getvalue() == itirel.to_json(expected)
         assert out.getvalue() == json.dumps(json.loads(out.getvalue()),
                                             ensure_ascii=False, indent=2) + "\n"
         assert err.getvalue() == ""
@@ -445,6 +450,46 @@ def test_mutated_input_gives_output_or_one_line(tmp_path_factory, data):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("itirel: conllu: ")
         assert err.getvalue().count("\n") == 1
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:  # its error, or one on an earlier line
+        assert code == EXIT_CONLLU
+        return
+    # the string path reads the text as the CLI's byte path does
+    if code == EXIT_OK:
+        lex = itirel.load_lexicons(itirel.bundled_lexicon_dir())
+        expected = itirel.build_document(
+            itirel.iter_conllu(text), lex, fingerprint=lex.fingerprint)
+        assert out.getvalue() == itirel.to_json(expected)
+    else:
+        with pytest.raises((itirel.ConlluParseError, StructureError)) as got:
+            itirel.parse_conllu(text)
+        assert err.getvalue() == f"itirel: conllu: {got.value}\n"
+
+
+def _lf_text(data: bytes) -> str:
+    """Mutated gold bytes as LF text, an invalid byte read as U+FFFD."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode(
+        "utf-8", "replace")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=conllu_sentences().map(_rows_text) | mutated_gold().map(_lf_text))
+def test_parser_agrees_with_the_reference_parser(text):
+    """The same graphs as the line-by-line reference, or the same first
+    error: its type, message and line."""
+    try:
+        expected = reference_parse(text)
+    except (itirel.ConlluParseError, StructureError) as err:
+        with pytest.raises(ValueError) as got:
+            itirel.parse_conllu(text)
+        assert type(got.value) is type(err)
+        assert str(got.value) == str(err)
+        event(type(err).__name__)
+        return
+    assert [(g.sent_id, g.text, g.tokens)
+            for g in itirel.parse_conllu(text)] == expected
+    event("parsed")
 
 
 # Values each lexicon file accepts in its second column, plus one it does not.
