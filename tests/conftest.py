@@ -1,9 +1,13 @@
 import inspect
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import itirel
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _gold_file(name: str) -> str:
@@ -68,6 +72,15 @@ def gold(gold_text):
 @pytest.fixture(scope="session")
 def taxonomy(taxonomy_text):
     return {g.sent_id: g for g in itirel.parse_conllu(taxonomy_text)}
+
+
+@pytest.fixture(scope="session")
+def figurative():
+    """The tests-only corpus: motion verbs with no place, one itinerary per
+    spatial and temporal kind, and one whose places only loose matching
+    finds."""
+    text = (DATA / "figurative.conllu").read_text(encoding="utf-8")
+    return {g.sent_id: g for g in itirel.parse_conllu(text)}
 
 
 @pytest.fixture(scope="session")

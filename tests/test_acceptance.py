@@ -8,7 +8,8 @@ import json
 
 from itirel import (NoMainVerb, SpatialRelationKind, TemporalRelationKind,
                     UseCaseKind, VerbPolarity, build_document,
-                    extract_arguments, extract_sentence, from_json,
+                    detect_displacement, extract_arguments, extract_nary,
+                    extract_sentence, from_json,
                     identify_use_cases, iter_conllu, motion_polarity,
                     pivot_tokens, recognize_spatial, recognize_temporal,
                     to_json, to_turtle)
@@ -160,3 +161,23 @@ def test_acceptance_9_gold_corpus_count(gold, lex):
     count = sum(len(s.itinerary_relations)
                 for s in build_document(gold.values(), lex).sentences)
     _check(9, f"gold-corpus itinerary count = {count}", count == 2)
+
+
+def test_acceptance_10_figurative_corpus_reaches_the_filter(figurative, lex):
+    """Motion-verb relations of a bundled corpus reach the polysemy filter
+    and are rejected there: their sentences give no itinerary.  The places
+    of fig-loose are missing from the gazetteer, so only loose matching
+    lets its relation through."""
+    ok = figurative["fig-quitter"].tokens == figurative_sentence().tokens
+    for loose, expected in ((False, {"fig-quitter", "fig-suivre",
+                                     "fig-loose"}),
+                            (True, {"fig-quitter", "fig-suivre"})):
+        rejected = {sid for sid, g in figurative.items()
+                    for r in extract_nary(g)
+                    if motion_polarity(lex, r.predicate_lemma) is not None
+                    and detect_displacement(r, g, lex, loose) is None}
+        doc = build_document(figurative.values(), lex, loose)
+        no_itinerary = {s.sent_id for s in doc.sentences
+                        if not s.itinerary_relations}
+        ok = ok and rejected == no_itinerary == expected
+    _check(10, "figurative motion verbs rejected by the filter", ok)

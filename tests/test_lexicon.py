@@ -297,6 +297,27 @@ class TestValidation:
             "gazetteer entry 'Dans' collides with a common-noun marker or "
             "unit",)
 
+    @pytest.mark.parametrize("maps, error", [
+        ({"motion_verbs": {"": VerbPolarity.INITIAL}},
+         "motion_verbs: empty lemma"),
+        ({"motion_verbs": {"partir": "initial"}},
+         "motion_verbs: bad polarity for 'partir'"),
+        ({"spatial_markers": {"": SpatialRelationKind.ADJACENCY}},
+         "markers: empty phrase"),
+        ({"temporal_markers": {"": TemporalRelationKind.DISTANCE}},
+         "markers: empty phrase"),
+    ], ids=["empty-lemma", "str-polarity", "empty-spatial-marker",
+            "empty-temporal-marker"])
+    def test_hand_built_entry_errors(self, maps, error):
+        # a loaded set cannot hold these: the loader refuses each line
+        lex = LexiconSet(**{"motion_verbs": {}, "spatial_markers": {},
+                            "temporal_markers": {}, "gazetteer": {"Pau": ""},
+                            "units": {}, **maps})
+        report = validate_lexicons(lex)
+        assert report.errors == (error,)
+        assert f"error: {error}" in report.render().splitlines()
+        assert report.render().endswith("\nresult: INVALID")
+
     def test_purity_of_polarity_lookup(self, lex):
         assert all(motion_polarity(lex, "quitter") is VerbPolarity.INITIAL
                    for _ in range(3))
