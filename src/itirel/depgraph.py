@@ -45,11 +45,6 @@ class NoMainVerb(Exception):
         self.sent_id = sent_id
 
 
-def base_rel(deprel: str) -> str:
-    """Universal part of a dependency label ('obl:mod' -> 'obl')."""
-    return deprel.split(":", 1)[0]
-
-
 class Token(NamedTuple):
     id: int
     form: str
@@ -57,8 +52,6 @@ class Token(NamedTuple):
     upos: str
     head: int
     deprel: str
-    # XPOS, FEATS, DEPS, MISC: not interpreted, preserved for round-trips.
-    extras: tuple = ("_", "_", "_", "_")
 
     # a tuple for speed of construction, but a token equals only a token
     def __eq__(self, other):
@@ -129,7 +122,7 @@ class SentenceGraph(Record):
     def __init__(self, sent_id: str, text: str, tokens: tuple[Token, ...]):
         sid, n = sent_id, len(tokens)
         heads, rels = [], [""]
-        for expected, (tid, _, _, _, head, deprel, _) in enumerate(tokens, 1):
+        for expected, (tid, _, _, _, head, deprel) in enumerate(tokens, 1):
             if tid != expected:
                 problem = ("is below 1" if tid < 1
                            else "is duplicated" if tid < expected
@@ -266,7 +259,9 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
     """Sentence graphs of CoNLL-U text (a string, or an iterable of lines),
     one at a time, each checked when its sentence ends.  A string's lines
     end at LF, CRLF and CR alike, as :func:`decode_lines` ends the lines of
-    bytes, so a line number counts them the same way.
+    bytes, so a line number counts them the same way; each line of an
+    iterable loses its trailing CRs and LFs.  A token keeps six of the ten
+    columns: ID, FORM, LEMMA, UPOS, HEAD and DEPREL.
 
     Only an empty line ends a sentence; a line of whitespace only is an
     error.  Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
@@ -280,7 +275,7 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
         lines = source.split("\n")
         lines.append("")  # an empty line after the last ends its sentence
     else:
-        lines = chain(map(methodcaller("rstrip", "\n"), source), [""])
+        lines = chain(map(methodcaller("rstrip", "\r\n"), source), [""])
     small_int, new_tuple = _SMALL_INTS.get, tuple.__new__
     count = 0
     sent_id: Optional[str] = None
@@ -325,8 +320,7 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
                 raise ConlluParseError(f"non-integer head {cols[6]!r}",
                                        line_no)
         tokens.append(new_tuple(Token, (
-            token_id, cols[1], cols[2], cols[3], head, cols[7],
-            (cols[4], cols[5], cols[8], cols[9]))))
+            token_id, cols[1], cols[2], cols[3], head, cols[7])))
 
 
 def parse_conllu(source: Union[str, Iterable[str]]) -> list[SentenceGraph]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .depgraph import Record, SentenceGraph, Token, TokenSpan, span_text
+from .depgraph import Record, SentenceGraph, Token, TokenSpan, _surface
 from .lexicon import (LexiconSet, SpatialRelationKind, TemporalRelationKind,
                       canon_word, lemma_key, normalize)
 
@@ -110,16 +110,24 @@ def _temporal_evidence(tok: Token, word: str, lex: LexiconSet) -> bool:
             or _unit_class(tok, lex) == "temporal")
 
 
-def _make_spatial(g, toks, start, end, kind, anchors, magnitude, direction,
+def _make_spatial(toks, start, end, kind, anchors, magnitude, direction,
                   loose):
-    span = TokenSpan(toks[start].id, toks[end].id)
-    return SpatialEntity(span=span, kind=kind, anchors=tuple(anchors),
+    """The entity of ``toks[start..end]``: ``toks`` is a run of a graph's
+    tokens, so the text of a slice is that of its span."""
+    return SpatialEntity(span=TokenSpan(toks[start].id, toks[end].id),
+                         kind=kind, anchors=tuple(anchors),
                          magnitude=magnitude, direction=direction,
-                         text=span_text(g, span), loose=loose)
+                         text=_surface(toks[start:end + 1]), loose=loose)
 
 
-def _figure_entity(g, toks, words, start, anchors_from, figure_noun, lex,
-                   loose):
+def _make_temporal(toks, start, anchor, end, kind, magnitude):
+    """The entity of ``toks[start..end]``, anchored on ``toks[anchor..end]``."""
+    return TemporalEntity(TokenSpan(toks[start].id, toks[end].id), kind,
+                          magnitude, _surface(toks[anchor:end + 1]),
+                          _surface(toks[start:end + 1]))
+
+
+def _figure_entity(toks, words, start, anchors_from, figure_noun, lex, loose):
     """Coordinated gazetteer anchors after a figure noun."""
     anchors: list[str] = []
     loose_any = False
@@ -141,13 +149,13 @@ def _figure_entity(g, toks, words, start, anchors_from, figure_noun, lex,
     minimum = 3 if figure_noun == "triangle" else 2
     if len(anchors) < minimum:
         return None
-    ent = _make_spatial(g, toks, start, last_end,
+    ent = _make_spatial(toks, start, last_end,
                         SpatialRelationKind.GEOMETRIC_FIGURE, anchors,
                         None, None, loose_any)
     return ent, last_end + 1
 
 
-def _spatial_from_marker(g, toks, words, i, match, lex, loose):
+def _spatial_from_marker(toks, words, i, match, lex, loose):
     n, marker, phrase, kind = match
     j = i + n
     if kind is SpatialRelationKind.METRIC:
@@ -164,12 +172,12 @@ def _spatial_from_marker(g, toks, words, i, match, lex, loose):
             return None
         hn, display, lo = hit
         end = j + 3 + hn - 1
-        ent = _make_spatial(g, toks, i, end, kind, [display],
+        ent = _make_spatial(toks, i, end, kind, [display],
                             (value, lemma_key(toks[j + 1].lemma)), None, lo)
         return ent, end + 1
 
     if kind is SpatialRelationKind.GEOMETRIC_FIGURE:
-        return _figure_entity(g, toks, words, i, j, phrase, lex, loose)
+        return _figure_entity(toks, words, i, j, phrase, lex, loose)
 
     # relational kinds: skip determiners between marker and complement
     k = j
@@ -178,7 +186,7 @@ def _spatial_from_marker(g, toks, words, i, match, lex, loose):
     if k >= len(toks):
         return None
     if words[k] in lex.figure_nouns:
-        return _figure_entity(g, toks, words, i, k + 1, words[k], lex, loose)
+        return _figure_entity(toks, words, i, k + 1, words[k], lex, loose)
     hit = _match_toponym(toks, words, k, lex, loose)
     if hit is None:
         return None
@@ -188,7 +196,7 @@ def _spatial_from_marker(g, toks, words, i, match, lex, loose):
     # one-word orientation marker is its own direction
     direction = (marker[-2:][0] if kind is SpatialRelationKind.ORIENTATION
                  else None)
-    ent = _make_spatial(g, toks, i, end, kind, [display], None, direction, lo)
+    ent = _make_spatial(toks, i, end, kind, [display], None, direction, lo)
     return ent, end + 1
 
 
@@ -202,7 +210,7 @@ def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
     while i < len(toks):
         match = lex.spatial_marker_index.match(words, i)
         if match is not None:
-            made = _spatial_from_marker(g, toks, words, i, match, lex, loose)
+            made = _spatial_from_marker(toks, words, i, match, lex, loose)
             if made is not None:
                 ent, nxt = made
                 out.append(ent)
@@ -211,7 +219,7 @@ def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
         hit = _match_toponym(toks, words, i, lex, loose)
         if hit is not None:
             n, display, lo = hit
-            out.append(_make_spatial(g, toks, i, i + n - 1,
+            out.append(_make_spatial(toks, i, i + n - 1,
                                      SpatialRelationKind.ABSOLUTE,
                                      [display], None, None, lo))
             i += n
@@ -233,7 +241,7 @@ def _reference_window(toks, words, j, lex):
     return evidence
 
 
-def _temporal_from_marker(g, toks, words, i, match, lex):
+def _temporal_from_marker(toks, words, i, match, lex):
     n, marker, phrase, kind = match
     j = i + n
     if kind is TemporalRelationKind.DISTANCE:
@@ -242,10 +250,8 @@ def _temporal_from_marker(g, toks, words, i, match, lex):
             value = _number(toks[j].form, words[j])
             if value is not None and _unit_class(toks[j + 1], lex) == "temporal":
                 unit = lemma_key(toks[j + 1].lemma)
-                span = TokenSpan(toks[i].id, toks[j + 1].id)
-                anchor = span_text(g, TokenSpan(toks[j].id, toks[j + 1].id))
-                return TemporalEntity(span, kind, (value, unit), anchor,
-                                      span_text(g, span)), j + 2
+                return _make_temporal(toks, i, j, j + 1, kind,
+                                      (value, unit)), j + 2
         # magnitude before the marker: "20 ans après le début du siècle"
         if i >= 2:
             value = _number(toks[i - 2].form, words[i - 2])
@@ -253,26 +259,19 @@ def _temporal_from_marker(g, toks, words, i, match, lex):
                 evidence = _reference_window(toks, words, j, lex)
                 if evidence is not None:
                     unit = lemma_key(toks[i - 1].lemma)
-                    span = TokenSpan(toks[i - 2].id, toks[evidence].id)
-                    anchor = span_text(
-                        g, TokenSpan(toks[j].id, toks[evidence].id))
-                    return TemporalEntity(span, kind, (value, unit), anchor,
-                                          span_text(g, span)), evidence + 1
+                    return _make_temporal(toks, i - 2, j, evidence, kind,
+                                          (value, unit)), evidence + 1
         return None
 
     evidence = _reference_window(toks, words, j, lex)
     if evidence is None:
         return None
-    span = TokenSpan(toks[i].id, toks[evidence].id)
-    anchor = span_text(g, TokenSpan(toks[j].id, toks[evidence].id))
-    return TemporalEntity(span, kind, None, anchor,
-                          span_text(g, span)), evidence + 1
+    return _make_temporal(toks, i, j, evidence, kind, None), evidence + 1
 
 
-def _bare_date(g, toks, words, i):
+def _bare_date(toks, words, i):
     """Unmarked calendar reference: [day] <month> [year]."""
     month = None
-    start = i
     if words[i] in MONTHS:
         month = i
     elif (_DIGITS.fullmatch(toks[i].form)
@@ -284,10 +283,8 @@ def _bare_date(g, toks, words, i):
     end = month
     if end + 1 < len(toks) and re.fullmatch(r"\d{4}", toks[end + 1].form):
         end += 1
-    span = TokenSpan(toks[start].id, toks[end].id)
-    text = span_text(g, span)
-    return TemporalEntity(span, TemporalRelationKind.ABSOLUTE, None,
-                          text, text), end + 1
+    return _make_temporal(toks, i, i, end, TemporalRelationKind.ABSOLUTE,
+                          None), end + 1
 
 
 def recognize_temporal(g: SentenceGraph, within: TokenSpan,
@@ -300,13 +297,13 @@ def recognize_temporal(g: SentenceGraph, within: TokenSpan,
     while i < len(toks):
         match = lex.temporal_marker_index.match(words, i)
         if match is not None:
-            made = _temporal_from_marker(g, toks, words, i, match, lex)
+            made = _temporal_from_marker(toks, words, i, match, lex)
             if made is not None:
                 ent, nxt = made
                 out.append(ent)
                 i = nxt
                 continue
-        made = _bare_date(g, toks, words, i)
+        made = _bare_date(toks, words, i)
         if made is not None:
             ent, nxt = made
             out.append(ent)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .depgraph import (NoMainVerb, Record, SentenceGraph, TokenSpan,
@@ -70,28 +69,12 @@ class Argument(Record):
 
 
 class NaryRelation(Record):
-    """Equal to a relation of the same use case and predicate lemma with
-    the same multiset of arguments; it has a ``__dict__`` for that key."""
-
-    _fields = ("use_case", "predicate_lemma", "predicate_token", "arguments")
+    __slots__ = _fields = ("use_case", "predicate_lemma", "predicate_token",
+                           "arguments")
 
     def __init__(self, use_case, predicate_lemma, predicate_token, arguments):
         self.use_case, self.predicate_lemma = use_case, predicate_lemma
         self.predicate_token, self.arguments = predicate_token, arguments
-
-    # computed once, on first comparison
-    @cached_property
-    def _key(self):
-        return (self.use_case, self.predicate_lemma,
-                frozenset(Counter(self.arguments).items()))
-
-    def __eq__(self, other):
-        if not isinstance(other, NaryRelation):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
 
 
 def _mark_phrase(g: SentenceGraph, marks: Sequence[int]) -> str:
@@ -246,7 +229,8 @@ def identify_use_cases(g: SentenceGraph) -> list[UseCaseKind]:
 def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
     """All n-ary relations of a sentence, one per (clause verb, use-case):
     the main verb and each coordinated verb, which inherits the main
-    subject when it has none."""
+    subject when it has none.  Of relations with the same use case,
+    predicate lemma and multiset of arguments, only the first is kept."""
     try:
         main = _pivot_struct(g, root_verb(g))
     except NoMainVerb:
@@ -279,9 +263,13 @@ def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
             relations.append(NaryRelation(use_case=uc, predicate_lemma=lemma,
                                           predicate_token=struct.verb,
                                           arguments=tuple(args)))
-    # relations are equal iff (use case, predicate, argument multiset)
-    deduped: list[NaryRelation] = []
+    if len(relations) < 2:
+        return relations
+    seen, kept = set(), []
     for r in relations:
-        if r not in deduped:
-            deduped.append(r)
-    return deduped
+        key = (r.use_case, r.predicate_lemma,
+               frozenset(Counter(r.arguments).items()))
+        if key not in seen:
+            seen.add(key)
+            kept.append(r)
+    return kept

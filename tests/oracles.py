@@ -256,20 +256,19 @@ def reference_parse(text: str) -> list[tuple[str, str, tuple]]:
                 raise ConlluParseError(f"non-integer head {cols[6]!r}",
                                        line_no)
             tokens.append(Token(id=token_id, form=cols[1], lemma=cols[2],
-                                upos=cols[3], head=head, deprel=cols[7],
-                                extras=(cols[4], cols[5], cols[8], cols[9])))
+                                upos=cols[3], head=head, deprel=cols[7]))
     return out
 
 
 def to_conllu(sentences: Sequence) -> str:
-    """Serialize graphs back to CoNLL-U (opaque columns preserved)."""
+    """Serialize graphs back to CoNLL-U, with ``_`` in the four columns a
+    token does not keep (XPOS, FEATS, DEPS, MISC)."""
     blocks = []
     for g in sentences:
         lines = [f"# sent_id = {g.sent_id}", f"# text = {g.text}"]
         for t in g.tokens:
-            xpos, feats, deps, misc = t.extras
-            lines.append("\t".join([str(t.id), t.form, t.lemma, t.upos, xpos,
-                                    feats, str(t.head), t.deprel, deps, misc]))
+            lines.append("\t".join([str(t.id), t.form, t.lemma, t.upos, "_",
+                                    "_", str(t.head), t.deprel, "_", "_"]))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 

@@ -5,7 +5,7 @@ import pytest
 from itirel import (ConlluParseError, NoMainVerb, SentenceGraph,
                     StructureError, TokenSpan, dependents, iter_conllu,
                     parse_conllu, root_verb, span_text)
-from itirel.depgraph import Token, base_rel, decode_lines, subtree_ids
+from itirel.depgraph import Token, decode_lines, subtree_ids
 
 from conftest import build
 from oracles import to_conllu
@@ -30,7 +30,7 @@ class TestTokenSpan:
 
 
 class TestToken:
-    FIELDS = (3, "Pau", "Pau", "PROPN", 2, "obl", ("_", "_", "_", "_"))
+    FIELDS = (3, "Pau", "Pau", "PROPN", 2, "obl")
 
     def test_fields_cannot_be_assigned(self):
         t = Token(*self.FIELDS)
@@ -43,17 +43,16 @@ class TestToken:
         assert t != tuple(self.FIELDS) and tuple(self.FIELDS) != t
         assert not t == tuple(self.FIELDS)
         assert t == Token(*self.FIELDS)
-        assert t != Token(*self.FIELDS[:-1], ("_", "_", "_", "SpaceAfter=No"))
+        assert t != Token(*self.FIELDS[:-1], "obl:mod")
 
     def test_equal_tokens_hash_equal(self):
         assert hash(Token(*self.FIELDS)) == hash(Token(*self.FIELDS))
         assert len({Token(*self.FIELDS), Token(*self.FIELDS)}) == 1
 
-    def test_keyword_construction_with_default_extras(self):
+    def test_keyword_construction(self):
         t = Token(id=3, form="Pau", lemma="Pau", upos="PROPN", head=2,
                   deprel="obl")
         assert t == Token(*self.FIELDS)
-        assert t.extras == ("_", "_", "_", "_")
 
 
 class TestSentenceGraph:
@@ -99,12 +98,13 @@ class TestParsing:
         assert len(g1.tokens) == 20
         assert g1.text.startswith("Le frère de mon ami a quitté Pau,")
 
-    def test_token_columns(self, gold):
+    def test_token_columns(self, gold, gold_text):
         t = gold["gold-01"].token(7)
         assert (t.form, t.lemma, t.upos, t.head, t.deprel) == \
             ("quitté", "quitter", "VERB", 0, "root")
-        # opaque columns preserved
-        assert gold["gold-01"].token(8).extras[3] == "SpaceAfter=No"
+        # XPOS, FEATS, DEPS and MISC are not kept
+        assert parse_conllu(gold_text.replace("SpaceAfter=No", "_")) == \
+            list(gold.values())
 
     def test_multiword_ranges_and_empty_nodes_skipped(self):
         text = ("1-2\tdu\t_\t_\t_\t_\t_\t_\t_\t_\n"
@@ -198,10 +198,28 @@ class TestParsing:
         with pytest.raises(ConlluParseError):
             parse_conllu(text)
 
-    def test_line_iterable_gives_the_same_graphs(self, gold_text):
+    def test_line_iterable_gives_the_same_graphs(self, gold_text,
+                                                 taxonomy_text):
+        """An iterable of lines ends them at LF, CRLF and CR, as a string
+        does, so a file opened with ``newline=""`` gives the same graphs or
+        the same error."""
         assert parse_conllu(iter(gold_text.splitlines(keepends=True))) == \
             parse_conllu(gold_text)
         assert parse_conllu(gold_text.split("\n")) == parse_conllu(gold_text)
+        # the first token line, line 3, loses its last column
+        bad = gold_text.replace("\t_\t_\n", "\t_\n", 1)
+        for end in ("\n", "\r\n", "\r"):
+            for text in (gold_text, taxonomy_text):
+                copy = text.replace("\n", end)
+                assert parse_conllu(io.StringIO(copy, newline="")) == \
+                    parse_conllu(copy)
+            copy = bad.replace("\n", end)
+            for source in (copy, io.StringIO(copy, newline="")):
+                with pytest.raises(ConlluParseError, match=(
+                        "^line 3: expected 10 tab-separated columns, "
+                        "got 9$")) as err:
+                    parse_conllu(source)
+                assert err.value.line_no == 3
 
     def test_default_ids_count_sentences(self):
         row = "1\tPau\tPau\tPROPN\t_\t_\t0\troot\t_\t_\n"
@@ -321,7 +339,3 @@ class TestDependents:
         assert dependents(g, 7, {"nsubj"}) == [2]
         assert dependents(g, 19, {"case"}) == [17]
         assert dependents(g, 8) == []
-
-    def test_base_rel(self):
-        assert base_rel("obl:mod") == "obl"
-        assert base_rel("nsubj") == "nsubj"

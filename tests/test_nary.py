@@ -387,13 +387,29 @@ class TestRelations:
 
 
 class TestRelationEquality:
-    def test_equality_is_argument_multiset(self, gold):
-        (rel,) = extract_nary(gold["gold-01"])
-        reordered = NaryRelation(use_case=rel.use_case,
-                                 predicate_lemma=rel.predicate_lemma,
-                                 predicate_token=rel.predicate_token,
-                                 arguments=tuple(reversed(rel.arguments)))
-        assert rel == reordered and hash(rel) == hash(reordered)
+    def test_a_duplicate_relation_is_dropped(self):
+        """« Il part pour , et part pour . »: each partir clause matches UC1
+        through a reason clause of punctuation only, which gives no
+        argument, so both give UC1 partir with the subject alone: the same
+        use case, predicate lemma and argument multiset.  Only the first is
+        kept."""
+        rows = [(1, "Il", "il", "PRON", 2, "nsubj"),
+                (2, "part", "partir", "VERB", 0, "root"),
+                (3, "pour", "pour", "ADP", 4, "mark"),
+                (4, ",", ",", "PUNCT", 2, "advcl"),
+                (5, "et", "et", "CCONJ", 6, "cc"),
+                (6, "part", "partir", "VERB", 2, "conj"),
+                (7, "pour", "pour", "ADP", 8, "mark"),
+                (8, ".", ".", "PUNCT", 6, "advcl")]
+        (rel,) = extract_nary(build(rows))
+        assert rel.use_case is UseCaseKind.UC1_ADDITIONAL_INFO
+        assert (rel.predicate_lemma, rel.predicate_token) == ("partir", 2)
+        assert [a.text for a in rel.arguments] == ["Il"]
+        # with another lemma, the second clause's relation is kept
+        rows[5] = (6, "vient", "venir", "VERB", 2, "conj")
+        assert [(r.predicate_lemma, r.predicate_token, r.arguments)
+                for r in extract_nary(build(rows))] == [
+            ("partir", 2, rel.arguments), ("venir", 6, rel.arguments)]
 
     def test_inequality_on_predicate_and_args(self, gold):
         (rel,) = extract_nary(gold["gold-01"])

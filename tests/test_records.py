@@ -27,13 +27,13 @@ def _records():
                                   (place,), (time,), nary)
     result = SentenceResult("s1", "Il va près de Pau depuis deux semaines",
                             (nary,), (itinerary,), ())
-    return [TokenSpan(2, 4), actor, place, time, itinerary, result]
+    return [TokenSpan(2, 4), actor, place, time, nary, itinerary, result]
 
 
 # a field of each record in _records and another value for it
 _CHANGES = [("last", 5), ("pivot", 2), ("text", "près Pau"),
-            ("anchor_text", "2 semaines"), ("verb_lemma", "venir"),
-            ("skips", ("no main verb",))]
+            ("anchor_text", "2 semaines"), ("predicate_token", 3),
+            ("verb_lemma", "venir"), ("skips", ("no main verb",))]
 
 
 class TestEquality:
