@@ -8,13 +8,14 @@ A graph is built only if its word ids run 1..n in order, so a token's id
 is its position plus one: ``token(i)`` is ``tokens[i - 1]`` and
 the tokens of a span are a slice.
 
-Each graph is indexed once, when it is built: its children, universal
-relations and a depth-first order in which every subtree is one run, so
-queries never walk the tree.  Entity recognition adds normalized forms.
+Each graph is indexed once, when it is built: its children and universal
+relations.  A subtree is walked from the children when it is asked for.
+Entity recognition adds normalized forms.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 from itertools import chain
 from operator import attrgetter, methodcaller
@@ -111,13 +112,11 @@ class SentenceGraph(Record):
     tree, checked when it is built (:class:`StructureError` otherwise), and
     indexed then: ``root_id``; ``rels[i]``, the universal relation of token
     i (``rels[0]`` is ""); ``_kids[i]``, the children of id i in surface
-    order; ``_order``, the ids below id 0 depth first, whose ``_size[i]`` ids
-    from place ``_first[i]`` on are the subtree of token i; and ``words``,
-    None until entity recognition fills it.  Equal by ``_fields`` only."""
+    order; and ``words``, None until entity recognition fills it.  Equal by
+    ``_fields`` only."""
 
     _fields = ("sent_id", "text", "tokens")
-    __slots__ = _fields + ("root_id", "rels", "_kids", "_order", "_first",
-                           "_size", "words")
+    __slots__ = _fields + ("root_id", "rels", "_kids", "words")
 
     def __init__(self, sent_id: str, text: str, tokens: tuple[Token, ...]):
         sid, n = sent_id, len(tokens)
@@ -142,26 +141,17 @@ class SentenceGraph(Record):
         if len(kids[0]) != 1:
             raise StructureError(
                 f"expected exactly one root, found {len(kids[0])}", sid)
-        order, stack = [], list(kids[0])
+        reached, stack = 0, list(kids[0])
         while stack:
-            cur = stack.pop()
-            order.append(cur)
-            stack.extend(kids[cur])
+            reached += 1
+            stack += kids[stack.pop()]
         # every token has one head, so tokens on a cycle are not below the root
-        if len(order) != n:
+        if reached != n:
             raise StructureError("cyclic head links", sid)
-        first, size = [0] * len(kids), [0] * len(kids)
-        for pos, cur in enumerate(order):
-            first[cur] = pos
-        # backwards, each size is whole when its head is reached
-        for cur in reversed(order):
-            size[cur] += 1
-            size[heads[cur - 1]] += size[cur]
         self.sent_id, self.text, self.tokens = sent_id, text, tokens
         self.root_id = kids[0][0]
         self.rels = tuple(rels)
         self._kids = tuple(map(tuple, kids))
-        self._order, self._first, self._size = order, first, size
         self.words = None
 
     def token(self, token_id: int) -> Token:
@@ -198,23 +188,20 @@ def _surface(tokens: Sequence[Token]) -> str:
     return "".join(parts)
 
 
-def _finish_sentence(sent_id: Optional[str], text: Optional[str],
-                     tokens: list[Token], index: int) -> SentenceGraph:
-    return SentenceGraph(sent_id if sent_id is not None else f"s{index}",
-                         text or _surface(tokens), tuple(tokens))
-
-
 _RANGE_OR_EMPTY_NODE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")
 
 
 def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
     """Text lines, without their ends, of strict UTF-8 chunks that each end
     at an LF or at the end of the input (a binary file's lines, or a whole
-    file as one chunk).  LF, CRLF and CR end lines alike.  An invalid byte
-    raises ``error(message, line_no)``, its line counted the same way,
-    before any line of its chunk is yielded."""
+    file as one chunk).  LF, CRLF and CR end lines alike.  One UTF-8 byte
+    order mark at the start of the input is dropped, as the ``utf-8-sig``
+    codec drops it.  An invalid byte raises ``error(message, line_no)``, its
+    line counted the same way, before any line of its chunk is yielded."""
+    chunks = iter(chunks)
+    first = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
     line_no = 1  # of the chunk's first line
-    for chunk in chunks:
+    for chunk in chain([first], chunks):
         try:
             text = chunk.decode("utf-8")
         except UnicodeDecodeError as err:
@@ -285,7 +272,9 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
         if not line:
             if tokens:
                 count += 1
-                yield _finish_sentence(sent_id, text, tokens, count)
+                yield SentenceGraph(
+                    sent_id if sent_id is not None else f"s{count}",
+                    text or _surface(tokens), tuple(tokens))
             sent_id, text, tokens = None, None, []
             continue
         if line.isspace():
@@ -345,19 +334,19 @@ def root_verb(g: SentenceGraph) -> int:
 
 
 def subtree_ids(g: SentenceGraph, token_id: int) -> frozenset[int]:
-    """Token id plus all its transitive dependents: its run of the graph's
-    depth-first order."""
+    """Token id plus all its transitive dependents, walked from the graph's
+    children without recursion."""
     g.token(token_id)  # KeyError for an id that is not a token
-    start = g._first[token_id]
-    return frozenset(g._order[start:start + g._size[token_id]])
+    kids, ids, stack = g._kids, [token_id], [token_id]
+    while stack:
+        below = kids[stack.pop()]
+        ids += below
+        stack += below
+    return frozenset(ids)
 
 
-def dependents(g: SentenceGraph, token_id: int,
-               labels: Optional[set[str]] = None) -> list[int]:
-    """Direct dependents in surface order, optionally filtered by the
-    universal part of their label."""
-    kids = g.children(token_id)
-    if labels is None:
-        return list(kids)
+def dependents(g: SentenceGraph, token_id: int, labels: set[str]) -> list[int]:
+    """Direct dependents in surface order whose universal relation, the part
+    of their label before any ``:``, is in ``labels``."""
     rels = g.rels
-    return [c for c in kids if rels[c] in labels]
+    return [c for c in g.children(token_id) if rels[c] in labels]

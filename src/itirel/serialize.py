@@ -309,7 +309,7 @@ def _lit(value: str) -> str:
     return '"' + "".join(_TTL_ESCAPES.get(c, c) for c in value) + '"'
 
 
-def _entity_node(e, indent: str) -> str:
+def _entity_node(e) -> str:
     pairs = [("itx:kind", _lit(e.kind.value)), ("itx:text", _lit(e.text))]
     if isinstance(e, SpatialEntity):
         pairs += [("itx:anchor", _lit(a)) for a in e.anchors]
@@ -320,7 +320,8 @@ def _entity_node(e, indent: str) -> str:
     if e.magnitude:
         pairs.append(("itx:magnitudeValue", str(e.magnitude[0])))
         pairs.append(("itx:magnitudeUnit", _lit(e.magnitude[1])))
-    inner = (" ;\n" + indent + "  ").join(f"{p} {o}" for p, o in pairs)
+    # a node's properties sit two spaces deeper than its relation's
+    inner = " ;\n      ".join(f"{p} {o}" for p, o in pairs)
     return "[ " + inner + " ]"
 
 
@@ -349,7 +350,6 @@ class TurtleWriter:
             ""]))
 
     def add(self, s: SentenceResult) -> None:
-        indent = "    "
         for r in s.itinerary_relations:
             self._counter += 1
             verb = _IRI_ESCAPED.sub(lambda m: f"%{ord(m.group()):02X}",
@@ -366,9 +366,9 @@ class TurtleWriter:
                                    ("itx:destination", r.destination),
                                    ("itx:temporal", r.temporal)):
                 for e in entities:
-                    pairs.append((prop, _entity_node(e, indent)))
+                    pairs.append((prop, _entity_node(e)))
             pairs.append(("itx:sourceSentence", _lit(s.sent_id)))
-            body = (" ;\n" + indent).join(f"{p} {o}" for p, o in pairs)
+            body = " ;\n    ".join(f"{p} {o}" for p, o in pairs)
             self._write(f"\n<{self._base}relation/{self._counter}> {body} .\n")
 
     def finish(self) -> None:

@@ -1,3 +1,4 @@
+import codecs
 import errno
 import io
 import json
@@ -266,6 +267,18 @@ class TestExtract:
         monkeypatch.setattr("sys.stdin", _stdin(data))
         main(["extract"])
         assert capsys.readouterr().out == expected
+
+    def test_a_byte_order_mark_is_not_read(self, gold_text, tmp_path, capsys,
+                                           monkeypatch):
+        data = codecs.BOM_UTF8 + gold_text.encode("utf-8")
+        (tmp_path / "bom.conllu").write_bytes(data)
+        golden = (Path(__file__).parent / "golden" / "gold.json").read_text(
+            encoding="utf-8")
+        assert main(["extract", str(tmp_path / "bom.conllu")]) == EXIT_OK
+        assert capsys.readouterr().out == golden
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        assert main(["extract"]) == EXIT_OK
+        assert capsys.readouterr().out == golden
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
                              ids=["lf", "crlf", "cr"])

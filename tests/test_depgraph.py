@@ -1,14 +1,15 @@
+import codecs
 import io
 
 import pytest
 
 from itirel import (ConlluParseError, NoMainVerb, SentenceGraph,
-                    StructureError, TokenSpan, dependents, iter_conllu,
-                    parse_conllu, root_verb, span_text)
+                    StructureError, TokenSpan, dependents, extract_sentence,
+                    iter_conllu, parse_conllu, root_verb, span_text)
 from itirel.depgraph import Token, decode_lines, subtree_ids
 
 from conftest import build
-from oracles import to_conllu
+from oracles import closure, to_conllu
 
 
 class TestTokenSpan:
@@ -266,6 +267,13 @@ class TestParsing:
         assert errors[0] == errors[1] == errors[2]
         assert errors[0][1].startswith("line 117: expected 10 ")
 
+    def test_one_byte_order_mark_at_the_start_is_dropped(self):
+        bom = codecs.BOM_UTF8
+        data = bom + bom + b"a\n" + bom + b"b\n"
+        for chunks in ([data], io.BytesIO(data)):
+            assert list(decode_lines(chunks, ConlluParseError)) \
+                == ["\ufeffa", "\ufeffb"]
+
     def test_conllu_round_trip(self, gold_text, gold):
         graphs = list(gold.values())
         assert parse_conllu(to_conllu(graphs)) == graphs
@@ -327,6 +335,36 @@ class TestSubtrees:
                    (4, "d", "d", "NOUN", 1, "nmod")])
         assert subtree_ids(g, 1) == frozenset({1, 4})
 
+    def test_an_id_that_is_not_a_token_raises(self, gold):
+        g = gold["gold-01"]
+        for token_id in (0, -1, len(g.tokens) + 1):
+            with pytest.raises(KeyError):
+                subtree_ids(g, token_id)
+
+
+class TestDeepTrees:
+    """A VERB over a chain of 3,000 ``obj`` NOUNs, each below the one
+    before, deeper than Python's recursion limit; a relative clause on the
+    first object makes extraction walk the whole chain (UC2)."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return build([(1, "voit", "voir", "VERB", 0, "root")]
+                     + [(i, f"n{i}", f"n{i}", "NOUN", i - 1, "obj")
+                        for i in range(2, 3002)]
+                     + [(3002, "dort", "dormir", "VERB", 2, "acl:relcl")])
+
+    def test_subtrees_match_the_closure(self, chain):
+        for token_id in (1, 1500, 3001):
+            assert subtree_ids(chain, token_id) \
+                == frozenset(closure(chain.tokens, token_id))
+
+    def test_extraction_walks_the_whole_chain(self, chain, lex):
+        (relation,) = extract_sentence(chain, lex).nary_relations
+        obj, detail = relation.arguments
+        assert (obj.span, obj.pivot) == (TokenSpan(2, 3001), 2)
+        assert (detail.span, detail.role) == (TokenSpan(3002, 3002), "detail")
+
 
 class TestDependents:
     def test_label_filter_uses_universal_part(self, gold):
@@ -335,7 +373,7 @@ class TestDependents:
 
     def test_surface_order_and_no_filter(self, gold):
         g = gold["gold-01"]
-        assert dependents(g, 7) == [2, 6, 8, 12, 19, 20]
+        assert g.children(7) == (2, 6, 8, 12, 19, 20)
         assert dependents(g, 7, {"nsubj"}) == [2]
         assert dependents(g, 19, {"case"}) == [17]
-        assert dependents(g, 8) == []
+        assert g.children(8) == ()

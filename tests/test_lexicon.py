@@ -1,3 +1,4 @@
+import codecs
 import shutil
 import unicodedata
 from pathlib import Path
@@ -174,6 +175,19 @@ class TestLoading:
         for path in (tmp_path / "lex").iterdir():
             path.write_bytes(path.read_bytes().replace(b"\n", line_end))
         assert load_lexicons(tmp_path / "lex") == lex
+
+    def test_a_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path,
+                                                             lex):
+        # without its comments, motion_verbs.tsv starts "quitter\tinitial"
+        shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        for path in (tmp_path / "lex").iterdir():
+            lines = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(codecs.BOM_UTF8 + b"".join(
+                line for line in lines if not line.startswith(b"#")))
+        loaded = load_lexicons(tmp_path / "lex")
+        assert motion_polarity(loaded, "quitter") is VerbPolarity.INITIAL
+        assert loaded == lex
+        assert validate_lexicons(loaded).valid
 
     def test_fingerprint_is_the_digest_of_the_files(self, tmp_path, lex):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")

@@ -382,8 +382,10 @@ def test_every_line_end_counts_alike(lines, end, bad):
            for i in range(len(lines[k]) + 1)]
     at = cut[bad[1] % len(cut)]
     broken = data[:at] + b"\xff" + data[at:]
+    # one byte order mark at the start of the input is not text
+    read = [lines[0].removeprefix("\ufeff"), *lines[1:]]
     for chunks in (io.BytesIO(data), [data]):
-        assert list(decode_lines(chunks, itirel.ConlluParseError)) == lines
+        assert list(decode_lines(chunks, itirel.ConlluParseError)) == read
     for chunks in (io.BytesIO(broken), [broken]):
         with pytest.raises(itirel.ConlluParseError) as err:
             list(decode_lines(chunks, itirel.ConlluParseError))
