@@ -247,8 +247,10 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
     one at a time, each checked when its sentence ends.  A string's lines
     end at LF, CRLF and CR alike, as :func:`decode_lines` ends the lines of
     bytes, so a line number counts them the same way; each line of an
-    iterable loses its trailing CRs and LFs.  A token keeps six of the ten
-    columns: ID, FORM, LEMMA, UPOS, HEAD and DEPREL.
+    iterable loses its trailing CRs and LFs.  One U+FEFF (a byte order mark)
+    at the start of a string, or of an iterable's first line, is dropped.  A
+    token keeps six of the ten columns: ID, FORM, LEMMA, UPOS, HEAD and
+    DEPREL.
 
     Only an empty line ends a sentence; a line of whitespace only is an
     error.  Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
@@ -256,13 +258,17 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
     ``sent_id`` or ``text`` are read; any other (``# text_en = ...``,
     ``# newdoc id = ...``) is ignored.
     """
+    rstrip = methodcaller("rstrip", "\r\n")
     if isinstance(source, str):
+        source = source.removeprefix("\ufeff")
         if "\r" in source:
             source = source.replace("\r\n", "\n").replace("\r", "\n")
         lines = source.split("\n")
         lines.append("")  # an empty line after the last ends its sentence
-    else:
-        lines = chain(map(methodcaller("rstrip", "\r\n"), source), [""])
+    else:  # the first line apart, so that the others cost nothing more
+        source = iter(source)
+        first = rstrip(next(source, "").removeprefix("\ufeff"))
+        lines = chain([first], map(rstrip, source), [""])
     small_int, new_tuple = _SMALL_INTS.get, tuple.__new__
     count = 0
     sent_id: Optional[str] = None

@@ -1,12 +1,15 @@
 """Recognition and classification of spatial and temporal entities.
 
-Both recognizers scan a span's normalized forms (``words``, one per token;
-a sentence's forms are normalized once, on the first call on its graph) left
-to right, asking the lexicon's phrase indexes (``lexicon.PhraseIndex``) for
-the longest marker or toponym at each word: markers with French contractions
-folded (du ~ de, aux ~ à), toponyms without.  No form is normalized again.
-Matched tokens are consumed, so entities never overlap and a relational
-entity suppresses the bare toponym inside it ("près de Lyon" hides a
+Both recognizers run one scan over a span's normalized forms (``words``, one
+per token; a sentence's forms are normalized once, on the first call on its
+graph), left to right, asking the lexicon's phrase indexes
+(``lexicon.PhraseIndex``) for the longest marker or toponym at each word:
+markers with French contractions folded (du ~ de, aux ~ à), toponyms
+without.  No form is normalized again.  At each token the scan takes the
+longest marker's entity, or else a bare toponym or bare date.  An entity
+consumes its tokens and no rule takes back a consumed token (a distance
+marker's look-back at "3 jours" included), so entities never overlap and a
+relational entity hides the bare toponym inside it ("près de Lyon" gives no
 separate absolute "Lyon").
 """
 
@@ -82,15 +85,19 @@ def _number(form: str, word: str) -> Optional[int]:
     return FRENCH_NUMBERS.get(word)
 
 
-def _words(g: SentenceGraph, within: TokenSpan) -> tuple[str, ...]:
-    """A span's slice of the graph's ``words``, filled on the first call."""
-    if g.words is None:
-        g.words = tuple([normalize(t.form) for t in g.tokens])
-    return g.words[within.first - 1:within.last]
-
-
 def _unit_class(tok: Token, lex: LexiconSet) -> Optional[str]:
     return lex.units.get(lemma_key(tok.lemma))
+
+
+def _measure(toks, words, at, unit_class, lex):
+    """(value, unit lemma) of a number at ``at`` followed by a unit of
+    ``unit_class``, or None; an ``at`` outside the tokens reads nothing."""
+    if not 0 <= at < len(toks) - 1:
+        return None
+    value = _number(toks[at].form, words[at])
+    if value is None or _unit_class(toks[at + 1], lex) != unit_class:
+        return None
+    return value, lemma_key(toks[at + 1].lemma)
 
 
 def _match_toponym(toks, words, i, lex, loose):
@@ -102,12 +109,6 @@ def _match_toponym(toks, words, i, lex, loose):
     if loose and tok.upos == "PROPN" and tok.form[:1].isupper():
         return 1, tok.form, True
     return None
-
-
-def _temporal_evidence(tok: Token, word: str, lex: LexiconSet) -> bool:
-    return (word in MONTHS
-            or bool(_DIGITS.fullmatch(tok.form))
-            or _unit_class(tok, lex) == "temporal")
 
 
 def _make_spatial(toks, start, end, kind, anchors, magnitude, direction,
@@ -125,6 +126,41 @@ def _make_temporal(toks, start, anchor, end, kind, magnitude):
     return TemporalEntity(TokenSpan(toks[start].id, toks[end].id), kind,
                           magnitude, _surface(toks[anchor:end + 1]),
                           _surface(toks[start:end + 1]))
+
+
+def _scan(g, within, marker_index, from_marker, fallback):
+    """The entities of a span by the module's scan rule: a marker's entity
+    that starts on a consumed token is refused for the fallback's."""
+    if g.words is None:  # filled on the first call on the graph
+        g.words = tuple([normalize(t.form) for t in g.tokens])
+    toks = g.span_tokens(within)
+    words = g.words[within.first - 1:within.last]
+    out = []
+    taken = within.first - 1  # id of the last consumed token
+    i = 0
+    while i < len(toks):
+        match = marker_index.match(words, i)
+        ent = None if match is None else from_marker(toks, words, i, match)
+        if ent is None or ent.span.first <= taken:
+            ent = fallback(toks, words, i)
+        if ent is None:
+            i += 1
+            continue
+        out.append(ent)
+        taken = ent.span.last
+        i = taken - within.first + 1
+    return out
+
+
+def _toponym_entity(toks, words, start, at, kind, magnitude, direction, lex,
+                    loose):
+    """The entity of ``toks[start..]`` that ends on the toponym at ``at``."""
+    hit = _match_toponym(toks, words, at, lex, loose)
+    if hit is None:
+        return None
+    n, display, lo = hit
+    return _make_spatial(toks, start, at + n - 1, kind, [display], magnitude,
+                         direction, lo)
 
 
 def _figure_entity(toks, words, start, anchors_from, figure_noun, lex, loose):
@@ -149,10 +185,9 @@ def _figure_entity(toks, words, start, anchors_from, figure_noun, lex, loose):
     minimum = 3 if figure_noun == "triangle" else 2
     if len(anchors) < minimum:
         return None
-    ent = _make_spatial(toks, start, last_end,
-                        SpatialRelationKind.GEOMETRIC_FIGURE, anchors,
-                        None, None, loose_any)
-    return ent, last_end + 1
+    return _make_spatial(toks, start, last_end,
+                         SpatialRelationKind.GEOMETRIC_FIGURE, anchors,
+                         None, None, loose_any)
 
 
 def _spatial_from_marker(toks, words, i, match, lex, loose):
@@ -160,21 +195,12 @@ def _spatial_from_marker(toks, words, i, match, lex, loose):
     j = i + n
     if kind is SpatialRelationKind.METRIC:
         # <marker> <number> <spatial unit> de <toponym>
-        if j + 3 >= len(toks):
+        measure = _measure(toks, words, j, "spatial", lex)
+        if measure is None or j + 3 >= len(toks) \
+                or canon_word(words[j + 2]) != "de":
             return None
-        value = _number(toks[j].form, words[j])
-        if value is None or _unit_class(toks[j + 1], lex) != "spatial":
-            return None
-        if canon_word(words[j + 2]) != "de":
-            return None
-        hit = _match_toponym(toks, words, j + 3, lex, loose)
-        if hit is None:
-            return None
-        hn, display, lo = hit
-        end = j + 3 + hn - 1
-        ent = _make_spatial(toks, i, end, kind, [display],
-                            (value, lemma_key(toks[j + 1].lemma)), None, lo)
-        return ent, end + 1
+        return _toponym_entity(toks, words, i, j + 3, kind, measure, None,
+                               lex, loose)
 
     if kind is SpatialRelationKind.GEOMETRIC_FIGURE:
         return _figure_entity(toks, words, i, j, phrase, lex, loose)
@@ -187,45 +213,24 @@ def _spatial_from_marker(toks, words, i, match, lex, loose):
         return None
     if words[k] in lex.figure_nouns:
         return _figure_entity(toks, words, i, k + 1, words[k], lex, loose)
-    hit = _match_toponym(toks, words, k, lex, loose)
-    if hit is None:
-        return None
-    hn, display, lo = hit
-    end = k + hn - 1
     # the direction is the word before the preposition ("au nord de"); a
     # one-word orientation marker is its own direction
     direction = (marker[-2:][0] if kind is SpatialRelationKind.ORIENTATION
                  else None)
-    ent = _make_spatial(toks, i, end, kind, [display], None, direction, lo)
-    return ent, end + 1
+    return _toponym_entity(toks, words, i, k, kind, None, direction, lex,
+                           loose)
 
 
 def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
                       loose: bool = False) -> list[SpatialEntity]:
     """All maximal, non-overlapping spatial entities inside a span."""
-    toks = g.span_tokens(within)
-    words = _words(g, within)
-    out: list[SpatialEntity] = []
-    i = 0
-    while i < len(toks):
-        match = lex.spatial_marker_index.match(words, i)
-        if match is not None:
-            made = _spatial_from_marker(toks, words, i, match, lex, loose)
-            if made is not None:
-                ent, nxt = made
-                out.append(ent)
-                i = nxt
-                continue
-        hit = _match_toponym(toks, words, i, lex, loose)
-        if hit is not None:
-            n, display, lo = hit
-            out.append(_make_spatial(toks, i, i + n - 1,
-                                     SpatialRelationKind.ABSOLUTE,
-                                     [display], None, None, lo))
-            i += n
-            continue
-        i += 1
-    return out
+    return _scan(
+        g, within, lex.spatial_marker_index,
+        lambda toks, words, i, match: _spatial_from_marker(
+            toks, words, i, match, lex, loose),
+        lambda toks, words, i: _toponym_entity(
+            toks, words, i, i, SpatialRelationKind.ABSOLUTE, None, None, lex,
+            loose))
 
 
 def _reference_window(toks, words, j, lex):
@@ -236,7 +241,8 @@ def _reference_window(toks, words, j, lex):
         if toks[w].upos in ("PUNCT", "VERB") or \
                 lex.temporal_marker_index.match(words, w):
             break
-        if _temporal_evidence(toks[w], words[w], lex):
+        if (words[w] in MONTHS or _DIGITS.fullmatch(toks[w].form)
+                or _unit_class(toks[w], lex) == "temporal"):
             evidence = w
     return evidence
 
@@ -244,29 +250,21 @@ def _reference_window(toks, words, j, lex):
 def _temporal_from_marker(toks, words, i, match, lex):
     n, marker, phrase, kind = match
     j = i + n
+    start, measure = i, None
     if kind is TemporalRelationKind.DISTANCE:
         # magnitude after the marker: "depuis deux semaines"
-        if j + 1 < len(toks):
-            value = _number(toks[j].form, words[j])
-            if value is not None and _unit_class(toks[j + 1], lex) == "temporal":
-                unit = lemma_key(toks[j + 1].lemma)
-                return _make_temporal(toks, i, j, j + 1, kind,
-                                      (value, unit)), j + 2
+        measure = _measure(toks, words, j, "temporal", lex)
+        if measure is not None:
+            return _make_temporal(toks, i, j, j + 1, kind, measure)
         # magnitude before the marker: "20 ans après le début du siècle"
-        if i >= 2:
-            value = _number(toks[i - 2].form, words[i - 2])
-            if value is not None and _unit_class(toks[i - 1], lex) == "temporal":
-                evidence = _reference_window(toks, words, j, lex)
-                if evidence is not None:
-                    unit = lemma_key(toks[i - 1].lemma)
-                    return _make_temporal(toks, i - 2, j, evidence, kind,
-                                          (value, unit)), evidence + 1
-        return None
-
+        start = i - 2
+        measure = _measure(toks, words, start, "temporal", lex)
+        if measure is None:
+            return None
     evidence = _reference_window(toks, words, j, lex)
     if evidence is None:
         return None
-    return _make_temporal(toks, i, j, evidence, kind, None), evidence + 1
+    return _make_temporal(toks, start, j, evidence, kind, measure)
 
 
 def _bare_date(toks, words, i):
@@ -284,30 +282,13 @@ def _bare_date(toks, words, i):
     if end + 1 < len(toks) and re.fullmatch(r"\d{4}", toks[end + 1].form):
         end += 1
     return _make_temporal(toks, i, i, end, TemporalRelationKind.ABSOLUTE,
-                          None), end + 1
+                          None)
 
 
 def recognize_temporal(g: SentenceGraph, within: TokenSpan,
                        lex: LexiconSet) -> list[TemporalEntity]:
     """All maximal, non-overlapping temporal entities inside a span."""
-    toks = g.span_tokens(within)
-    words = _words(g, within)
-    out: list[TemporalEntity] = []
-    i = 0
-    while i < len(toks):
-        match = lex.temporal_marker_index.match(words, i)
-        if match is not None:
-            made = _temporal_from_marker(toks, words, i, match, lex)
-            if made is not None:
-                ent, nxt = made
-                out.append(ent)
-                i = nxt
-                continue
-        made = _bare_date(toks, words, i)
-        if made is not None:
-            ent, nxt = made
-            out.append(ent)
-            i = nxt
-            continue
-        i += 1
-    return out
+    return _scan(g, within, lex.temporal_marker_index,
+                 lambda toks, words, i, match: _temporal_from_marker(
+                     toks, words, i, match, lex),
+                 _bare_date)

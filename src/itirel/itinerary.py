@@ -3,9 +3,10 @@
 A n-ary relation becomes an itinerary relation iff its predicate is a motion
 verb AND at least one of its object/oblique arguments contains a spatial
 entity (the polysemy filter: "il a quitté sa femme" has the verb but no
-spatial entity, so no displacement is read).  Prepositions assign roles
-first (de/depuis -> origin, vers/pour/à -> destination, par -> intermediate);
-the bare-object entity falls to the verb polarity's default side.
+spatial entity, so no displacement is read).  One table, ``_SIDES``, gives
+the route side of a preposition's complement (de/depuis -> origin,
+vers/pour/à -> destination, par -> intermediate); an entity under any other
+preposition or none falls to the verb polarity's default side.
 
 Itineraries are read only from n-ary relations, which a clause gives only
 when it matches a use-case (UC1-UC4): « Il sort de Pau. » has one
@@ -22,9 +23,10 @@ from .entities import (SpatialEntity, TemporalEntity, recognize_spatial,
 from .lexicon import LexiconSet, VerbPolarity, motion_polarity, normalize
 from .nary import Argument, NaryRelation
 
-ORIGIN_PREPS = frozenset({"de", "depuis", "dès"})
-DESTINATION_PREPS = frozenset({"vers", "pour", "à", "jusque", "jusqu à", "en"})
-INTERMEDIATE_PREPS = frozenset({"par", "via"})
+_SIDES = {"de": "origin", "depuis": "origin", "dès": "origin",
+          "vers": "destination", "pour": "destination", "à": "destination",
+          "jusque": "destination", "jusqu à": "destination",
+          "en": "destination", "par": "intermediate", "via": "intermediate"}
 
 _POLARITY_DEFAULT = {
     VerbPolarity.INITIAL: "origin",
@@ -59,19 +61,10 @@ def assign_roles(polarity: VerbPolarity,
     entities."""
     buckets: dict[str, list[SpatialEntity]] = {
         "origin": [], "intermediate": [], "destination": []}
+    default = _POLARITY_DEFAULT[polarity]
     for role, entities in es_args:
-        prep = normalize(role)
-        if prep in ORIGIN_PREPS:
-            side = "origin"
-        elif prep in DESTINATION_PREPS:
-            side = "destination"
-        elif prep in INTERMEDIATE_PREPS:
-            side = "intermediate"
-        else:
-            side = _POLARITY_DEFAULT[polarity]
-        buckets[side].extend(entities)
-    return (tuple(buckets["origin"]), tuple(buckets["intermediate"]),
-            tuple(buckets["destination"]))
+        buckets[_SIDES.get(normalize(role), default)].extend(entities)
+    return tuple(map(tuple, buckets.values()))
 
 
 def _recognition_span(arg: Argument) -> TokenSpan:

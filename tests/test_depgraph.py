@@ -274,6 +274,20 @@ class TestParsing:
             assert list(decode_lines(chunks, ConlluParseError)) \
                 == ["\ufeffa", "\ufeffb"]
 
+    def test_one_byte_order_mark_before_text_is_dropped(self, gold_text,
+                                                         gold, tmp_path):
+        graphs = list(gold.values())
+        path = tmp_path / "bom.conllu"
+        path.write_bytes(codecs.BOM_UTF8 + gold_text.encode("utf-8"))
+        with open(path, encoding="utf-8") as f:
+            assert parse_conllu(f) == graphs
+        assert parse_conllu("\ufeff" + gold_text) == graphs
+        assert parse_conllu(io.StringIO("\ufeff" + gold_text)) == graphs
+        for twice in ("\ufeff\ufeff" + gold_text,
+                      io.StringIO("\ufeff\ufeff" + gold_text)):
+            with pytest.raises(ConlluParseError, match="^line 1: expected"):
+                parse_conllu(twice)
+
     def test_conllu_round_trip(self, gold_text, gold):
         graphs = list(gold.values())
         assert parse_conllu(to_conllu(graphs)) == graphs

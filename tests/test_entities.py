@@ -373,6 +373,64 @@ class TestTemporalRecognition:
                     assert not a.span.overlaps(b.span)
 
 
+_LEMMAS = {"jours": "jour", "ans": "an", "la": "le"}
+
+
+def run(text):
+    """A flat graph of the words of ``text``, each after the first under
+    it; "la" is a determiner, any other word is tagged X."""
+    return build([(i, w, _LEMMAS.get(w, w), "DET" if w == "la" else "X",
+                   int(i > 1), "dep" if i > 1 else "root")
+                  for i, w in enumerate(text.split(), 1)])
+
+
+def kinds_and_texts(ents):
+    return [(e.kind, e.text) for e in ents]
+
+
+class TestScan:
+    def test_no_entity_starts_on_a_consumed_token(self, lex):
+        # « après » would read back « 3 jours », which « depuis » took
+        g = run("depuis 3 jours après le 5 mai")
+        assert kinds_and_texts(recognize_temporal(g, g.span(), lex)) == [
+            (TemporalRelationKind.DISTANCE, "depuis 3 jours"),
+            (TemporalRelationKind.ABSOLUTE, "5 mai")]
+
+    @pytest.mark.parametrize("text, within", [
+        ("après le 5 mai 3 jours", None), ("jours après le 5 mai 3", None),
+        ("3 jours après le 5 mai", TokenSpan(3, 6)),
+        ("3 jours après le 5 mai", TokenSpan(2, 6))])
+    def test_distance_look_back_stays_in_its_span(self, lex, text, within):
+        # a distance marker at span position 0 or 1 has no magnitude before
+        # it: a negative index does not wrap to the span's end
+        g = run(text)
+        ents = recognize_temporal(g, within or g.span(), lex)
+        assert kinds_and_texts(ents) == [
+            (TemporalRelationKind.ABSOLUTE, "5 mai")]
+
+    @pytest.mark.parametrize("text", ["à", "à 3", "à 3 km", "à 3 km de"])
+    def test_metric_marker_with_no_toponym_in_reach(self, lex, text):
+        g = run(text)
+        for loose in (False, True):
+            assert recognize_spatial(g, g.span(), lex, loose) == []
+
+    def test_a_failed_marker_leaves_its_token_to_the_fallback(self, lex):
+        # « pic de » and « mai » as markers find no complement, so the bare
+        # toponym and the bare date at their first token are found
+        marked = rebuilt(
+            lex,
+            spatial_markers={**lex.spatial_markers,
+                             "pic de": SpatialRelationKind.ADJACENCY},
+            temporal_markers={**lex.temporal_markers,
+                              "mai": TemporalRelationKind.DISTANCE})
+        g = run("Pic de la Fourcade")
+        assert kinds_and_texts(recognize_spatial(g, g.span(), marked)) == [
+            (SpatialRelationKind.ABSOLUTE, "Pic de la Fourcade")]
+        g = run("mai 2010")
+        assert kinds_and_texts(recognize_temporal(g, g.span(), marked)) == [
+            (TemporalRelationKind.ABSOLUTE, "mai 2010")]
+
+
 class TestNormalizeOnce:
     def test_each_form_is_normalized_once_per_graph(self, all_graphs, lex,
                                                     monkeypatch):

@@ -173,20 +173,50 @@ def test_gazetteer_index_built_at_load_equals_rebuilt_one(
     assert built.first_words == rebuilt.first_words
 
 
-@settings(max_examples=40, deadline=None)
+# Phrases of numbers, units, months, markers and toponyms: their runs reach
+# every recognition rule, a distance marker's look-back and a marker whose
+# rule fails included.  A run is drawn from the spatial phrases, the
+# temporal ones or both, and a measure is one phrase, so that each rule's
+# patterns come often.
+_SPATIAL_PHRASES = ("à", "3 km", "de", "près de", "au nord de", "le", "dans",
+                    "triangle", "Pau", "Lyon", "Laruns", "Foix", "et", ",")
+_TEMPORAL_PHRASES = ("depuis", "après", "dans", "3 jours", "deux ans", "2010",
+                     "mai", "5 mai", "le", "part")
+_RUN_LEMMAS = {"jours": "jour", "ans": "an", "part": "partir"}
+_RUN_UPOS = {"le": "DET", "et": "CCONJ", ",": "PUNCT", "part": "VERB",
+             **dict.fromkeys(("Pau", "Lyon", "Laruns", "Foix"), "PROPN")}
+
+
+@st.composite
+def entity_runs(draw):
+    """A flat graph of a drawn run of entity phrases, each word after the
+    first under it."""
+    phrases = draw(st.sampled_from([_SPATIAL_PHRASES, _TEMPORAL_PHRASES,
+                                    _SPATIAL_PHRASES + _TEMPORAL_PHRASES]))
+    words = " ".join(draw(st.lists(st.sampled_from(phrases), min_size=1,
+                                   max_size=8))).split()
+    return SentenceGraph("run", "run", tuple(
+        Token(i, w, _RUN_LEMMAS.get(w, w), _RUN_UPOS.get(w, "X"), int(i > 1),
+              "dep" if i > 1 else "root") for i, w in enumerate(words, 1)))
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_entity_disjointness_and_determinism(data, all_graphs, lex):
-    g = data.draw(st.sampled_from(all_graphs))
+    """A second call gives the same entities, and no two spatial, or two
+    temporal, entities overlap, on the corpora and on runs of entity
+    words."""
+    g = data.draw(st.sampled_from(all_graphs) | entity_runs())
     loose = data.draw(st.booleans())
-    ents = recognize_spatial(g, g.span(), lex, loose)
-    ents += recognize_temporal(g, g.span(), lex)
-    again = recognize_spatial(g, g.span(), lex, loose)
-    again += recognize_temporal(g, g.span(), lex)
-    assert ents == again
-    spatial = recognize_spatial(g, g.span(), lex, loose)
-    for i, a in enumerate(spatial):
-        for b in spatial[i + 1:]:
-            assert not a.span.overlaps(b.span)
+    for ents, again in (
+            (recognize_spatial(g, g.span(), lex, loose),
+             recognize_spatial(g, g.span(), lex, loose)),
+            (recognize_temporal(g, g.span(), lex),
+             recognize_temporal(g, g.span(), lex))):
+        assert ents == again
+        for i, a in enumerate(ents):
+            for b in ents[i + 1:]:
+                assert not a.span.overlaps(b.span)
 
 
 @settings(max_examples=40, deadline=None)
