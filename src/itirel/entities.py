@@ -3,14 +3,18 @@
 Both recognizers run one scan over a span's normalized forms (``words``, one
 per token; a sentence's forms are normalized once, on the first call on its
 graph), left to right, asking the lexicon's phrase indexes
-(``lexicon.PhraseIndex``) for the longest marker or toponym at each word:
+(``lexicon.PhraseIndex``) for the longest marker or toponym at a word:
 markers with French contractions folded (du ~ de, aux ~ à), toponyms
-without.  No form is normalized again.  At each token the scan takes the
-longest marker's entity, or else a bare toponym or bare date.  An entity
-consumes its tokens and no rule takes back a consumed token (a distance
-marker's look-back at "3 jours" included), so entities never overlap and a
-relational entity hides the bare toponym inside it ("près de Lyon" gives no
-separate absolute "Lyon").
+without; no form is normalized again.  At each token the scan takes the
+longest marker's entity, or else a bare toponym or bare date, calling a rule
+only where it can start: a marker at a word of its index's ``starts``, a
+fallback where the start rule stated next to it holds.  Any other token
+costs set lookups (and a digit test for dates).  An entity consumes its
+tokens and no rule takes back a consumed token (a distance marker's
+look-back at "3 jours" included), so entities never overlap and a relational
+entity hides the bare toponym inside it ("près de Lyon" gives no separate
+absolute "Lyon").  Magnitudes, days and years are ASCII digits, as CoNLL-U
+ids and heads are.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .depgraph import Record, SentenceGraph, Token, TokenSpan, _surface
+from .depgraph import Record, SentenceGraph, TokenSpan, _surface
 from .lexicon import (LexiconSet, SpatialRelationKind, TemporalRelationKind,
                       canon_word, lemma_key, normalize)
 
@@ -35,7 +39,7 @@ FRENCH_NUMBERS = {
     "cent": 100, "mille": 1000,
 }
 
-_DIGITS = re.compile(r"\d+")
+_DIGITS = re.compile("[0-9]+")  # \d would read "٣" too
 _SEPARATOR_FORMS = {",", ";", "et", "ou"}
 
 
@@ -85,36 +89,32 @@ def _number(form: str, word: str) -> Optional[int]:
     return FRENCH_NUMBERS.get(word)
 
 
-def _unit_class(tok: Token, lex: LexiconSet) -> Optional[str]:
-    return lex.units.get(lemma_key(tok.lemma))
-
-
 def _measure(toks, words, at, unit_class, lex):
     """(value, unit lemma) of a number at ``at`` followed by a unit of
     ``unit_class``, or None; an ``at`` outside the tokens reads nothing."""
     if not 0 <= at < len(toks) - 1:
         return None
     value = _number(toks[at].form, words[at])
-    if value is None or _unit_class(toks[at + 1], lex) != unit_class:
+    unit = lemma_key(toks[at + 1].lemma)
+    if value is None or lex.units.get(unit) != unit_class:
         return None
-    return value, lemma_key(toks[at + 1].lemma)
+    return value, unit
 
 
-def _match_toponym(toks, words, i, lex, loose):
-    """Longest gazetteer match at i -> (n_tokens, display name, loose?)."""
+def _match_toponym(toks, words, i, lex, loose_at):
+    """Longest gazetteer match at i, or else the one token at an index of
+    ``loose_at`` -> (n_tokens, display name, loose?)."""
     hit = lex.gazetteer_index.match(words, i)
     if hit is not None:
         return hit[0], hit[2], False
-    tok = toks[i]
-    if loose and tok.upos == "PROPN" and tok.form[:1].isupper():
-        return 1, tok.form, True
+    if i in loose_at:
+        return 1, toks[i].form, True
     return None
 
 
 def _make_spatial(toks, start, end, kind, anchors, magnitude, direction,
                   loose):
-    """The entity of ``toks[start..end]``: ``toks`` is a run of a graph's
-    tokens, so the text of a slice is that of its span."""
+    """The entity of ``toks[start..end]``, whose text is that of its span."""
     return SpatialEntity(span=TokenSpan(toks[start].id, toks[end].id),
                          kind=kind, anchors=tuple(anchors),
                          magnitude=magnitude, direction=direction,
@@ -128,34 +128,39 @@ def _make_temporal(toks, start, anchor, end, kind, magnitude):
                           _surface(toks[start:end + 1]))
 
 
-def _scan(g, within, marker_index, from_marker, fallback):
+def _scan(g, within, marker_index, from_marker, fallback, fallback_words,
+          fallback_test=None, fallback_at=()):
     """The entities of a span by the module's scan rule: a marker's entity
-    that starts on a consumed token is refused for the fallback's."""
+    that starts on a consumed token is refused for the fallback's, which
+    runs only at a word of ``fallback_words`` or passing ``fallback_test``,
+    or at a span index of ``fallback_at``."""
     if g.words is None:  # filled on the first call on the graph
         g.words = tuple([normalize(t.form) for t in g.tokens])
     toks = g.span_tokens(within)
     words = g.words[within.first - 1:within.last]
+    starts = marker_index.starts
     out = []
-    taken = within.first - 1  # id of the last consumed token
-    i = 0
-    while i < len(toks):
-        match = marker_index.match(words, i)
-        ent = None if match is None else from_marker(toks, words, i, match)
-        if ent is None or ent.span.first <= taken:
-            ent = fallback(toks, words, i)
-        if ent is None:
-            i += 1
+    free = 0  # index of the first token not consumed
+    for i, word in enumerate(words):
+        if i < free:
             continue
-        out.append(ent)
-        taken = ent.span.last
-        i = taken - within.first + 1
+        match = marker_index.match(words, i) if word in starts else None
+        ent = None if match is None else from_marker(toks, words, i, match)
+        if ent is not None and ent.span.first - within.first < free:
+            ent = None  # it would take back a consumed token
+        if ent is None and (word in fallback_words or i in fallback_at or (
+                fallback_test is not None and fallback_test(word))):
+            ent = fallback(toks, words, i)
+        if ent is not None:
+            out.append(ent)
+            free = ent.span.last - within.first + 1
     return out
 
 
 def _toponym_entity(toks, words, start, at, kind, magnitude, direction, lex,
-                    loose):
+                    loose_at):
     """The entity of ``toks[start..]`` that ends on the toponym at ``at``."""
-    hit = _match_toponym(toks, words, at, lex, loose)
+    hit = _match_toponym(toks, words, at, lex, loose_at)
     if hit is None:
         return None
     n, display, lo = hit
@@ -163,7 +168,8 @@ def _toponym_entity(toks, words, start, at, kind, magnitude, direction, lex,
                          direction, lo)
 
 
-def _figure_entity(toks, words, start, anchors_from, figure_noun, lex, loose):
+def _figure_entity(toks, words, start, anchors_from, figure_noun, lex,
+                   loose_at):
     """Coordinated gazetteer anchors after a figure noun."""
     anchors: list[str] = []
     loose_any = False
@@ -174,7 +180,7 @@ def _figure_entity(toks, words, start, anchors_from, figure_noun, lex, loose):
                 words[p] in _SEPARATOR_FORMS:
             p += 1
             continue
-        hit = _match_toponym(toks, words, p, lex, loose)
+        hit = _match_toponym(toks, words, p, lex, loose_at)
         if hit is None:
             break
         n, display, lo = hit
@@ -190,7 +196,7 @@ def _figure_entity(toks, words, start, anchors_from, figure_noun, lex, loose):
                          None, None, loose_any)
 
 
-def _spatial_from_marker(toks, words, i, match, lex, loose):
+def _spatial_from_marker(toks, words, i, match, lex, loose_at):
     n, marker, phrase, kind = match
     j = i + n
     if kind is SpatialRelationKind.METRIC:
@@ -200,10 +206,10 @@ def _spatial_from_marker(toks, words, i, match, lex, loose):
                 or canon_word(words[j + 2]) != "de":
             return None
         return _toponym_entity(toks, words, i, j + 3, kind, measure, None,
-                               lex, loose)
+                               lex, loose_at)
 
     if kind is SpatialRelationKind.GEOMETRIC_FIGURE:
-        return _figure_entity(toks, words, i, j, phrase, lex, loose)
+        return _figure_entity(toks, words, i, j, phrase, lex, loose_at)
 
     # relational kinds: skip determiners between marker and complement
     k = j
@@ -212,37 +218,43 @@ def _spatial_from_marker(toks, words, i, match, lex, loose):
     if k >= len(toks):
         return None
     if words[k] in lex.figure_nouns:
-        return _figure_entity(toks, words, i, k + 1, words[k], lex, loose)
+        return _figure_entity(toks, words, i, k + 1, words[k], lex,
+                              loose_at)
     # the direction is the word before the preposition ("au nord de"); a
     # one-word orientation marker is its own direction
     direction = (marker[-2:][0] if kind is SpatialRelationKind.ORIENTATION
                  else None)
     return _toponym_entity(toks, words, i, k, kind, None, direction, lex,
-                           loose)
+                           loose_at)
 
 
 def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
                       loose: bool = False) -> list[SpatialEntity]:
     """All maximal, non-overlapping spatial entities inside a span."""
+    # a bare toponym starts at a gazetteer start word or an index of loose_at
+    loose_at = {i for i, t in enumerate(g.span_tokens(within))
+                if t.upos == "PROPN" and t.form[:1].isupper()} if loose else ()
     return _scan(
         g, within, lex.spatial_marker_index,
         lambda toks, words, i, match: _spatial_from_marker(
-            toks, words, i, match, lex, loose),
+            toks, words, i, match, lex, loose_at),
         lambda toks, words, i: _toponym_entity(
             toks, words, i, i, SpatialRelationKind.ABSOLUTE, None, None, lex,
-            loose))
+            loose_at),
+        lex.gazetteer_index.starts, fallback_at=loose_at)
 
 
 def _reference_window(toks, words, j, lex):
     """Index of the last token with temporal evidence (month, digits,
     temporal unit) from j to the next punctuation, verb or temporal marker."""
     evidence = None
+    markers = lex.temporal_marker_index
     for w in range(j, len(toks)):
-        if toks[w].upos in ("PUNCT", "VERB") or \
-                lex.temporal_marker_index.match(words, w):
+        if toks[w].upos in ("PUNCT", "VERB") or (
+                words[w] in markers.starts and markers.match(words, w)):
             break
         if (words[w] in MONTHS or _DIGITS.fullmatch(toks[w].form)
-                or _unit_class(toks[w], lex) == "temporal"):
+                or lex.units.get(lemma_key(toks[w].lemma)) == "temporal"):
             evidence = w
     return evidence
 
@@ -268,7 +280,8 @@ def _temporal_from_marker(toks, words, i, match, lex):
 
 
 def _bare_date(toks, words, i):
-    """Unmarked calendar reference: [day] <month> [year]."""
+    """Unmarked calendar reference: [day] <month> [year], so it starts at a
+    month or a number of ASCII digits."""
     month = None
     if words[i] in MONTHS:
         month = i
@@ -279,7 +292,8 @@ def _bare_date(toks, words, i):
     if month is None:
         return None
     end = month
-    if end + 1 < len(toks) and re.fullmatch(r"\d{4}", toks[end + 1].form):
+    if end + 1 < len(toks) and len(toks[end + 1].form) == 4 \
+            and _DIGITS.fullmatch(toks[end + 1].form):
         end += 1
     return _make_temporal(toks, i, i, end, TemporalRelationKind.ABSOLUTE,
                           None)
@@ -291,4 +305,4 @@ def recognize_temporal(g: SentenceGraph, within: TokenSpan,
     return _scan(g, within, lex.temporal_marker_index,
                  lambda toks, words, i, match: _temporal_from_marker(
                      toks, words, i, match, lex),
-                 _bare_date)
+                 _bare_date, MONTHS, _DIGITS.fullmatch)

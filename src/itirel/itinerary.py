@@ -62,8 +62,9 @@ def assign_roles(polarity: VerbPolarity,
     buckets: dict[str, list[SpatialEntity]] = {
         "origin": [], "intermediate": [], "destination": []}
     default = _POLARITY_DEFAULT[polarity]
-    for role, entities in es_args:
-        buckets[_SIDES.get(normalize(role), default)].extend(entities)
+    for role, entities in es_args:  # every _SIDES key is normalized
+        side = _SIDES.get(role) or _SIDES.get(normalize(role), default)
+        buckets[side].extend(entities)
     return tuple(map(tuple, buckets.values()))
 
 

@@ -90,9 +90,9 @@ class PhraseIndex:
     of phrases with the same words, the smallest in code-point order wins.
 
     It is built from ``(words, phrase, value)`` entries whose words are
-    ``phrase_key(phrase, fold)``.  ``match`` reads words already normalized
-    (one per token, as ``normalize`` gives them) and folds them itself.  A
-    word that starts no phrase costs one set lookup."""
+    ``phrase_key(phrase, fold)``, ``fold`` being ``str`` or ``canon_word``.
+    ``match`` reads normalized words and folds them itself; a word not in
+    ``starts``, the words whose fold begins a phrase, costs one set lookup."""
 
     def __init__(self, entries: Iterable[tuple[tuple[str, ...], str, object]],
                  fold=str):
@@ -104,15 +104,17 @@ class PhraseIndex:
                 self.entries[entry[0]] = entry  # as given: no second tuple
         self.max_len = max(map(len, self.entries), default=0)
         self.first_words = frozenset(w[0] for w in self.entries if w)
+        # canon_word folds the contractions only: they may start a phrase too
+        self.starts = self.first_words if fold is str else frozenset(
+            w for w in (*self.first_words, *_CONTRACTIONS)
+            if fold(w) in self.first_words)
 
     def match(self, words: Sequence[str], i: int):
         """Longest phrase at words[i:], for i < len(words)
         -> (n_words, its key, phrase, value)."""
-        fold = self.fold
-        first = fold(words[i])
-        if first not in self.first_words:
+        if words[i] not in self.starts:
             return None
-        key = (first, *map(fold, words[i + 1:i + self.max_len]))
+        key = tuple(map(self.fold, words[i:i + self.max_len]))
         for n in range(len(key), 0, -1):
             hit = self.entries.get(key[:n])
             if hit is not None:

@@ -129,12 +129,17 @@ def pivot_tokens(g: SentenceGraph) -> list[int]:
 def _argument(g: SentenceGraph, head: int, role: str, cut: Sequence[int],
               case_marker: Optional[int] = None,
               order: Optional[int] = None) -> Optional[Argument]:
-    """The head's subtree minus the subtrees of the children in `cut`,
-    without edge punctuation; None when nothing is left."""
-    ids = set(subtree_ids(g, head))
-    for c in cut:
-        ids -= subtree_ids(g, c)
-    kept = sorted(ids)
+    """The head's subtree minus the subtrees of the children in `cut`, which
+    holds children of `head` only, without edge punctuation; None when
+    nothing is left.  It is one walk from the head that enters no cut child."""
+    kids = g._kids
+    stack = [c for c in kids[head] if c not in cut]
+    kept = [head, *stack]
+    while stack:
+        below = kids[stack.pop()]
+        kept += below
+        stack += below
+    kept.sort()
     toks = g.tokens
     while kept and toks[kept[0] - 1].upos == "PUNCT":
         kept.pop(0)
@@ -263,13 +268,13 @@ def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
             relations.append(NaryRelation(use_case=uc, predicate_lemma=lemma,
                                           predicate_token=struct.verb,
                                           arguments=tuple(args)))
-    if len(relations) < 2:
-        return relations
-    seen, kept = set(), []
-    for r in relations:
-        key = (r.use_case, r.predicate_lemma,
-               frozenset(Counter(r.arguments).items()))
-        if key not in seen:
-            seen.add(key)
+    kept, groups = [], {}
+    for r in relations:  # a duplicate has the same lemma and pivots
+        same = groups.setdefault(
+            (r.predicate_lemma, *sorted(a.pivot for a in r.arguments)), [])
+        if not any(s.use_case is r.use_case  # only then hash the arguments
+                   and Counter(s.arguments) == Counter(r.arguments)
+                   for s in same):
+            same.append(r)
             kept.append(r)
     return kept

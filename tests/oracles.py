@@ -50,6 +50,21 @@ def main_verb(tokens: Sequence) -> Optional[int]:
     return None
 
 
+def argument_ids(tokens: Sequence, head: int, cut) -> list[int]:
+    """Sorted ids of the head's closure minus the closures of the tokens in
+    ``cut``, without edge punctuation."""
+    members = closure(tokens, head)
+    for c in cut:
+        members -= closure(tokens, c)
+    by_id = {t.id: t for t in tokens}
+    ids = sorted(members)
+    while ids and by_id[ids[0]].upos == "PUNCT":
+        ids.pop(0)
+    while ids and by_id[ids[-1]].upos == "PUNCT":
+        ids.pop()
+    return ids
+
+
 def argument_spans(tokens: Sequence) -> Optional[list[tuple[int, int]]]:
     """Sorted (first, last) spans of the main verb's core arguments.
 
@@ -60,20 +75,13 @@ def argument_spans(tokens: Sequence) -> Optional[list[tuple[int, int]]]:
     verb = main_verb(tokens)
     if verb is None:
         return None
-    by_id = {t.id: t for t in tokens}
     spans: list[tuple[int, int]] = []
     for dep in tokens:
         if dep.head != verb or dep.deprel.split(":", 1)[0] not in CORE_RELS:
             continue
-        members = closure(tokens, dep.id)
-        for t in tokens:
-            if t.head == dep.id and t.deprel.split(":", 1)[0] == "case":
-                members -= closure(tokens, t.id)
-        ids = sorted(members)
-        while ids and by_id[ids[0]].upos == "PUNCT":
-            ids.pop(0)
-        while ids and by_id[ids[-1]].upos == "PUNCT":
-            ids.pop()
+        ids = argument_ids(tokens, dep.id, [
+            t.id for t in tokens
+            if t.head == dep.id and t.deprel.split(":", 1)[0] == "case"])
         if ids:
             spans.append((ids[0], ids[-1]))
     return sorted(spans)
@@ -104,6 +112,27 @@ def longest_match(toks: Sequence, i: int, phrases, fold=str):
                 for k in range(n)):
             return n, words, phrase, value
     return None
+
+
+def ungated_scan(toks: Sequence, phrases, fold, from_marker,
+                 fallback) -> list:
+    """The scan rule of ``entities`` with no start gate: at each token not
+    consumed, the entity of the longest marker (by ``longest_match``) unless
+    it starts on a consumed token, or else the fallback's, both tried at
+    every token."""
+    out, taken, i = [], toks[0].id - 1, 0
+    while i < len(toks):
+        match = longest_match(toks, i, phrases, fold)
+        ent = None if match is None else from_marker(i, match)
+        if ent is None or ent.span.first <= taken:
+            ent = fallback(i)
+        if ent is None:
+            i += 1
+            continue
+        out.append(ent)
+        taken = ent.span.last
+        i = taken - toks[0].id + 1
+    return out
 
 
 # Reference for serialize.JsonWriter: the text it writes for a document is
@@ -194,7 +223,9 @@ def _reference_ids_and_tree(sent_id: str, tokens: Sequence) -> None:
         raise StructureError("cyclic head links", sent_id)
 
 
-def _reference_surface(tokens: Sequence) -> str:
+def reference_surface(tokens: Sequence) -> str:
+    """Space-joined forms, minus spaces after elisions and before
+    punctuation."""
     parts: list[str] = []
     for tok in tokens:
         if parts and tok.upos != "PUNCT" and not parts[-1].endswith(
@@ -225,7 +256,7 @@ def reference_parse(text: str) -> list[tuple[str, str, tuple]]:
             if tokens:
                 sid = sent_id if sent_id is not None else f"s{len(out) + 1}"
                 _reference_ids_and_tree(sid, tokens)
-                out.append((sid, sent_text or _reference_surface(tokens),
+                out.append((sid, sent_text or reference_surface(tokens),
                             tuple(tokens)))
             sent_id = sent_text = None
             tokens = []

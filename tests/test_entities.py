@@ -54,6 +54,20 @@ class TestNumbers:
         assert distance_magnitudes(lex, "Vingt") == [(20, "jour")]
         assert distance_magnitudes(lex, "bleu") == []
 
+    # Magnitudes, days and years are ASCII digits, as CoNLL-U ids are: an
+    # Arabic-Indic digit string is no number.
+    def test_a_magnitude_is_ascii_digits(self, lex):
+        g = run("depuis ٣ jours")
+        assert recognize_temporal(g, g.span(), lex) == []
+
+    def test_a_day_and_a_year_are_ascii_digits(self, lex):
+        g = run("5 mai ١٩٩٠")
+        assert kinds_and_texts(recognize_temporal(g, g.span(), lex)) == [
+            (TemporalRelationKind.ABSOLUTE, "5 mai")]
+        g = run("٥ mai 1990")
+        assert kinds_and_texts(recognize_temporal(g, g.span(), lex)) == [
+            (TemporalRelationKind.ABSOLUTE, "mai 1990")]
+
 
 # Longer than the 4,300 digits int() converts by default: not a number.
 LONG_DIGITS = "7" * 5000

@@ -7,6 +7,9 @@ from itirel import (ItineraryRelation, NaryRelation, NoMainVerb,
                     extract_sentence, motion_polarity, pivot_tokens,
                     recognize_spatial, root_verb)
 
+from itirel.itinerary import _SIDES
+from itirel.lexicon import normalize
+
 from conftest import build, figurative_sentence
 
 
@@ -51,6 +54,14 @@ class TestAssignRoles:
                                    lex)[:1]
         assert assign_roles(VerbPolarity.FINAL, [("par", [pau])]) \
             == ((), (pau,), ())
+
+    def test_a_role_is_normalized_only_when_it_is_no_key(self, gold, lex):
+        # a role that is a key is looked up as it is: every key is normalized
+        assert all(normalize(k) == k for k in _SIDES)
+        (pau,) = recognize_spatial(gold["gold-01"], gold["gold-01"].span(),
+                                   lex)[:1]
+        assert assign_roles(VerbPolarity.INITIAL, [("Jusqu'à", [pau])]) \
+            == ((), (), (pau,))
 
 
 class TestPolysemyFilter:

@@ -245,6 +245,14 @@ class TestMarkerTables:
         assert index.match(_words("b", "c"), 0) is None
         assert index.match(_words("des", "x"), 0)[:3] == (2, ("de", "x"), "du x")
 
+    def test_starts_are_the_words_whose_fold_starts_a_phrase(self, lex):
+        index = phrase_index({"a b c": 1, "du x": 2, "'": 3}, fold=canon_word)
+        assert index.starts == {"a", "de", "d", "du", "des"}
+        assert phrase_index({"au x": 1}, fold=canon_word).starts \
+            == {"à", "au", "aux"}
+        # unfolded, the first words are the starts, not a copy of them
+        assert lex.gazetteer_index.starts is lex.gazetteer_index.first_words
+
     def test_figure_nouns(self, lex):
         assert "triangle" in lex.figure_nouns
         assert "près de" not in lex.figure_nouns

@@ -10,14 +10,17 @@ import itirel
 from itirel import (LexiconSet, SentenceGraph, StructureError,
                     recognize_spatial, recognize_temporal, load_lexicons,
                     TokenSpan)
+from itirel import entities
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 from itirel.depgraph import Token, decode_lines, dependents, subtree_ids
 from itirel.lexicon import (SpatialRelationKind, canon_word,
                             normalize, phrase_index)
+from itirel.nary import _argument
 
 from conftest import _gold_file
-from oracles import (closure, longest_match, normalize_two_regex,
-                     reference_parse, save_lexicons, to_conllu)
+from oracles import (argument_ids, closure, longest_match,
+                     normalize_two_regex, reference_parse, reference_surface,
+                     save_lexicons, to_conllu, ungated_scan)
 from turtle_check import parse_turtle
 
 _UPOS = ("NOUN", "VERB", "ADP", "DET", "PROPN", "PUNCT", "ADV")
@@ -83,6 +86,23 @@ def test_sibling_yields_disjoint_when_tree_projective(g):
                 assert not a.overlaps(b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_argument_is_the_head_closure_minus_its_cut_children(data):
+    g = data.draw(random_trees())
+    head = data.draw(st.sampled_from(g.tokens)).id
+    cut = data.draw(st.lists(st.sampled_from(g.children(head)), unique=True)
+                    if g.children(head) else st.just([]))
+    arg = _argument(g, head, "role", cut)
+    ids = argument_ids(g.tokens, head, cut)
+    if not ids:
+        assert arg is None
+        return
+    assert (arg.span.first, arg.span.last) == (ids[0], ids[-1])
+    assert arg.text == reference_surface(g.tokens[ids[0] - 1:ids[-1]])
+    assert arg.flagged == (len(ids) != ids[-1] - ids[0] + 1)
+
+
 _word = st.text(alphabet=string.ascii_lowercase + "àéèêç",
                 min_size=1, max_size=6)
 _phrase = st.lists(_word, min_size=1, max_size=3).map(" ".join)
@@ -126,6 +146,9 @@ def test_phrase_index_agrees_with_linear_scan(phrases, forms, fold):
     index = phrase_index(phrases, fold=fold)
     for i in range(len(toks)):
         assert index.match(words, i) == longest_match(toks, i, phrases, fold)
+    # the words match reads: a word starts a phrase iff its fold does
+    for word in {w for form in _MATCH_WORDS for w in normalize(form).split()}:
+        assert (word in index.starts) == (fold(word) in index.first_words)
 
 
 # Whitespace that str.split() and re's \s both split at (NEL, no-break
@@ -184,15 +207,25 @@ _TEMPORAL_PHRASES = ("depuis", "après", "dans", "3 jours", "deux ans", "2010",
                      "mai", "5 mai", "le", "part")
 _RUN_LEMMAS = {"jours": "jour", "ans": "an", "part": "partir"}
 _RUN_UPOS = {"le": "DET", "et": "CCONJ", ",": "PUNCT", "part": "VERB",
-             **dict.fromkeys(("Pau", "Lyon", "Laruns", "Foix"), "PROPN")}
+             **dict.fromkeys(("Pau", "Lyon", "Laruns", "Foix", "Pic",
+                              "Fourcade", "Tarbes", "tarbes"), "PROPN")}
+
+
+# The tokens the scan's gates read: contracted markers, a toponym only loose
+# matching reads (and its lower-case form), numbers in ASCII and in other
+# digits, units and months.
+_GATE_PHRASES = ("du", "aux", "au nord de", "près de", "à", "3 km de",
+                 "depuis", "il y a", "Pic de la Fourcade", "Pau", "Tarbes",
+                 "tarbes", "3", "05 mai", "٣ mai", "١٩٩٠", "2010", "deux",
+                 "jours", "mai", "Mai", "le", ",")
 
 
 @st.composite
-def entity_runs(draw):
+def entity_runs(draw, phrase_sets=(_SPATIAL_PHRASES, _TEMPORAL_PHRASES,
+                                   _SPATIAL_PHRASES + _TEMPORAL_PHRASES)):
     """A flat graph of a drawn run of entity phrases, each word after the
     first under it."""
-    phrases = draw(st.sampled_from([_SPATIAL_PHRASES, _TEMPORAL_PHRASES,
-                                    _SPATIAL_PHRASES + _TEMPORAL_PHRASES]))
+    phrases = draw(st.sampled_from(phrase_sets))
     words = " ".join(draw(st.lists(st.sampled_from(phrases), min_size=1,
                                    max_size=8))).split()
     return SentenceGraph("run", "run", tuple(
@@ -217,6 +250,78 @@ def test_entity_disjointness_and_determinism(data, all_graphs, lex):
         for i, a in enumerate(ents):
             for b in ents[i + 1:]:
                 assert not a.span.overlaps(b.span)
+
+
+def _check_scan_gates(g, lex):
+    """At every token of every span of ``g`` that the scan's gates skip, no
+    marker matches (by the linear scan) and the recognizer's fallback finds
+    nothing: spatial, strict and loose, and temporal.  The gates, as the
+    scan states them: a marker index's ``starts``; a gazetteer start word,
+    or with loose a capitalized PROPN; a month, or ASCII digits.  So on
+    every span the recognizers find what a scan that tries every rule at
+    every token finds."""
+    spatial = lex.spatial_marker_index.starts
+    temporal = lex.temporal_marker_index.starts
+    toponyms = lex.gazetteer_index.starts
+    words = [normalize(t.form) for t in g.tokens]
+    capitalized = {i for i, t in enumerate(g.tokens)
+                   if t.upos == "PROPN" and t.form[:1].isupper()}
+    skipped = {"spatial": set(), "temporal": set()}
+    for i, w in enumerate(words):
+        if w not in spatial and w not in toponyms:
+            skipped["spatial"].add(i)
+        if not (w in temporal or w in entities.MONTHS
+                or w.isascii() and w.isdigit()):
+            skipped["temporal"].add(i)
+    skipped["loose"] = skipped["spatial"] - capitalized
+    # a phrase that matches in a span matches in the sentence
+    for i in skipped["spatial"]:
+        assert longest_match(g.tokens, i, lex.spatial_markers,
+                             canon_word) is None
+        assert longest_match(g.tokens, i, lex.gazetteer) is None
+    for i in skipped["temporal"]:
+        assert longest_match(g.tokens, i, lex.temporal_markers,
+                             canon_word) is None
+    for first in range(len(g.tokens)):
+        for last in range(first + 1, len(g.tokens) + 1):
+            toks, ws = g.tokens[first:last], words[first:last]
+            span = TokenSpan(first + 1, last)
+            for loose in (False, True):
+                loose_at = {k - first for k in capitalized
+                            if first <= k < last} if loose else ()
+
+                def bare_toponym(i):
+                    return entities._toponym_entity(
+                        toks, ws, i, i, SpatialRelationKind.ABSOLUTE, None,
+                        None, lex, loose_at)
+
+                for i in skipped["loose" if loose else "spatial"]:
+                    if first <= i < last:
+                        assert bare_toponym(i - first) is None
+                assert recognize_spatial(g, span, lex, loose) == ungated_scan(
+                    toks, lex.spatial_markers, canon_word,
+                    lambda i, m: entities._spatial_from_marker(
+                        toks, ws, i, m, lex, loose_at), bare_toponym)
+            for i in skipped["temporal"]:
+                if first <= i < last:
+                    assert entities._bare_date(toks, ws, i - first) is None
+            assert recognize_temporal(g, span, lex) == ungated_scan(
+                toks, lex.temporal_markers, canon_word,
+                lambda i, m: entities._temporal_from_marker(toks, ws, i, m,
+                                                            lex),
+                lambda i: entities._bare_date(toks, ws, i))
+
+
+def test_scan_gates_skip_only_tokens_that_start_nothing(all_graphs,
+                                                        figurative, lex):
+    for g in all_graphs + list(figurative.values()):
+        _check_scan_gates(g, lex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=entity_runs((_GATE_PHRASES,)))
+def test_scan_gates_on_runs_of_entity_words(g, lex):
+    _check_scan_gates(g, lex)
 
 
 @settings(max_examples=40, deadline=None)
