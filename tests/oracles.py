@@ -7,6 +7,8 @@ agree by computing the same thing.  The JSON reference builds plain dicts
 of the records and encodes them with the json module.  The CoNLL-U
 reference parses LF text line by line and checks each tree token by token;
 ``to_conllu`` and ``save_lexicons`` write graphs and lexicons back out.
+The use-case reference reads UC1-UC4 and their arguments by scans of the
+head column.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Optional, Sequence
 
 from itirel.depgraph import ConlluParseError, StructureError, Token
 from itirel.lexicon import normalize
+from itirel.nary import LIST_MARKERS, REASON_MARKERS
 
 CORE_RELS = frozenset({"nsubj", "csubj", "obj", "iobj", "obl"})
 
@@ -85,6 +88,121 @@ def argument_spans(tokens: Sequence) -> Optional[list[tuple[int, int]]]:
         if ids:
             spans.append((ids[0], ids[-1]))
     return sorted(spans)
+
+
+# Reference for nary's use-cases, read from the UC1-UC4 definitions of its
+# docstring: every child is found by a scan of the whole head column.
+
+def _kids(tokens: Sequence, head: int, rels) -> list[int]:
+    return [t.id for t in tokens
+            if t.head == head and t.deprel.split(":", 1)[0] in rels]
+
+
+def _enumeration(tokens: Sequence, nominal: int) -> Optional[int]:
+    """First nmod/appos child of a nominal whose first case marker is
+    « comme » and which has a conj child: an ordered enumeration."""
+    for c in _kids(tokens, nominal, {"nmod", "appos"}):
+        cases = _kids(tokens, c, {"case"})
+        if (cases and normalize(tokens[cases[0] - 1].lemma) in LIST_MARKERS
+                and _kids(tokens, c, {"conj"})):
+            return c
+    return None
+
+
+def _reason(tokens: Sequence, clause: int) -> bool:
+    """An adverbial clause whose marks, read as one phrase, are a reason."""
+    marks = _kids(tokens, clause, {"mark"})
+    ids = sorted(set().union(*(closure(tokens, m) for m in marks)))
+    return normalize(" ".join(tokens[i - 1].form for i in ids)) \
+        in REASON_MARKERS
+
+
+def clause_use_cases(tokens: Sequence, verb: int) -> list[str]:
+    """UC1 a reason adverbial clause; UC2 an object with a relative clause;
+    UC3 two obliques with a case marker; UC4 an object with an enumeration."""
+    objects = _kids(tokens, verb, {"obj", "iobj"})
+    found = []
+    if any(_reason(tokens, c) for c in _kids(tokens, verb, {"advcl"})):
+        found.append("UC1")
+    if any(_kids(tokens, o, {"acl"}) for o in objects):
+        found.append("UC2")
+    if sum(bool(_kids(tokens, o, {"case"}))
+           for o in _kids(tokens, verb, {"obl"})) >= 2:
+        found.append("UC3")
+    if any(_enumeration(tokens, o) is not None for o in objects):
+        found.append("UC4")
+    return found
+
+
+def _pivot_arguments(tokens: Sequence, pivot: int, relcls=()) -> list:
+    """(pivot, role) of a pivot's arguments: the pivot cut of its case
+    markers, enumeration and relative clauses, the items, the details;
+    one whose ids are all cut or edge punctuation is left out."""
+    rel = tokens[pivot - 1].deprel.split(":", 1)[0]
+    cases = _kids(tokens, pivot, {"case"})
+    if rel in ("nsubj", "csubj"):
+        role = "subj"
+    elif rel in ("obj", "iobj"):
+        role = "obj"
+    elif cases:
+        role = unicodedata.normalize(
+            "NFC", tokens[cases[0] - 1].lemma).casefold()
+    else:
+        role = rel
+    enum = _enumeration(tokens, pivot)
+    items = [] if enum is None else [enum, *_kids(tokens, enum, {"conj"})]
+    acls = _kids(tokens, pivot, {"acl"}) if items else list(relcls)
+    found = [(pivot, role, [*cases, *items[:1], *acls])]
+    found += [(i, "item", _kids(tokens, i, {"conj", "cc", "case"}))
+              for i in items]
+    found += [(r, "detail", []) for r in relcls]
+    return [(p, role) for p, role, cut in found
+            if argument_ids(tokens, p, cut)]
+
+
+def nary_relations(tokens: Sequence) -> list[tuple[str, int, list]]:
+    """(use case, verb, [(pivot, role), ...]) of each n-ary relation: one
+    per use case of the main verb and of each coordinated VERB, which takes
+    the main subject when it has none; a UC3 relation has three arguments
+    or more; a relation with the use case, lemma and arguments of an
+    earlier one is left out."""
+    main = main_verb(tokens)
+    if main is None:
+        return []
+    subjects = _kids(tokens, main, {"nsubj", "csubj"})
+    main_subject = subjects[0] if subjects else None
+    verbs = [main] + [c for c in _kids(tokens, main, {"conj"})
+                      if tokens[c - 1].upos == "VERB"]
+    out, seen = [], set()
+    for verb in verbs:
+        subjects = _kids(tokens, verb, {"nsubj", "csubj"})
+        subject = subjects[0] if subjects else main_subject
+        heads = sorted({subject, *_kids(tokens, verb, {"obj", "iobj", "obl"})}
+                       - {None})
+        base = [a for h in heads for a in _pivot_arguments(tokens, h)]
+        for uc in clause_use_cases(tokens, verb):
+            args = base
+            if uc == "UC1":
+                args = base + [
+                    (c, "reason") for c in _kids(tokens, verb, {"advcl"})
+                    if _reason(tokens, c) and argument_ids(
+                        tokens, c, _kids(tokens, c, {"mark"}))]
+            elif uc == "UC2":
+                relativized = [o for o in _kids(tokens, verb, {"obj", "iobj"})
+                               if _kids(tokens, o, {"acl"})]
+                moved = set().union(*(closure(tokens, o)
+                                      for o in relativized))
+                args = [a for a in base if a[0] not in moved]
+                for o in relativized:
+                    args += _pivot_arguments(tokens, o,
+                                             _kids(tokens, o, {"acl"}))
+            elif uc == "UC3" and len(args) < 3:
+                continue
+            key = (uc, tokens[verb - 1].lemma, *sorted(args))
+            if key not in seen:
+                seen.add(key)
+                out.append((uc, verb, args))
+    return out
 
 
 def normalize_two_regex(phrase: str) -> str:
