@@ -93,9 +93,8 @@ def detect_displacement(relation: NaryRelation, g: SentenceGraph,
     for arg in relation.arguments:
         span = _recognition_span(arg)
         temporal.extend(recognize_temporal(g, span, lex))
-        if arg.role == "subj":
-            if actor is None:
-                actor = arg
+        if arg.role == "subj":  # a relation's one subject argument
+            actor = arg
             continue  # the subject is the actor, never a route constituent
         spatial = recognize_spatial(g, span, lex, loose)
         if spatial:

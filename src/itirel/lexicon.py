@@ -13,7 +13,6 @@ those words while it reads them.  The marker indexes are built on first use.
 from __future__ import annotations
 
 import hashlib
-import re
 import unicodedata
 from enum import Enum
 from functools import cached_property
@@ -54,8 +53,6 @@ class LexiconError(Exception):
         self.problems = list(problems)
 
 
-_APOSTROPHES = re.compile("['’‘ʼ`]")
-
 # French contracted prepositions, folded for marker matching only.
 _CONTRACTIONS = {"au": "à", "aux": "à", "du": "de", "des": "de", "d": "de"}
 
@@ -66,12 +63,16 @@ def lemma_key(lemma: str) -> str:
 
 
 def _words(phrase: str) -> list[str]:
-    # str.split() splits at the whitespace re's \s matches
-    return _APOSTROPHES.sub(" ", lemma_key(phrase)).split()
+    # each apostrophe is a space; str.split() splits where re's \s does
+    return (lemma_key(phrase).replace("'", " ").replace("’", " ")
+            .replace("‘", " ").replace("ʼ", " ").replace("`", " ").split())
 
 
 def normalize(phrase: str) -> str:
-    """Case-fold and elision-normalize a phrase ("l'Ouest" -> "l ouest")."""
+    """Case-fold and elision-normalize a phrase ("l'Ouest" -> "l ouest");
+    NFC keeps an ASCII word of letters and digits, and lower() folds it."""
+    if phrase.isascii() and phrase.isalnum():
+        return phrase.lower()
     return " ".join(_words(phrase))
 
 
@@ -114,12 +115,13 @@ class PhraseIndex:
         -> (n_words, its key, phrase, value)."""
         if words[i] not in self.starts:
             return None
-        key = tuple(map(self.fold, words[i:i + self.max_len]))
-        for n in range(len(key), 0, -1):
-            hit = self.entries.get(key[:n])
+        fold, entries, key, found = self.fold, self.entries, (), None
+        for word in words[i:i + self.max_len]:  # folded as the key grows
+            key += (fold(word),)
+            hit = entries.get(key)
             if hit is not None:
-                return (n, *hit)
-        return None
+                found = (len(key), *hit)
+        return found
 
 
 def phrase_index(phrases: Mapping[str, object], fold=str) -> PhraseIndex:

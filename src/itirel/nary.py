@@ -8,15 +8,15 @@ A sentence instantiates one of four use-cases:
        argument is primary;
   UC4  the object governs an ordered enumeration ("comme X, Y, et Z").
 
-Extraction is pivot-driven: the pivots are the main verb, the heads of its
-subject/object/oblique dependents, and the case-marking preposition of each
-oblique.  Every argument is a head's subtree minus the subtrees of the
-children it cuts, without edge punctuation: a pivot cuts its case markers
-and enumeration, an item its conj/cc/case children, a reason clause its
-marks, a detail nothing, and UC2's bare object and any pivot heading an
-enumeration its relative clauses too.
-Each use-case pattern is matched once per clause verb; UC2 moves each
-relativized object to the end: bare argument, items, one detail per clause.
+The pivots are the main verb, its subject/object/oblique heads and each
+oblique's case marker.  An argument is a head's subtree minus the subtrees
+of the children it cuts, without edge punctuation: a pivot cuts its case
+markers and enumeration (and its relative clauses in UC2 or under an
+enumeration), an item its conj/cc/case children, a reason clause its marks.
+A clause verb's children are read once into a view (subject, objects,
+obliques, advcl, conj), and so are a nominal's (case markers, enumeration
+items, acl), shared by coordinated clauses; each pattern is matched once per
+clause verb on the views.  UC2 moves each relativized object to the end.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .depgraph import (NoMainVerb, Record, SentenceGraph, TokenSpan,
-                       dependents, root_verb, span_text, subtree_ids)
+                       root_verb, span_text, subtree_ids)
 from .lexicon import lemma_key, normalize
 
 
@@ -77,53 +77,56 @@ class NaryRelation(Record):
         self.predicate_token, self.arguments = predicate_token, arguments
 
 
-def _mark_phrase(g: SentenceGraph, marks: Sequence[int]) -> str:
-    ids = frozenset().union(*(subtree_ids(g, m) for m in marks))
-    return normalize(" ".join(g.tokens[i - 1].form for i in sorted(ids)))
+# the index of the list each universal relation a view reads goes to
+_CLAUSE_GROUPS = {**dict.fromkeys(SUBJECT_RELS, 0), **dict.fromkeys(
+    OBJECT_RELS, 1), **dict.fromkeys(OBLIQUE_RELS, 2), "advcl": 3, "conj": 4}
+_NOMINAL_GROUPS = {"case": 0, "acl": 1, "nmod": 2, "appos": 2}
+_ITEM_GROUPS = {"case": 0, "conj": 1, "cc": 2}
 
 
-def _enumeration_child(g: SentenceGraph, nominal: int) -> Optional[int]:
-    """Child of a nominal heading a 'comme X, Y, Z' enumeration (>= 2 items)."""
-    for c in dependents(g, nominal, {"nmod", "appos"}):
-        cases = dependents(g, c, {"case"})
-        if not cases:
-            continue
-        if normalize(g.tokens[cases[0] - 1].lemma) not in LIST_MARKERS:
-            continue
-        if len(dependents(g, c, {"conj"})) >= 1:
-            return c
-    return None
+def _children(g: SentenceGraph, head: int, groups: dict) -> list[list[int]]:
+    """A head's children in one pass: five lists, in surface order, indexed
+    by ``groups`` from the universal relation; the others are not kept."""
+    lists: list[list[int]] = [[], [], [], [], []]
+    rels = g.rels
+    for c in g._kids[head]:
+        k = groups.get(rels[c])
+        if k is not None:
+            lists[k].append(c)
+    return lists
 
 
-class _PivotStruct(Record):
-    __slots__ = _fields = ("verb", "subject", "objects", "obliques")
-
-    def __init__(self, verb, subject, objects, obliques):
-        self.verb, self.subject, self.objects = verb, subject, objects
-        self.obliques = obliques  # (case id, nominal id) pairs
-
-    def token_ids(self) -> list[int]:
-        ids = {self.verb, self.subject, *self.objects,
-               *(t for oblique in self.obliques for t in oblique)}
-        return sorted(ids - {None})
+def _clause(g: SentenceGraph, verb: int, inherited_subject=None) -> list:
+    """A clause's view: [verb, subject (or the one it inherits), objects,
+    obliques, adverbial clauses, conjuncts]."""
+    subjects, *rest = _children(g, verb, _CLAUSE_GROUPS)
+    return [verb, subjects[0] if subjects else inherited_subject, *rest]
 
 
-def _pivot_struct(g: SentenceGraph, verb: int,
-                  inherited_subject: Optional[int] = None) -> _PivotStruct:
-    subjects = dependents(g, verb, SUBJECT_RELS)
-    subject = subjects[0] if subjects else inherited_subject
-    objects = tuple(dependents(g, verb, OBJECT_RELS))
-    obliques = []
-    for o in dependents(g, verb, OBLIQUE_RELS):
-        cases = dependents(g, o, {"case"})
-        obliques.append((cases[0] if cases else None, o))
-    return _PivotStruct(verb, subject, objects, tuple(obliques))
+def _nominal(g: SentenceGraph, views: dict, nominal: int) -> tuple:
+    """A nominal's view, read once per ``views``: its case markers, the
+    items of its enumeration (the first nmod or appos child whose first case
+    marker is « comme », then its conj children, one at least) and its acls."""
+    view = views.get(nominal)
+    if view is None:
+        cases, acls, heads, _, _ = _children(g, nominal, _NOMINAL_GROUPS)
+        items = ()
+        for h in heads:
+            markers, conjs, _, _, _ = _children(g, h, _ITEM_GROUPS)
+            if conjs and markers and normalize(
+                    g.tokens[markers[0] - 1].lemma) in LIST_MARKERS:
+                items = (h, *conjs)
+                break
+        view = views[nominal] = cases, items, acls
+    return view
 
 
 def pivot_tokens(g: SentenceGraph) -> list[int]:
     """Pivot ids in surface order: main verb, its argument heads, and the
     case-marking preposition of each oblique complement."""
-    return _pivot_struct(g, root_verb(g)).token_ids()
+    verb, subject, objects, obliques, _, _ = _clause(g, root_verb(g))
+    cases = [c for o in obliques for c in _nominal(g, {}, o)[0][:1]]
+    return sorted({verb, subject, *objects, *obliques, *cases} - {None})
 
 
 def _argument(g: SentenceGraph, head: int, role: str, cut: Sequence[int],
@@ -153,13 +156,12 @@ def _argument(g: SentenceGraph, head: int, role: str, cut: Sequence[int],
                     flagged=len(kept) != len(span))
 
 
-def _argument_for(g: SentenceGraph, pivot: int,
+def _argument_for(g: SentenceGraph, views: dict, pivot: int,
                   relcls: Sequence[int] = ()) -> list[Argument]:
     """A pivot's argument, cut of its case markers, enumeration and `relcls`
     (all its acl under an enumeration), its items, one detail per relcl."""
-    rel = g.rels[pivot]
-    cases = dependents(g, pivot, {"case"})
-    case_marker = cases[0] if cases else None
+    cases, items, acls = _nominal(g, views, pivot)
+    rel, case_marker = g.rels[pivot], cases[0] if cases else None
     if rel in SUBJECT_RELS:
         role, case_marker = "subj", None
     elif rel in OBJECT_RELS:
@@ -167,14 +169,11 @@ def _argument_for(g: SentenceGraph, pivot: int,
     else:
         role = rel if case_marker is None else \
             lemma_key(g.tokens[case_marker - 1].lemma)
-    enum = _enumeration_child(g, pivot)
-    items = [] if enum is None else [enum] + dependents(g, enum, {"conj"})
-    # a subject's case marker is cut too; items[:1] is the enumeration
-    acls = dependents(g, pivot, {"acl"}) if items else relcls
-    args = [_argument(g, pivot, role, [*cases, *items[:1], *acls],
-                      case_marker)]
-    for n, item in enumerate(items, 1):
-        cut = dependents(g, item, {"conj", "cc", "case"})
+    # a subject's case marker is cut too; the first item is the enumeration
+    cut = [*cases, *items[:1], *(acls if items else relcls)]
+    args = [_argument(g, pivot, role, cut, case_marker)]
+    for n, item in enumerate(items, 1):  # cut of its conj, cc and case
+        cut = sum(_children(g, item, _ITEM_GROUPS), [])
         args.append(_argument(g, item, "item", cut, None, n))
     for r in relcls:
         args.append(_argument(g, r, "detail", ()))
@@ -182,42 +181,41 @@ def _argument_for(g: SentenceGraph, pivot: int,
 
 
 def extract_arguments(g: SentenceGraph, pivots: Sequence[int]) -> list[Argument]:
-    """One argument per nominal pivot: a subject, object or oblique
-    dependent of a verb, the relations the pivots are found by.
-
-    The governing preposition is excluded from the span and recorded as the
-    role; enumerations under a pivot are split into ordered item arguments.
-    """
+    """One argument per nominal pivot (a subject, object or oblique
+    dependent of a verb) without its governing preposition, which is its
+    role; an enumeration under a pivot is split into ordered items."""
     args: list[Argument] = []
     for p in pivots:
         head = g.token(p).head
         if (g.rels[p] not in NOMINAL_RELS or head == 0
                 or g.tokens[head - 1].upos != "VERB"):
             continue
-        args.extend(_argument_for(g, p))
+        args.extend(_argument_for(g, {}, p))
     return args
 
 
-def _use_cases_for(g: SentenceGraph, struct: _PivotStruct
+def _use_cases_for(g: SentenceGraph, clause: list, views: dict
                    ) -> dict[UseCaseKind, list]:
     """Each use-case the clause matches, in UC order, with what matched it:
     UC1 its reason arguments (a reason clause cut of its marks, or None),
     UC2 its (relativized object, relative clauses) pairs, nothing else."""
-    found: dict[UseCaseKind, list] = {}
-    reasons = []
-    for c in dependents(g, struct.verb, {"advcl"}):
-        marks = dependents(g, c, {"mark"})
-        if _mark_phrase(g, marks) in REASON_MARKERS:
+    _, _, objects, obliques, advcls, _ = clause
+    found, reasons, rels = {}, [], g.rels
+    for c in advcls:
+        marks = [m for m in g._kids[c] if rels[m] == "mark"]
+        ids = sorted(frozenset().union(*(subtree_ids(g, m) for m in marks)))
+        if normalize(" ".join(g.tokens[i - 1].form for i in ids)) \
+                in REASON_MARKERS:
             reasons.append(_argument(g, c, "reason", marks))
     if reasons:
         found[UseCaseKind.UC1_ADDITIONAL_INFO] = reasons
-    relativized = [(o, relcls) for o in struct.objects
-                   if (relcls := dependents(g, o, {"acl"}))]
+    objects = [(o, *_nominal(g, views, o)) for o in objects]
+    relativized = [(o, acls) for o, _, _, acls in objects if acls]
     if relativized:
         found[UseCaseKind.UC2_OBJECT_DETAIL] = relativized
-    if sum(case is not None for case, _ in struct.obliques) >= 2:
+    if sum(bool(_nominal(g, views, o)[0]) for o in obliques) >= 2:
         found[UseCaseKind.UC3_NO_PRIMARY_ARGUMENT] = []
-    if any(_enumeration_child(g, o) is not None for o in struct.objects):
+    if any(items for _, _, items, _ in objects):
         found[UseCaseKind.UC4_ORDERED_LIST] = []
     return found
 
@@ -225,10 +223,9 @@ def _use_cases_for(g: SentenceGraph, struct: _PivotStruct
 def identify_use_cases(g: SentenceGraph) -> list[UseCaseKind]:
     """Every use-case whose syntactic pattern matches the sentence."""
     try:
-        struct = _pivot_struct(g, root_verb(g))
+        return list(_use_cases_for(g, _clause(g, root_verb(g)), {}))
     except NoMainVerb:
         return []
-    return list(_use_cases_for(g, struct))
 
 
 def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
@@ -237,19 +234,21 @@ def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
     subject when it has none.  Of relations with the same use case,
     predicate lemma and multiset of arguments, only the first is kept."""
     try:
-        main = _pivot_struct(g, root_verb(g))
+        main = _clause(g, root_verb(g))
     except NoMainVerb:
         return []
-    structs = [main] + [_pivot_struct(g, c, inherited_subject=main.subject)
-                        for c in dependents(g, main.verb, {"conj"})
+    _, subject, _, _, _, conjs = main
+    clauses = [main] + [_clause(g, c, subject) for c in conjs
                         if g.tokens[c - 1].upos == "VERB"]
-    relations: list[NaryRelation] = []
-    for struct in structs:
-        use_cases = _use_cases_for(g, struct)
+    views, relations = {}, []  # the clauses share the nominal views
+    for clause in clauses:
+        use_cases = _use_cases_for(g, clause, views)
         if not use_cases:
             continue
-        base = extract_arguments(g, struct.token_ids())
-        lemma = g.tokens[struct.verb - 1].lemma
+        verb, subject, objects, obliques, _, _ = clause
+        base = [a for h in sorted({subject, *objects, *obliques} - {None})
+                for a in _argument_for(g, views, h)]
+        lemma = g.tokens[verb - 1].lemma
         for uc, matched in use_cases.items():
             if uc is UseCaseKind.UC1_ADDITIONAL_INFO:
                 args = base + [a for a in matched if a is not None]
@@ -260,13 +259,13 @@ def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
                     *(subtree_ids(g, o) for o, _ in matched))
                 args = [a for a in base if a.pivot not in moved]
                 for o, relcls in matched:
-                    args += _argument_for(g, o, relcls)
+                    args += _argument_for(g, views, o, relcls)
             else:
                 args = base
             if uc is UseCaseKind.UC3_NO_PRIMARY_ARGUMENT and len(args) < 3:
                 continue  # a binary extraction is not n-ary
             relations.append(NaryRelation(use_case=uc, predicate_lemma=lemma,
-                                          predicate_token=struct.verb,
+                                          predicate_token=verb,
                                           arguments=tuple(args)))
     kept, groups = [], {}
     for r in relations:  # a duplicate has the same lemma and pivots

@@ -285,6 +285,19 @@ class TestSpatialRecognition:
             (SpatialRelationKind.ABSOLUTE, (name,))
             for name in ("Pau", "Lyon", "Laruns")]
 
+    def test_figure_anchors_listed_with_a_semicolon_or_ou(self, lex):
+        # « triangle Pau ; Lyon ou Laruns », the separators tagged neither
+        # PUNCT nor CCONJ: their forms alone make them separators
+        g = build([(1, "triangle", "triangle", "NOUN", 0, "root"),
+                   (2, "Pau", "Pau", "PROPN", 1, "nmod"),
+                   (3, ";", ";", "SYM", 4, "dep"),
+                   (4, "Lyon", "Lyon", "PROPN", 2, "conj"),
+                   (5, "ou", "ou", "X", 6, "dep"),
+                   (6, "Laruns", "Laruns", "PROPN", 2, "conj")])
+        (ent,) = recognize_spatial(g, g.span(), lex)
+        assert ent.kind is SpatialRelationKind.GEOMETRIC_FIGURE
+        assert ent.anchors == ("Pau", "Lyon", "Laruns")
+
     def test_adjacency_and_inclusion(self, taxonomy, lex):
         (adj,) = recognize_spatial(taxonomy["tax-adjacency"],
                                    taxonomy["tax-adjacency"].span(), lex)
@@ -360,6 +373,20 @@ class TestTemporalRecognition:
                    (3, "avant", "avant", "ADP", 4, "case"),
                    (4, "nous", "nous", "PRON", 2, "obl")])
         assert recognize_temporal(g, g.span(), lex) == []
+
+    def test_reference_window_stops_at_a_verb(self, lex):
+        # « pendant les vacances 1990 revient en 1991 »: the evidence after
+        # the verb belongs to another clause
+        g = build([(1, "pendant", "pendant", "ADP", 3, "case"),
+                   (2, "les", "le", "DET", 3, "det"),
+                   (3, "vacances", "vacance", "NOUN", 5, "obl"),
+                   (4, "1990", "1990", "NUM", 3, "nmod"),
+                   (5, "revient", "revenir", "VERB", 0, "root"),
+                   (6, "en", "en", "ADP", 7, "case"),
+                   (7, "1991", "1991", "NUM", 5, "obl")])
+        (ent,) = recognize_temporal(g, g.span(), lex)
+        assert ent.kind is TemporalRelationKind.INCLUSION
+        assert ent.text == "pendant les vacances 1990"
 
     def test_spatial_marker_does_not_fire_temporally(self, gold, lex):
         # "près de Lyon" carries no temporal entity

@@ -55,6 +55,13 @@ class TestAssignRoles:
         assert assign_roles(VerbPolarity.FINAL, [("par", [pau])]) \
             == ((), (pau,), ())
 
+    def test_des_reads_as_origin(self, gold, lex):
+        # « dès Pau »: a final verb's default side is the destination
+        (pau,) = recognize_spatial(gold["gold-01"], gold["gold-01"].span(),
+                                   lex)[:1]
+        assert assign_roles(VerbPolarity.FINAL, [("dès", [pau])]) \
+            == ((pau,), (), ())
+
     def test_a_role_is_normalized_only_when_it_is_no_key(self, gold, lex):
         # a role that is a key is looked up as it is: every key is normalized
         assert all(normalize(k) == k for k in _SIDES)

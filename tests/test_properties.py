@@ -248,15 +248,19 @@ def test_phrase_index_agrees_with_linear_scan(phrases, forms, fold):
 
 # Whitespace that str.split() and re's \s both split at (NEL, no-break
 # space, the information separators), combining marks, every apostrophe
-# normalize turns into a space, and letters that change under NFC or
-# case folding.
+# normalize turns into a space, letters that change under NFC or case
+# folding, and ASCII capitals and digits.  An ASCII word of letters and
+# digits takes normalize's lower() path; one with a non-ASCII letter or
+# digit (é, ß, İ, ²) does not.
 _NORM_CHARS = ("ab Pé\t\n\r\x0b\x0c\x85\xa0\x1c\x1d\x1e\x1f\u1680\u2000"
                "\u2028\u2029\u202f\u3000\u200b\u0300\u0301\u0327\u0308"
-               "'’‘ʼ`ßİΣﬁÅ")
+               "'’‘ʼ`ßİΣﬁÅ²ZQ09")
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.text(alphabet=_NORM_CHARS, max_size=12) | st.text(max_size=12))
+@given(text=st.text(alphabet=_NORM_CHARS, max_size=12) | st.text(max_size=12)
+       | st.from_regex(r"[A-Za-z0-9]+", fullmatch=True)
+       | st.text(alphabet="aZ09éßİ²", min_size=1, max_size=6))
 def test_normalize_agrees_with_two_regex_version(text):
     assert normalize(text) == normalize_two_regex(text)
 
