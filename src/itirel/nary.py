@@ -78,8 +78,9 @@ class NaryRelation(Record):
 
 
 # the index of the list each universal relation a view reads goes to
-_CLAUSE_GROUPS = {**dict.fromkeys(SUBJECT_RELS, 0), **dict.fromkeys(
-    OBJECT_RELS, 1), **dict.fromkeys(OBLIQUE_RELS, 2), "advcl": 3, "conj": 4}
+_CLAUSE_GROUPS = {**dict.fromkeys(SUBJECT_RELS, 0),
+                  **dict.fromkeys(OBJECT_RELS, 1),
+                  **dict.fromkeys(OBLIQUE_RELS, 2), "advcl": 3, "conj": 4}
 _NOMINAL_GROUPS = {"case": 0, "acl": 1, "nmod": 2, "appos": 2}
 _ITEM_GROUPS = {"case": 0, "conj": 1, "cc": 2}
 
@@ -88,9 +89,8 @@ def _children(g: SentenceGraph, head: int, groups: dict) -> list[list[int]]:
     """A head's children in one pass: five lists, in surface order, indexed
     by ``groups`` from the universal relation; the others are not kept."""
     lists: list[list[int]] = [[], [], [], [], []]
-    rels = g.rels
     for c in g._kids[head]:
-        k = groups.get(rels[c])
+        k = groups.get(g.rels[c])
         if k is not None:
             lists[k].append(c)
     return lists
