@@ -8,11 +8,14 @@ of the records and encodes them with the json module.  The CoNLL-U
 reference parses LF text line by line and checks each tree token by token;
 ``to_conllu`` and ``save_lexicons`` write graphs and lexicons back out.
 The use-case reference reads UC1-UC4 and their arguments by scans of the
-head column.
+head column.  The gazetteer reference loads ``gazetteer.tsv`` as the loader
+did when each row went through a generator of index entries and a second
+loop that built the index from them.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 import unicodedata
@@ -20,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from itirel.depgraph import ConlluParseError, StructureError, Token
-from itirel.lexicon import normalize
+from itirel.lexicon import LexiconError, _words, normalize
 from itirel.nary import LIST_MARKERS, REASON_MARKERS
 
 CORE_RELS = frozenset({"nsubj", "csubj", "obj", "iobj", "obl"})
@@ -436,3 +439,89 @@ def save_lexicons(lex, directory) -> None:
     dump("temporal_markers.tsv", ((k, v.value) for k, v in lex.temporal_markers.items()))
     dump("gazetteer.tsv", lex.gazetteer.items())
     dump("units.tsv", lex.units.items())
+
+
+def _reference_tsv_lines(name: str, data: bytes):
+    """The lines of one lexicon file, without their ends: a leading byte
+    order mark dropped, LF, CRLF and CR alike.  An invalid byte raises
+    LexiconError before any line, with its line counted the same way."""
+    data = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        before = data[:err.start].replace(b"\r\n", b"\n").replace(b"\r",
+                                                                   b"\n")
+        line_no = before.count(b"\n") + 1
+        raise LexiconError([f"{name}:{line_no}: invalid UTF-8 byte "
+                            f"0x{data[err.start]:02x}"]) from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+def _reference_read_tsv(name: str, data: bytes, problems: list[str],
+                        optional_second: bool = False):
+    """``lexicon._read_tsv`` as it was, over ``_reference_tsv_lines``."""
+    try:
+        for line_no, raw in enumerate(_reference_tsv_lines(name, data), 1):
+            line = raw.rstrip()
+            if not line or line.lstrip().startswith("#"):
+                continue
+            cols = line.split("\t")
+            if optional_second and len(cols) == 1:
+                cols.append("")
+            if len(cols) != 2:
+                problems.append(
+                    f"{name}:{line_no}: expected 2 columns, got {len(cols)}")
+                continue
+            yield line_no, cols[0].strip(), cols[1].strip()
+    except LexiconError as err:
+        problems += err.problems
+
+
+def reference_load_gazetteer(data: bytes) -> tuple:
+    """gazetteer.tsv read as rows, the rows turned into ``(words, name,
+    ftype)`` index entries by a generator, and the entries into an index by
+    a second loop -> (toponym -> type table, words -> kept entry, max_len,
+    start words, problems).  Of two names with the same words the smaller
+    in code-point order is kept; a conflicting duplicate's message ends
+    with the line of the name's first row."""
+    tsv = "gazetteer.tsv"
+    problems: list[str] = []
+    gazetteer: dict[str, str] = {}
+    conflicts: list[tuple[int, str]] = []
+
+    def entries():
+        for line_no, name, ftype in _reference_read_tsv(
+                tsv, data, problems, optional_second=True):
+            seen = gazetteer.get(name)
+            if seen is not None:
+                if seen != ftype:
+                    conflicts.append((len(problems), name))
+                    problems.append(f"{tsv}:{line_no}: duplicate toponym "
+                                    f"{name!r} conflicts with line ")
+                continue
+            words = tuple(_words(name))
+            if not words:
+                problems.append(f"{tsv}:{line_no}: empty toponym {name!r} "
+                                "(no words after normalization)")
+                continue
+            gazetteer[name] = ftype
+            yield words, name, ftype
+
+    index: dict[tuple[str, ...], tuple] = {}
+    for entry in entries():
+        kept = index.get(entry[0])
+        if kept is None or entry[1] < kept[1]:
+            index[entry[0]] = entry
+    if conflicts:
+        names = {name for _, name in conflicts}
+        first: dict[str, int] = {}
+        for line_no, name, _ in _reference_read_tsv(tsv, data, [],
+                                                    optional_second=True):
+            if name in names:
+                first.setdefault(name, line_no)
+        for at, name in conflicts:
+            problems[at] += str(first[name])
+    max_len = max(map(len, index), default=0)
+    starts = frozenset(w[0] for w in index if w)
+    return gazetteer, index, max_len, starts, problems

@@ -1,5 +1,6 @@
 import codecs
 import io
+import random
 
 import pytest
 
@@ -266,6 +267,33 @@ class TestParsing:
             errors.append((err.value.line_no, str(err.value)))
         assert errors[0] == errors[1] == errors[2]
         assert errors[0][1].startswith("line 117: expected 10 ")
+
+    def test_a_long_chunk_gives_the_lines_of_splitlines(self):
+        """One chunk of several 64 Ki-character blocks, of lines of every
+        length (empty, one character, longer than a block) and of non-ASCII
+        text, so that lines straddle each place the text may be cut: LF,
+        CRLF and CR ends, with and without a final end, give the lines
+        str.splitlines gives, and an invalid byte on a late line its number."""
+        rng = random.Random(5)
+        text = "abé€𝄞 \t" * 30_000
+        lines, size = [], 0
+        while size < 5 * 65536:
+            n = rng.choice((0, 1, 2, rng.randrange(300), rng.randrange(9000)))
+            at = rng.randrange(len(text) - n)
+            lines.append(text[at:at + n])
+            size += n + 1
+        lines.insert(len(lines) // 2, "x" * 150_000)
+        k = len(lines) - 3
+        for end in ("\n", "\r\n", "\r"):
+            for final in (end, ""):
+                data = (end.join(lines) + final).encode("utf-8")
+                assert list(decode_lines([data], ConlluParseError)) \
+                    == (end.join(lines) + final).splitlines()
+            at = len((end.join(lines[:k]) + end).encode("utf-8"))
+            with pytest.raises(ConlluParseError) as err:
+                list(decode_lines([data[:at] + b"\xff" + data[at:]],
+                                  ConlluParseError))
+            assert err.value.line_no == k + 1
 
     def test_one_byte_order_mark_at_the_start_is_dropped(self):
         bom = codecs.BOM_UTF8

@@ -1,3 +1,4 @@
+import codecs
 import io
 import json
 import string
@@ -13,15 +14,16 @@ from itirel import (LexiconSet, SentenceGraph, StructureError,
 from itirel import entities
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 from itirel.depgraph import Token, decode_lines, dependents, subtree_ids
-from itirel.lexicon import (SpatialRelationKind, canon_word,
+from itirel.lexicon import (LexiconError, SpatialRelationKind, canon_word,
                             normalize, phrase_index)
 from itirel.nary import _argument, extract_nary, identify_use_cases
 
 from conftest import _gold_file
 from oracles import (argument_ids, clause_use_cases, closure, longest_match,
                      main_verb, nary_relations, normalize_two_regex,
-                     reference_parse, reference_surface, save_lexicons,
-                     to_conllu, ungated_scan)
+                     reference_load_gazetteer, reference_parse,
+                     reference_surface, save_lexicons, to_conllu,
+                     ungated_scan)
 from turtle_check import parse_turtle
 
 _UPOS = ("NOUN", "VERB", "ADP", "DET", "PROPN", "PUNCT", "ADV")
@@ -293,6 +295,76 @@ def test_gazetteer_index_built_at_load_equals_rebuilt_one(
     assert built.entries == rebuilt.entries
     assert built.max_len == rebuilt.max_len
     assert built.first_words == rebuilt.first_words
+
+
+# Names with ASCII apostrophes, other apostrophes, padding and runs of
+# spaces, and non-ASCII names whose words equal another name's only after
+# NFC and case folding (é and e + U+0301, ß and SS, İ and i + U+0307).
+_GAZ_NAMES = ("Pau", "PAU", "pau", " Pau ", "Pic du Midi", "pic du  midi",
+              "l'Isle", "L`isle", "l’Isle", "Béarn", "Be\u0301arn", "Straße",
+              "STRASSE", "İzmir", "i\u0307zmir", "Saint-Jean")
+_GAZ_TYPES = ("", "city", "peak", " city")
+
+
+@st.composite
+def gazetteer_files(draw):
+    """gazetteer.tsv bytes: rows of drawn names, then same-type and maybe
+    conflicting duplicates, 3-column rows, names of apostrophes only,
+    comments and blank lines, in any order, each line ended by LF, CRLF or
+    CR, maybe a final end, a byte order mark and one invalid byte."""
+    types = draw(st.dictionaries(st.sampled_from(_GAZ_NAMES),
+                                 st.sampled_from(_GAZ_TYPES), max_size=8))
+    rows = [f"{name}\t{ftype}" if ftype.strip() or draw(st.booleans())
+            else name for name, ftype in types.items()]
+    name = st.sampled_from(_GAZ_NAMES)
+    rows += draw(st.lists(st.one_of(
+        st.sampled_from(rows) if rows else st.nothing(),
+        st.builds("{}\t{}".format, name, st.sampled_from(_GAZ_TYPES)),
+        st.builds("{}\tcity\tFR".format, name),
+        st.sampled_from(["'\tcity", "’", "' `\tpeak"]),
+        st.sampled_from(["# types", "  # indented", "", " \t "])),
+        max_size=4))
+    rows = draw(st.permutations(rows))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(rows), max_size=len(rows)))
+    text = "".join(map(str.__add__, rows, ends))
+    if ends and not draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=gazetteer_files())
+def test_gazetteer_load_agrees_with_reference_loader(tmp_path_factory, data):
+    """The gazetteer, its index and the problems of load_lexicons are those
+    of the reference loader, orders and line numbers included."""
+    lexdir = tmp_path_factory.mktemp("lex")
+    for name in itirel.lexicon.FILE_NAMES:
+        (lexdir / name).write_bytes(
+            (itirel.bundled_lexicon_dir() / name).read_bytes())
+    (lexdir / "gazetteer.tsv").write_bytes(data)
+    gazetteer, entries, max_len, starts, problems = \
+        reference_load_gazetteer(data)
+    try:
+        lex = load_lexicons(lexdir)
+    except LexiconError as err:
+        event("problems")
+        assert err.problems == problems
+        return
+    assert problems == []
+    assert list(lex.gazetteer.items()) == list(gazetteer.items())
+    index = lex.gazetteer_index
+    assert list(index.entries) == list(entries)  # the keys, in order
+    assert {key: index.match(list(key), 0)[2:] for key in index.entries} \
+        == {key: entry[1:] for key, entry in entries.items()}
+    assert index.max_len == max_len
+    assert index.starts == starts
 
 
 # Phrases of numbers, units, months, markers and toponyms: their runs reach
