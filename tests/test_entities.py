@@ -270,6 +270,17 @@ class TestSpatialRecognition:
         # the figure fails (2 < 3 anchors); the bare toponyms remain
         assert [e.kind for e in ents] == [SpatialRelationKind.ABSOLUTE] * 2
 
+    @pytest.mark.parametrize("noun", ["rectangle", "carré"])
+    def test_two_anchors_make_a_rectangle_or_a_square(self, lex, noun):
+        # « rectangle Pau et Lyon »: only a triangle needs three anchors
+        g = build([(1, noun, noun, "NOUN", 0, "root"),
+                   (2, "Pau", "Pau", "PROPN", 1, "nmod"),
+                   (3, "et", "et", "CCONJ", 4, "cc"),
+                   (4, "Lyon", "Lyon", "PROPN", 2, "conj")])
+        (ent,) = recognize_spatial(g, g.span(), lex)
+        assert ent.kind is SpatialRelationKind.GEOMETRIC_FIGURE
+        assert ent.anchors == ("Pau", "Lyon")
+
     def test_figure_anchors_stop_at_a_word_that_is_no_toponym(self, lex):
         # « triangle Pau , Lyon et maison Laruns »: the anchors stop at
         # « maison », so the triangle has two of its three
@@ -366,6 +377,17 @@ class TestTemporalRecognition:
         (ent,) = recognize_temporal(g, g.span(), lex)
         assert ent.kind is TemporalRelationKind.ABSOLUTE
         assert ent.text == "10 juillet 1990"
+
+    @pytest.mark.parametrize("day, text", [("31", "31 mai"),
+                                           ("32", "mai")])
+    def test_a_bare_date_s_day_is_at_most_31(self, lex, day, text):
+        # « le 32 mai »: 32 is no day, so the date is the month alone
+        g = build([(1, "le", "le", "DET", 3, "det"),
+                   (2, day, day, "NUM", 3, "nummod"),
+                   (3, "mai", "mai", "NOUN", 0, "root")])
+        (ent,) = recognize_temporal(g, g.span(), lex)
+        assert ent.kind is TemporalRelationKind.ABSOLUTE
+        assert ent.text == text
 
     def test_marker_without_evidence_yields_nothing(self, lex):
         g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
