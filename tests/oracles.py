@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from itirel.depgraph import ConlluParseError, StructureError, Token
-from itirel.lexicon import LexiconError, _words, normalize
+from itirel.lexicon import LexiconError, normalize
 from itirel.nary import LIST_MARKERS, REASON_MARKERS
 
 CORE_RELS = frozenset({"nsubj", "csubj", "obj", "iobj", "obl"})
@@ -500,7 +500,7 @@ def reference_load_gazetteer(data: bytes) -> tuple:
                     problems.append(f"{tsv}:{line_no}: duplicate toponym "
                                     f"{name!r} conflicts with line ")
                 continue
-            words = tuple(_words(name))
+            words = tuple(normalize_two_regex(name).split())
             if not words:
                 problems.append(f"{tsv}:{line_no}: empty toponym {name!r} "
                                 "(no words after normalization)")
