@@ -191,13 +191,19 @@ def _surface(tokens: Sequence[Token]) -> str:
 _RANGE_OR_EMPTY_NODE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")
 
 
+_BLOCK = 1 << 16  # characters of a chunk's text split into lines at once
+
+
 def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
     """Text lines, without their ends, of strict UTF-8 chunks that each end
     at an LF or at the end of the input (a binary file's lines, or a whole
     file as one chunk).  LF, CRLF and CR end lines alike.  One UTF-8 byte
     order mark at the start of the input is dropped, as the ``utf-8-sig``
     codec drops it.  An invalid byte raises ``error(message, line_no)``, its
-    line counted the same way, before any line of its chunk is yielded."""
+    line counted the same way, before any line of its chunk is yielded.  A
+    chunk of many lines is split by ``str.split`` a block at a time, cut at
+    the first LF after 64 Ki characters, so that no list holds a whole
+    file's lines."""
     chunks = iter(chunks)
     first = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
     line_no = 1  # of the chunk's first line
@@ -212,17 +218,18 @@ def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
                         line_no) from None
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        elif text.find("\n") == len(text) - 1 and text:  # one LF-ended line
-            line_no += 1
-            yield text[:-1]
+        elif text.find("\n") == len(text) - 1:  # one LF-ended line, or none
+            if text:
+                line_no += 1
+                yield text[:-1]
             continue
         line_no += text.count("\n")
-        start = 0  # a line at a time: no list of a whole file's lines
-        while start < len(text):
-            end = text.find("\n", start)
+        start, stop = 0, len(text) - text.endswith("\n")
+        while start <= stop:
+            end = text.find("\n", start + _BLOCK, stop)
             if end < 0:
-                end = len(text)
-            yield text[start:end]
+                end = stop
+            yield from text[start:end].split("\n")
             start = end + 1
 
 

@@ -6,8 +6,9 @@ gazetteer, and measure units.  All of them are data, not code: the bundled
 files under ``itirel/data/lexicons`` are a seed that users can amend.
 
 ``load_lexicons`` reads each file in one pass: it decodes the bytes once,
-normalizes each toponym once, and builds the gazetteer's phrase index from
-those words while it reads them.  The marker indexes are built on first use.
+and the loop over the gazetteer's rows normalizes each toponym once and
+fills the gazetteer's phrase index with its words.  The marker indexes are
+built on first use.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import unicodedata
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .depgraph import Record, decode_lines
 
@@ -63,7 +64,10 @@ def lemma_key(lemma: str) -> str:
 
 
 def _words(phrase: str) -> list[str]:
-    # each apostrophe is a space; str.split() splits where re's \s does
+    # each apostrophe is a space; str.split() splits where re's \s does;
+    # NFC keeps ASCII, and casefold() is lower() there
+    if phrase.isascii():
+        return phrase.lower().replace("'", " ").replace("`", " ").split()
     return (lemma_key(phrase).replace("'", " ").replace("’", " ")
             .replace("‘", " ").replace("ʼ", " ").replace("`", " ").split())
 
@@ -90,21 +94,17 @@ class PhraseIndex:
     """Longest-match lookup of phrases by their folded, normalized words;
     of phrases with the same words, the smallest in code-point order wins.
 
-    It is built from ``(words, phrase, value)`` entries whose words are
-    ``phrase_key(phrase, fold)``, ``fold`` being ``str`` or ``canon_word``.
-    ``match`` reads normalized words and folds them itself; a word not in
-    ``starts``, the words whose fold begins a phrase, costs one set lookup."""
+    ``values`` is a phrase -> value table, and ``entries`` maps each key,
+    ``phrase_key(phrase, fold)`` of a phrase of the table (``fold`` being
+    ``str`` or ``canon_word``), to the phrase kept for it.  ``match`` reads
+    normalized words and folds them itself; a word not in ``starts``, the
+    words whose fold begins a phrase, costs one set lookup."""
 
-    def __init__(self, entries: Iterable[tuple[tuple[str, ...], str, object]],
-                 fold=str):
-        self.fold = fold
-        self.entries: dict[tuple[str, ...], tuple] = {}
-        for entry in entries:
-            kept = self.entries.get(entry[0])
-            if kept is None or entry[1] < kept[1]:
-                self.entries[entry[0]] = entry  # as given: no second tuple
-        self.max_len = max(map(len, self.entries), default=0)
-        self.first_words = frozenset(w[0] for w in self.entries if w)
+    def __init__(self, values: Mapping[str, object],
+                 entries: dict[tuple[str, ...], str], fold=str):
+        self.values, self.entries, self.fold = values, entries, fold
+        self.max_len = max(map(len, entries), default=0)
+        self.first_words = frozenset(w[0] for w in entries if w)
         # canon_word folds the contractions only: they may start a phrase too
         self.starts = self.first_words if fold is str else frozenset(
             w for w in (*self.first_words, *_CONTRACTIONS)
@@ -118,16 +118,24 @@ class PhraseIndex:
         fold, entries, key, found = self.fold, self.entries, (), None
         for word in words[i:i + self.max_len]:  # folded as the key grows
             key += (fold(word),)
-            hit = entries.get(key)
-            if hit is not None:
-                found = (len(key), *hit)
-        return found
+            phrase = entries.get(key)
+            if phrase is not None:
+                found = key, phrase
+        if found is None:
+            return None
+        key, phrase = found
+        return len(key), key, phrase, self.values[phrase]
 
 
 def phrase_index(phrases: Mapping[str, object], fold=str) -> PhraseIndex:
     """The PhraseIndex of a phrase -> value table."""
-    return PhraseIndex(((phrase_key(p, fold), p, v)
-                        for p, v in phrases.items()), fold)
+    entries: dict[tuple[str, ...], str] = {}
+    for phrase in phrases:
+        key = phrase_key(phrase, fold)
+        kept = entries.get(key)
+        if kept is None or phrase < kept:
+            entries[key] = phrase
+    return PhraseIndex(phrases, entries, fold)
 
 
 FILE_NAMES = ("motion_verbs.tsv", "spatial_markers.tsv",
@@ -198,7 +206,7 @@ def _read_tsv(name: str, data: bytes, problems: list[str],
     try:
         for line_no, raw in enumerate(lines, 1):
             line = raw.rstrip()
-            if not line or line.lstrip().startswith("#"):
+            if not line or ("#" in line and line.lstrip().startswith("#")):
                 continue
             cols = line.split("\t")
             if optional_second and len(cols) == 1:
@@ -281,33 +289,33 @@ def load_lexicons(directory) -> LexiconSet:
 
 def _load_gazetteer(data: bytes, problems: list[str]
                     ) -> tuple[dict[str, str], PhraseIndex]:
-    """The toponym -> type table of gazetteer.tsv and its PhraseIndex, built
-    from each new toponym's words as the file is read."""
+    """The toponym -> type table of gazetteer.tsv and its PhraseIndex, whose
+    entries are filled from each new toponym's words as the file is read."""
     tsv = "gazetteer.tsv"
     gazetteer: dict[str, str] = {}
+    entries: dict[tuple[str, ...], str] = {}
+    types: dict[str, str] = {}  # one string of each feature type
     # (index in problems, toponym) of each conflict whose message still
     # lacks the number of the line it conflicts with
     conflicts: list[tuple[int, str]] = []
-
-    def entries():
-        for line_no, name, ftype in _read_tsv(tsv, data, problems,
-                                              optional_second=True):
-            seen = gazetteer.get(name)
-            if seen is not None:
-                if seen != ftype:
-                    conflicts.append((len(problems), name))
-                    problems.append(f"{tsv}:{line_no}: duplicate toponym "
-                                    f"{name!r} conflicts with line ")
-                continue
-            words = tuple(_words(name))
-            if not words:
-                problems.append(f"{tsv}:{line_no}: empty toponym {name!r} "
-                                "(no words after normalization)")
-                continue
-            gazetteer[name] = ftype
-            yield words, name, ftype
-
-    index = PhraseIndex(entries())
+    for line_no, name, ftype in _read_tsv(tsv, data, problems,
+                                          optional_second=True):
+        seen = gazetteer.get(name)
+        if seen is not None:
+            if seen != ftype:
+                conflicts.append((len(problems), name))
+                problems.append(f"{tsv}:{line_no}: duplicate toponym "
+                                f"{name!r} conflicts with line ")
+            continue
+        words = tuple(_words(name))
+        if not words:
+            problems.append(f"{tsv}:{line_no}: empty toponym {name!r} "
+                            "(no words after normalization)")
+            continue
+        gazetteer[name] = types.setdefault(ftype, ftype)
+        kept = entries.get(words)
+        if kept is None or name < kept:
+            entries[words] = name
     if conflicts:
         # found again on this path only, so that no toponym -> line table
         # stays beside the index: a toponym was kept from the first line of
@@ -320,7 +328,7 @@ def _load_gazetteer(data: bytes, problems: list[str]
                 first.setdefault(name, line_no)
         for at, name in conflicts:
             problems[at] += str(first[name])
-    return gazetteer, index
+    return gazetteer, PhraseIndex(gazetteer, entries)
 
 
 class ValidationReport(Record):
@@ -386,7 +394,7 @@ def validate_lexicons(lex: LexiconSet) -> ValidationReport:
                        "be recognized")
     marker_phrases = set(lex.spatial_markers) | set(lex.temporal_markers)
     toponyms = lex.gazetteer_index
-    words_of = {name: words for words, name, _ in toponyms.entries.values()}
+    words_of = {name: words for words, name in toponyms.entries.items()}
     for name in sorted(lex.gazetteer):
         words = words_of.get(name)
         if words is None:  # not matched: another name has the same words
@@ -399,7 +407,7 @@ def validate_lexicons(lex: LexiconSet) -> ValidationReport:
         if phrase in marker_phrases or phrase in lex.units:
             notices.append(f"gazetteer entry {name!r} collides with a "
                            "common-noun marker or unit")
-        kept = toponyms.entries[words][1]
+        kept = toponyms.entries[words]
         if kept != name:
             notices.append(f"gazetteer entry {name!r} has the same words as "
                            f"{kept!r}; {kept!r} is matched")
