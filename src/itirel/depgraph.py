@@ -356,10 +356,3 @@ def subtree_ids(g: SentenceGraph, token_id: int) -> frozenset[int]:
         ids += below
         stack += below
     return frozenset(ids)
-
-
-def dependents(g: SentenceGraph, token_id: int, labels: set[str]) -> list[int]:
-    """Direct dependents in surface order whose universal relation, the part
-    of their label before any ``:``, is in ``labels``."""
-    rels = g.rels
-    return [c for c in g.children(token_id) if rels[c] in labels]

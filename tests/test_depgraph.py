@@ -5,8 +5,8 @@ import random
 import pytest
 
 from itirel import (ConlluParseError, NoMainVerb, SentenceGraph,
-                    StructureError, TokenSpan, dependents, extract_sentence,
-                    iter_conllu, parse_conllu, root_verb, span_text)
+                    StructureError, TokenSpan, extract_sentence, iter_conllu,
+                    parse_conllu, root_verb, span_text)
 from itirel.depgraph import Token, decode_lines, subtree_ids
 
 from conftest import build
@@ -408,14 +408,13 @@ class TestDeepTrees:
         assert (detail.span, detail.role) == (TokenSpan(3002, 3002), "detail")
 
 
-class TestDependents:
-    def test_label_filter_uses_universal_part(self, gold):
+class TestChildren:
+    def test_a_relation_is_its_universal_part(self, gold):
         g = gold["gold-03"]
-        assert dependents(g, 4, {"acl"}) == [8]  # acl:relcl
+        assert g.token(8).deprel == "acl:relcl"
+        assert 8 in g.children(4) and g.rels[8] == "acl"
 
-    def test_surface_order_and_no_filter(self, gold):
+    def test_surface_order(self, gold):
         g = gold["gold-01"]
         assert g.children(7) == (2, 6, 8, 12, 19, 20)
-        assert dependents(g, 7, {"nsubj"}) == [2]
-        assert dependents(g, 19, {"case"}) == [17]
         assert g.children(8) == ()

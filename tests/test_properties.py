@@ -13,7 +13,7 @@ from itirel import (LexiconSet, SentenceGraph, StructureError,
                     TokenSpan)
 from itirel import entities
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
-from itirel.depgraph import Token, decode_lines, dependents, subtree_ids
+from itirel.depgraph import Token, decode_lines, subtree_ids
 from itirel.lexicon import (LexiconError, SpatialRelationKind, canon_word,
                             normalize, phrase_index)
 from itirel.nary import _argument, extract_nary, identify_use_cases
@@ -56,13 +56,12 @@ def test_subtree_ids_match_head_chain_closure(g):
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_trees(), st.sets(st.sampled_from(_DEPRELS)))
-def test_dependents_filter_children_by_base_relation(g, labels):
+@given(random_trees())
+def test_children_and_relations_match_the_head_column(g):
     for t in g.tokens:
         assert g.rels[t.id] == t.deprel.split(":", 1)[0]
-        assert dependents(g, t.id, labels) == [
-            u.id for u in g.tokens
-            if u.head == t.id and u.deprel.split(":", 1)[0] in labels]
+        assert g.children(t.id) == tuple(u.id for u in g.tokens
+                                         if u.head == t.id)
 
 
 @settings(max_examples=60, deadline=None)
