@@ -301,12 +301,12 @@ _IRI_OK = re.compile(r'[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*')
 # distinct IRIs ("a b" -> "a%20b", "a%20b" -> "a%2520b", "a%j" unchanged).
 _IRI_ESCAPED = re.compile(r'[\x00-\x20<>"{}|^`\\#/?]|%(?=[0-9A-Fa-f]{2})')
 
-_TTL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
-                "\t": "\\t"}
-
 
 def _lit(value: str) -> str:
-    return '"' + "".join(_TTL_ESCAPES.get(c, c) for c in value) + '"'
+    # the backslash first, so that no escape written here is escaped again
+    return '"' + (value.replace("\\", "\\\\").replace('"', '\\"')
+                  .replace("\n", "\\n").replace("\r", "\\r")
+                  .replace("\t", "\\t")) + '"'
 
 
 def _entity_node(e) -> str:

@@ -12,6 +12,7 @@ from itirel import (Argument, ItineraryRelation, JsonWriter, NaryRelation,
                     bundled_lexicon_dir, extract_sentence, from_json,
                     iter_conllu, lexicon_fingerprint, load_lexicons, to_json,
                     to_turtle)
+from itirel.serialize import _lit
 
 from conftest import build, rebuilt
 from oracles import document_json
@@ -295,6 +296,12 @@ class TestTurtle:
     def test_literal_escaping(self, doc):
         text = to_turtle(doc, BASE)
         parse_turtle(text)  # no bare quotes/newlines leak into literals
+
+    def test_each_special_character_of_a_literal_is_escaped(self):
+        # a CR reaches a literal only from a graph built directly: every
+        # line rule ends a line at CR
+        assert _lit('a\\b"c\nd\re\tf\\"') \
+            == '"a\\\\b\\"c\\nd\\re\\tf\\\\\\""'
 
     def test_verb_lemma_with_a_space_gives_a_valid_iri(self, tmp_path):
         lexdir = tmp_path / "lexicons"
