@@ -167,8 +167,8 @@ def nary_relations(tokens: Sequence) -> list[tuple[str, int, list]]:
     """(use case, verb, [(pivot, role), ...]) of each n-ary relation: one
     per use case of the main verb and of each coordinated VERB, which takes
     the main subject when it has none; a UC3 relation has three arguments
-    or more; a relation with the use case, lemma and arguments of an
-    earlier one is left out."""
+    or more; a relation whose arguments all lie under its subject, or that
+    has none, is left out."""
     main = main_verb(tokens)
     if main is None:
         return []
@@ -176,10 +176,11 @@ def nary_relations(tokens: Sequence) -> list[tuple[str, int, list]]:
     main_subject = subjects[0] if subjects else None
     verbs = [main] + [c for c in _kids(tokens, main, {"conj"})
                       if tokens[c - 1].upos == "VERB"]
-    out, seen = [], set()
+    out = []
     for verb in verbs:
         subjects = _kids(tokens, verb, {"nsubj", "csubj"})
         subject = subjects[0] if subjects else main_subject
+        under = set() if subject is None else closure(tokens, subject)
         heads = sorted({subject, *_kids(tokens, verb, {"obj", "iobj", "obl"})}
                        - {None})
         base = [a for h in heads for a in _pivot_arguments(tokens, h)]
@@ -201,10 +202,9 @@ def nary_relations(tokens: Sequence) -> list[tuple[str, int, list]]:
                                              _kids(tokens, o, {"acl"}))
             elif uc == "UC3" and len(args) < 3:
                 continue
-            key = (uc, tokens[verb - 1].lemma, *sorted(args))
-            if key not in seen:
-                seen.add(key)
-                out.append((uc, verb, args))
+            if all(p in under for p, _ in args):
+                continue
+            out.append((uc, verb, args))
     return out
 
 

@@ -387,29 +387,84 @@ class TestRelations:
 
 
 class TestRelationEquality:
-    def test_a_duplicate_relation_is_dropped(self):
+    # A relation needs an argument besides its subject.  Every other
+    # argument's pivot lies in its own clause's subtree, so no two kept
+    # relations share use case, lemma and argument multiset.
+    _REASONLESS = [(1, "Il", "il", "PRON", 2, "nsubj"),
+                   (2, "part", "partir", "VERB", 0, "root"),
+                   (3, "pour", "pour", "ADP", 4, "mark"),
+                   (4, ",", ",", "PUNCT", 2, "advcl"),
+                   (5, "et", "et", "CCONJ", 6, "cc"),
+                   (6, "part", "partir", "VERB", 2, "conj"),
+                   (7, "pour", "pour", "ADP", 8, "mark"),
+                   (8, ".", ".", "PUNCT", 6, "advcl")]
+
+    def test_a_relation_of_the_subject_alone_is_not_kept(self):
         """« Il part pour , et part pour . »: each partir clause matches UC1
         through a reason clause of punctuation only, which gives no
-        argument, so both give UC1 partir with the subject alone: the same
-        use case, predicate lemma and argument multiset.  Only the first is
-        kept."""
-        rows = [(1, "Il", "il", "PRON", 2, "nsubj"),
-                (2, "part", "partir", "VERB", 0, "root"),
-                (3, "pour", "pour", "ADP", 4, "mark"),
-                (4, ",", ",", "PUNCT", 2, "advcl"),
-                (5, "et", "et", "CCONJ", 6, "cc"),
-                (6, "part", "partir", "VERB", 2, "conj"),
-                (7, "pour", "pour", "ADP", 8, "mark"),
-                (8, ".", ".", "PUNCT", 6, "advcl")]
+        argument, so each relation would hold the subject alone."""
+        rows = self._REASONLESS
+        for g in (build(rows), build(rows[:4])):
+            assert identify_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
+            assert extract_nary(g) == []
+        # a reason with a word is an argument besides the subject
+        rows = [*rows[:3], (4, "voir", "voir", "VERB", 2, "advcl"),
+                *rows[4:]]
         (rel,) = extract_nary(build(rows))
-        assert rel.use_case is UseCaseKind.UC1_ADDITIONAL_INFO
-        assert (rel.predicate_lemma, rel.predicate_token) == ("partir", 2)
-        assert [a.text for a in rel.arguments] == ["Il"]
-        # with another lemma, the second clause's relation is kept
-        rows[5] = (6, "vient", "venir", "VERB", 2, "conj")
-        assert [(r.predicate_lemma, r.predicate_token, r.arguments)
-                for r in extract_nary(build(rows))] == [
-            ("partir", 2, rel.arguments), ("venir", 6, rel.arguments)]
+        assert (rel.use_case, rel.predicate_token) == (
+            UseCaseKind.UC1_ADDITIONAL_INFO, 2)
+        assert [(a.role, a.text) for a in rel.arguments] == [
+            ("subj", "Il"), ("reason", "voir")]
+
+    def test_a_list_of_punctuation_is_no_argument(self):
+        """« Il voit , comme . ; et voit , comme . ; »: each voir clause's
+        object is an enumeration of punctuation only (UC4), which gives no
+        argument."""
+        rows = [(1, "Il", "il", "PRON", 2, "nsubj"),
+                (2, "voit", "voir", "VERB", 0, "root"),
+                (3, ",", ",", "PUNCT", 2, "obj"),
+                (4, "comme", "comme", "ADP", 5, "case"),
+                (5, ".", ".", "PUNCT", 3, "nmod"),
+                (6, ";", ";", "PUNCT", 5, "conj"),
+                (7, "et", "et", "CCONJ", 8, "cc"),
+                (8, "voit", "voir", "VERB", 2, "conj"),
+                (9, ",", ",", "PUNCT", 8, "obj"),
+                (10, "comme", "comme", "ADP", 11, "case"),
+                (11, ".", ".", "PUNCT", 9, "nmod"),
+                (12, ";", ";", "PUNCT", 11, "conj")]
+        for g in (build(rows), build(rows[:6])):
+            assert identify_use_cases(g) == [UseCaseKind.UC4_ORDERED_LIST]
+            assert extract_nary(g) == []
+
+    def test_a_subject_s_enumeration_is_still_the_subject(self):
+        """« Des villes comme Pau et Lyon partent pour , et partent pour . »:
+        the items of the subject's enumeration belong to the subject, which
+        both clauses share, so neither relation is kept."""
+        rows = [(1, "Des", "un", "DET", 2, "det"),
+                (2, "villes", "ville", "NOUN", 6, "nsubj"),
+                (3, "comme", "comme", "ADP", 4, "case"),
+                (4, "Pau", "Pau", "PROPN", 2, "nmod"),
+                (5, "et", "et", "CCONJ", 7, "cc"),
+                (6, "partent", "partir", "VERB", 0, "root"),
+                (7, "Lyon", "Lyon", "PROPN", 4, "conj"),
+                (8, "pour", "pour", "ADP", 9, "mark"),
+                (9, ",", ",", "PUNCT", 6, "advcl"),
+                (10, "et", "et", "CCONJ", 11, "cc"),
+                (11, "partent", "partir", "VERB", 6, "conj"),
+                (12, "pour", "pour", "ADP", 13, "mark"),
+                (13, ".", ".", "PUNCT", 11, "advcl")]
+        g = build(rows)
+        assert identify_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
+        assert extract_nary(g) == []
+
+    def test_a_relation_without_arguments_is_not_kept(self):
+        """« Part pour , »: no subject, and a reason of punctuation only."""
+        rows = [(1, "Part", "partir", "VERB", 0, "root"),
+                (2, "pour", "pour", "ADP", 3, "mark"),
+                (3, ",", ",", "PUNCT", 1, "advcl")]
+        g = build(rows)
+        assert identify_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
+        assert extract_nary(g) == []
 
     def test_inequality_on_predicate_and_args(self, gold):
         (rel,) = extract_nary(gold["gold-01"])

@@ -2,6 +2,7 @@ import codecs
 import io
 import json
 import string
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -73,6 +74,9 @@ def test_root_yield_covers_every_token(g):
 # the words of the reason markers and of « comme », which marks, case
 # markers and what they govern are drawn from
 _CLAUSE_WORDS = ("pour", "car", "parce", "que", "comme", "Comme", "de")
+# an enumeration item or a reason clause may be punctuation alone, which
+# gives no argument: then a relation may have no argument but its subject
+_ITEMS = ("PROPN", "PROPN", "PUNCT")
 
 
 @st.composite
@@ -106,11 +110,12 @@ def random_clauses(draw):
                 kids if nested else kids + ("acl", "acl:relcl")),
                 max_size=2)):
             if kid in ("nmod", "appos"):  # maybe an enumeration
-                e = add(n, "PROPN", kid)
+                e = add(n, draw(st.sampled_from(_ITEMS)), kid)
                 leaf(e, "case", ("comme", "Comme", "de"))
                 leaves(e, ("case", "punct"), 1)
                 for _ in range(draw(st.integers(0, 2))):
-                    leaves(add(e, "PROPN", "conj"), ("cc", "case", "punct"))
+                    leaves(add(e, draw(st.sampled_from(_ITEMS)), "conj"),
+                           ("cc", "case", "punct"))
             elif kid.startswith("acl"):
                 clause(n, kid, True)
             else:
@@ -123,11 +128,14 @@ def random_clauses(draw):
                  "advcl", "punct")
         for part in draw(st.lists(st.sampled_from(parts), min_size=1,
                                   max_size=2 if nested else 4)):
-            if part == "advcl":
-                c = add(v, "VERB", part)
-                for _ in range(draw(st.integers(0, 2))):
+            if part == "advcl":  # maybe a reason of punctuation only
+                bare = draw(st.booleans())
+                c = add(v, "PUNCT" if bare else "VERB", part)
+                if bare:
+                    leaf(c, "mark", ("pour", "car"))
+                for _ in range(0 if bare else draw(st.integers(0, 2))):
                     leaves(leaf(c, "mark"), ("fixed",), 1)
-                leaves(c, ("obj", "punct"))
+                leaves(c, ("punct",) if bare else ("obj", "punct"))
             elif part == "punct":
                 leaf(v, part)
             else:
@@ -162,6 +170,11 @@ def test_use_cases_and_pivots_match_the_naive_walks(g):
         event(r.use_case.value)
         # only a clause's one subject pivot gets the role
         assert [a.role for a in r.arguments].count("subj") <= 1
+    # a relation is found again by equality, so none share use case,
+    # lemma and argument multiset
+    keys = {(r.use_case, r.predicate_lemma,
+             frozenset(Counter(r.arguments).items())) for r in relations}
+    assert len(keys) == len(relations)
 
 
 def _covering_span(ids) -> TokenSpan:
