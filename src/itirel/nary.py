@@ -17,11 +17,12 @@ A clause verb's children are read once into a view (subject, objects,
 obliques, advcl, conj), and so are a nominal's (case markers, enumeration
 items, acl), shared by coordinated clauses; each pattern is matched once per
 clause verb on the views.  UC2 moves each relativized object to the end.
+A relation needs an argument besides those of its subject, so no two
+relations of a sentence are equal.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -231,8 +232,10 @@ def identify_use_cases(g: SentenceGraph) -> list[UseCaseKind]:
 def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
     """All n-ary relations of a sentence, one per (clause verb, use-case):
     the main verb and each coordinated verb, which inherits the main
-    subject when it has none.  Of relations with the same use case,
-    predicate lemma and multiset of arguments, only the first is kept."""
+    subject when it has none.  A relation needs an argument besides those
+    of its subject.  The pivots of the other arguments of two clauses lie
+    in disjoint subtrees, so no two relations share use case, predicate
+    lemma and multiset of arguments."""
     try:
         main = _clause(g, root_verb(g))
     except NoMainVerb:
@@ -246,8 +249,10 @@ def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
         if not use_cases:
             continue
         verb, subject, objects, obliques, _, _ = clause
-        base = [a for h in sorted({subject, *objects, *obliques} - {None})
-                for a in _argument_for(g, views, h)]
+        per_head = {h: _argument_for(g, views, h)
+                    for h in sorted({subject, *objects, *obliques} - {None})}
+        base = [a for args in per_head.values() for a in args]
+        alone = len(per_head.get(subject, ()))  # every relation has these
         lemma = g.tokens[verb - 1].lemma
         for uc, matched in use_cases.items():
             if uc is UseCaseKind.UC1_ADDITIONAL_INFO:
@@ -264,16 +269,9 @@ def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
                 args = base
             if uc is UseCaseKind.UC3_NO_PRIMARY_ARGUMENT and len(args) < 3:
                 continue  # a binary extraction is not n-ary
+            if len(args) == alone:
+                continue  # nor is the subject alone, or nothing
             relations.append(NaryRelation(use_case=uc, predicate_lemma=lemma,
                                           predicate_token=verb,
                                           arguments=tuple(args)))
-    kept, groups = [], {}
-    for r in relations:  # a duplicate has the same lemma and pivots
-        same = groups.setdefault(
-            (r.predicate_lemma, *sorted(a.pivot for a in r.arguments)), [])
-        if not any(s.use_case is r.use_case  # only then hash the arguments
-                   and Counter(s.arguments) == Counter(r.arguments)
-                   for s in same):
-            same.append(r)
-            kept.append(r)
-    return kept
+    return relations
