@@ -100,12 +100,6 @@ class TokenSpan(Record):
     def __len__(self) -> int:
         return self.last - self.first + 1
 
-    def covers(self, other: "TokenSpan") -> bool:
-        return self.first <= other.first and other.last <= self.last
-
-    def overlaps(self, other: "TokenSpan") -> bool:
-        return not (self.last < other.first or other.last < self.first)
-
 
 class SentenceGraph(Record):
     """A sentence whose tokens have ids 1..n and whose head links form one
@@ -161,9 +155,6 @@ class SentenceGraph(Record):
 
     def children(self, token_id: int) -> tuple[int, ...]:
         return self._kids[token_id] if 0 <= token_id < len(self._kids) else ()
-
-    def span(self) -> TokenSpan:
-        return TokenSpan(1, len(self.tokens))
 
     def span_tokens(self, span: TokenSpan) -> tuple[Token, ...]:
         return self.tokens[span.first - 1:span.last]

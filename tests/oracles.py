@@ -10,7 +10,8 @@ reference parses LF text line by line and checks each tree token by token;
 The use-case reference reads UC1-UC4 and their arguments by scans of the
 head column.  The gazetteer reference loads ``gazetteer.tsv`` as the loader
 did when each row went through a generator of index entries and a second
-loop that built the index from them.
+loop that built the index from them.  ``whole_span``, ``covers`` and
+``overlaps`` are span helpers that only tests need.
 """
 
 from __future__ import annotations
@@ -22,11 +23,24 @@ import unicodedata
 from pathlib import Path
 from typing import Optional, Sequence
 
-from itirel.depgraph import ConlluParseError, StructureError, Token
+from itirel.depgraph import ConlluParseError, StructureError, Token, TokenSpan
 from itirel.lexicon import LexiconError, normalize
 from itirel.nary import LIST_MARKERS, REASON_MARKERS
 
 CORE_RELS = frozenset({"nsubj", "csubj", "obj", "iobj", "obl"})
+
+
+def whole_span(g) -> TokenSpan:
+    """The span of every token of a sentence graph."""
+    return TokenSpan(1, len(g.tokens))
+
+
+def covers(a: TokenSpan, b: TokenSpan) -> bool:
+    return a.first <= b.first and b.last <= a.last
+
+
+def overlaps(a: TokenSpan, b: TokenSpan) -> bool:
+    return not (a.last < b.first or b.last < a.first)
 
 
 def closure(tokens: Sequence, token_id: int) -> set[int]:

@@ -15,7 +15,7 @@ from itirel import (NoMainVerb, SpatialRelationKind, TemporalRelationKind,
                     to_json, to_turtle)
 
 from conftest import figurative_sentence
-from oracles import argument_spans
+from oracles import argument_spans, whole_span
 from turtle_check import parse_turtle, TurtleSyntaxError
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -65,11 +65,11 @@ def test_acceptance_3_taxonomy_table(taxonomy, lex):
     correct = 0
     for sid, kind in spatial_expected.items():
         g = taxonomy[sid]
-        ents = recognize_spatial(g, g.span(), lex)
+        ents = recognize_spatial(g, whole_span(g), lex)
         correct += (len(ents) == 1 and ents[0].kind is kind)
     for sid, kind in temporal_expected.items():
         g = taxonomy[sid]
-        ents = recognize_temporal(g, g.span(), lex)
+        ents = recognize_temporal(g, whole_span(g), lex)
         correct += (len(ents) == 1 and ents[0].kind is kind)
     _check(3, f"taxonomy table {correct}/8", correct == 8)
 

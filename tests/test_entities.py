@@ -10,6 +10,7 @@ from itirel import entities, lexicon
 from itirel.lexicon import normalize
 
 from conftest import build, rebuilt
+from oracles import overlaps, whole_span
 
 
 class TestClassifiers:
@@ -44,7 +45,7 @@ def distance_magnitudes(lex, number: str) -> list:
     g = build([(1, "depuis", "depuis", "ADP", 3, "case"),
                (2, number, number.lower(), "NUM", 3, "nummod"),
                (3, "jours", "jour", "NOUN", 0, "root")])
-    return [e.magnitude for e in recognize_temporal(g, g.span(), lex)]
+    return [e.magnitude for e in recognize_temporal(g, whole_span(g), lex)]
 
 
 class TestNumbers:
@@ -58,14 +59,14 @@ class TestNumbers:
     # Arabic-Indic digit string is no number.
     def test_a_magnitude_is_ascii_digits(self, lex):
         g = run("depuis ٣ jours")
-        assert recognize_temporal(g, g.span(), lex) == []
+        assert recognize_temporal(g, whole_span(g), lex) == []
 
     def test_a_day_and_a_year_are_ascii_digits(self, lex):
         g = run("5 mai ١٩٩٠")
-        assert kinds_and_texts(recognize_temporal(g, g.span(), lex)) == [
+        assert kinds_and_texts(recognize_temporal(g, whole_span(g), lex)) == [
             (TemporalRelationKind.ABSOLUTE, "5 mai")]
         g = run("٥ mai 1990")
-        assert kinds_and_texts(recognize_temporal(g, g.span(), lex)) == [
+        assert kinds_and_texts(recognize_temporal(g, whole_span(g), lex)) == [
             (TemporalRelationKind.ABSOLUTE, "mai 1990")]
 
 
@@ -173,7 +174,7 @@ class TestSpatialRecognition:
 
     def test_metric(self, taxonomy, lex):
         g = taxonomy["tax-metric"]
-        (ent,) = recognize_spatial(g, g.span(), lex)
+        (ent,) = recognize_spatial(g, whole_span(g), lex)
         assert ent.kind is SpatialRelationKind.METRIC
         assert ent.magnitude == (10, "km")
         assert ent.anchors == ("Pau",)
@@ -188,7 +189,7 @@ class TestSpatialRecognition:
                    (3, "kilomètres", unit, "NOUN", 0, "root"),
                    (4, "de", "de", "ADP", 5, "case"),
                    (5, "Pau", "Pau", "PROPN", 3, "nmod")])
-        (ent,) = recognize_spatial(g, g.span(), lex)
+        (ent,) = recognize_spatial(g, whole_span(g), lex)
         assert ent.kind is SpatialRelationKind.METRIC
         assert ent.magnitude == (10, "kilomètre")
         assert ent.anchors == ("Pau",)
@@ -199,7 +200,7 @@ class TestSpatialRecognition:
                    (2, "vais", "aller", "VERB", 0, "root"),
                    (3, "à", "à", "ADP", 4, "case"),
                    (4, "Pau", "Pau", "PROPN", 2, "obl")])
-        (ent,) = recognize_spatial(g, g.span(), lex)
+        (ent,) = recognize_spatial(g, whole_span(g), lex)
         assert ent.kind is SpatialRelationKind.ABSOLUTE
 
     def test_metric_cut_before_its_toponym(self, taxonomy, lex):
@@ -216,7 +217,7 @@ class TestSpatialRecognition:
                    (3, "km", "km", "NOUN", 0, "root"),
                    (4, "vers", "vers", "ADP", 5, "case"),
                    (5, "Pau", "Pau", "PROPN", 3, "nmod")])
-        (ent,) = recognize_spatial(g, g.span(), lex)
+        (ent,) = recognize_spatial(g, whole_span(g), lex)
         assert ent.kind is SpatialRelationKind.ABSOLUTE
         assert (ent.anchors, ent.span) == (("Pau",), TokenSpan(5, 5))
 
@@ -228,11 +229,11 @@ class TestSpatialRecognition:
                    (4, "de", "de", "ADP", 6, "case"),
                    (5, "la", "le", "DET", 6, "det"),
                    (6, "ville", "ville", "NOUN", 3, "nmod")])
-        assert recognize_spatial(g, g.span(), lex) == []
+        assert recognize_spatial(g, whole_span(g), lex) == []
 
     def test_orientation_with_multiword_toponym(self, taxonomy, lex):
         g = taxonomy["tax-orientation"]
-        (ent,) = recognize_spatial(g, g.span(), lex)
+        (ent,) = recognize_spatial(g, whole_span(g), lex)
         assert ent.kind is SpatialRelationKind.ORIENTATION
         assert ent.direction == "ouest"
         assert ent.anchors == ("Pic de la Fourcade",)
@@ -248,14 +249,14 @@ class TestSpatialRecognition:
                    (2, "va", "aller", "VERB", 0, "root"),
                    (3, "nord", "nord", "ADV", 4, "advmod"),
                    (4, "Pau", "Pau", "PROPN", 2, "obl")])
-        (ent,) = recognize_spatial(g, g.span(), one_word)
+        (ent,) = recognize_spatial(g, whole_span(g), one_word)
         assert ent.kind is SpatialRelationKind.ORIENTATION
         assert (ent.direction, ent.anchors, ent.text) == \
             ("nord", ("Pau",), "nord Pau")
 
     def test_figure_with_three_anchors(self, taxonomy, lex):
         g = taxonomy["tax-figure"]
-        (ent,) = recognize_spatial(g, g.span(), lex)
+        (ent,) = recognize_spatial(g, whole_span(g), lex)
         assert ent.kind is SpatialRelationKind.GEOMETRIC_FIGURE
         assert ent.anchors == ("Pau", "Bordeaux", "Toulouse")
         assert ent.magnitude is None and ent.direction is None
@@ -266,7 +267,7 @@ class TestSpatialRecognition:
                    (3, "triangle", "triangle", "NOUN", 0, "root"),
                    (4, "Pau", "Pau", "PROPN", 3, "nmod"),
                    (5, "Bordeaux", "Bordeaux", "PROPN", 4, "conj")])
-        ents = recognize_spatial(g, g.span(), lex)
+        ents = recognize_spatial(g, whole_span(g), lex)
         # the figure fails (2 < 3 anchors); the bare toponyms remain
         assert [e.kind for e in ents] == [SpatialRelationKind.ABSOLUTE] * 2
 
@@ -277,7 +278,7 @@ class TestSpatialRecognition:
                    (2, "Pau", "Pau", "PROPN", 1, "nmod"),
                    (3, "et", "et", "CCONJ", 4, "cc"),
                    (4, "Lyon", "Lyon", "PROPN", 2, "conj")])
-        (ent,) = recognize_spatial(g, g.span(), lex)
+        (ent,) = recognize_spatial(g, whole_span(g), lex)
         assert ent.kind is SpatialRelationKind.GEOMETRIC_FIGURE
         assert ent.anchors == ("Pau", "Lyon")
 
@@ -291,7 +292,7 @@ class TestSpatialRecognition:
                    (5, "et", "et", "CCONJ", 6, "cc"),
                    (6, "maison", "maison", "NOUN", 2, "conj"),
                    (7, "Laruns", "Laruns", "PROPN", 6, "nmod")])
-        ents = recognize_spatial(g, g.span(), lex)
+        ents = recognize_spatial(g, whole_span(g), lex)
         assert [(e.kind, e.anchors) for e in ents] == [
             (SpatialRelationKind.ABSOLUTE, (name,))
             for name in ("Pau", "Lyon", "Laruns")]
@@ -305,16 +306,16 @@ class TestSpatialRecognition:
                    (4, "Lyon", "Lyon", "PROPN", 2, "conj"),
                    (5, "ou", "ou", "X", 6, "dep"),
                    (6, "Laruns", "Laruns", "PROPN", 2, "conj")])
-        (ent,) = recognize_spatial(g, g.span(), lex)
+        (ent,) = recognize_spatial(g, whole_span(g), lex)
         assert ent.kind is SpatialRelationKind.GEOMETRIC_FIGURE
         assert ent.anchors == ("Pau", "Lyon", "Laruns")
 
     def test_adjacency_and_inclusion(self, taxonomy, lex):
         (adj,) = recognize_spatial(taxonomy["tax-adjacency"],
-                                   taxonomy["tax-adjacency"].span(), lex)
+                                   whole_span(taxonomy["tax-adjacency"]), lex)
         assert adj.kind is SpatialRelationKind.ADJACENCY
         (inc,) = recognize_spatial(taxonomy["tax-inclusion"],
-                                   taxonomy["tax-inclusion"].span(), lex)
+                                   whole_span(taxonomy["tax-inclusion"]), lex)
         assert inc.kind is SpatialRelationKind.INCLUSION
         assert inc.anchors == ("Laruns",)
 
@@ -322,18 +323,18 @@ class TestSpatialRecognition:
         g = build([(1, "Je", "je", "PRON", 2, "nsubj"),
                    (2, "visite", "visiter", "VERB", 0, "root"),
                    (3, "Bayonne", "Bayonne", "PROPN", 2, "obj")])
-        assert recognize_spatial(g, g.span(), lex) == []
-        (ent,) = recognize_spatial(g, g.span(), lex, loose=True)
+        assert recognize_spatial(g, whole_span(g), lex) == []
+        (ent,) = recognize_spatial(g, whole_span(g), lex, loose=True)
         assert ent.kind is SpatialRelationKind.ABSOLUTE
         assert ent.anchors == ("Bayonne",) and ent.loose
 
     def test_entities_never_overlap(self, all_graphs, lex):
         for g in all_graphs:
             for loose in (False, True):
-                ents = recognize_spatial(g, g.span(), lex, loose)
+                ents = recognize_spatial(g, whole_span(g), lex, loose)
                 for i, a in enumerate(ents):
                     for b in ents[i + 1:]:
-                        assert not a.span.overlaps(b.span)
+                        assert not overlaps(a.span, b.span)
 
 
 class TestTemporalRecognition:
@@ -350,20 +351,20 @@ class TestTemporalRecognition:
 
     def test_distance_magnitude_before_marker(self, taxonomy, lex):
         g = taxonomy["tax-t-distance"]
-        (ent,) = recognize_temporal(g, g.span(), lex)
+        (ent,) = recognize_temporal(g, whole_span(g), lex)
         assert ent.kind is TemporalRelationKind.DISTANCE
         assert ent.magnitude == (20, "an")
         assert ent.anchor_text == "le début du siècle"
 
     def test_adjacency_with_full_date(self, taxonomy, lex):
         g = taxonomy["tax-t-adjacency"]
-        (ent,) = recognize_temporal(g, g.span(), lex)
+        (ent,) = recognize_temporal(g, whole_span(g), lex)
         assert ent.kind is TemporalRelationKind.ADJACENCY
         assert ent.anchor_text == "10 juillet 1990"
 
     def test_inclusion(self, taxonomy, lex):
         g = taxonomy["tax-t-inclusion"]
-        (ent,) = recognize_temporal(g, g.span(), lex)
+        (ent,) = recognize_temporal(g, whole_span(g), lex)
         assert ent.kind is TemporalRelationKind.INCLUSION
         assert ent.anchor_text == "années 60"
 
@@ -374,7 +375,7 @@ class TestTemporalRecognition:
                    (4, "10", "10", "NUM", 5, "nummod"),
                    (5, "juillet", "juillet", "NOUN", 2, "obl"),
                    (6, "1990", "1990", "NUM", 5, "nmod")])
-        (ent,) = recognize_temporal(g, g.span(), lex)
+        (ent,) = recognize_temporal(g, whole_span(g), lex)
         assert ent.kind is TemporalRelationKind.ABSOLUTE
         assert ent.text == "10 juillet 1990"
 
@@ -385,7 +386,7 @@ class TestTemporalRecognition:
         g = build([(1, "le", "le", "DET", 3, "det"),
                    (2, day, day, "NUM", 3, "nummod"),
                    (3, "mai", "mai", "NOUN", 0, "root")])
-        (ent,) = recognize_temporal(g, g.span(), lex)
+        (ent,) = recognize_temporal(g, whole_span(g), lex)
         assert ent.kind is TemporalRelationKind.ABSOLUTE
         assert ent.text == text
 
@@ -394,7 +395,7 @@ class TestTemporalRecognition:
                    (2, "part", "partir", "VERB", 0, "root"),
                    (3, "avant", "avant", "ADP", 4, "case"),
                    (4, "nous", "nous", "PRON", 2, "obl")])
-        assert recognize_temporal(g, g.span(), lex) == []
+        assert recognize_temporal(g, whole_span(g), lex) == []
 
     def test_reference_window_stops_at_a_verb(self, lex):
         # « pendant les vacances 1990 revient en 1991 »: the evidence after
@@ -406,7 +407,7 @@ class TestTemporalRecognition:
                    (5, "revient", "revenir", "VERB", 0, "root"),
                    (6, "en", "en", "ADP", 7, "case"),
                    (7, "1991", "1991", "NUM", 5, "obl")])
-        (ent,) = recognize_temporal(g, g.span(), lex)
+        (ent,) = recognize_temporal(g, whole_span(g), lex)
         assert ent.kind is TemporalRelationKind.INCLUSION
         assert ent.text == "pendant les vacances 1990"
 
@@ -421,19 +422,21 @@ class TestTemporalRecognition:
         temporal = build([(1, "dans", "dans", "ADP", 3, "case"),
                           (2, "deux", "deux", "NUM", 3, "nummod"),
                           (3, "semaines", "semaine", "NOUN", 0, "root")])
-        assert [e.kind for e in recognize_spatial(spatial, spatial.span(), lex)] \
-            == [SpatialRelationKind.INCLUSION]
-        assert recognize_spatial(temporal, temporal.span(), lex) == []
-        assert [e.kind for e in recognize_temporal(temporal, temporal.span(), lex)] \
-            == [TemporalRelationKind.DISTANCE]
-        assert recognize_temporal(spatial, spatial.span(), lex) == []
+        assert [e.kind for e in recognize_spatial(
+            spatial, whole_span(spatial), lex)] == [
+                SpatialRelationKind.INCLUSION]
+        assert recognize_spatial(temporal, whole_span(temporal), lex) == []
+        assert [e.kind for e in recognize_temporal(
+            temporal, whole_span(temporal), lex)] == [
+                TemporalRelationKind.DISTANCE]
+        assert recognize_temporal(spatial, whole_span(spatial), lex) == []
 
     def test_entities_never_overlap(self, all_graphs, lex):
         for g in all_graphs:
-            ents = recognize_temporal(g, g.span(), lex)
+            ents = recognize_temporal(g, whole_span(g), lex)
             for i, a in enumerate(ents):
                 for b in ents[i + 1:]:
-                    assert not a.span.overlaps(b.span)
+                    assert not overlaps(a.span, b.span)
 
 
 _LEMMAS = {"jours": "jour", "ans": "an", "la": "le"}
@@ -455,7 +458,7 @@ class TestScan:
     def test_no_entity_starts_on_a_consumed_token(self, lex):
         # « après » would read back « 3 jours », which « depuis » took
         g = run("depuis 3 jours après le 5 mai")
-        assert kinds_and_texts(recognize_temporal(g, g.span(), lex)) == [
+        assert kinds_and_texts(recognize_temporal(g, whole_span(g), lex)) == [
             (TemporalRelationKind.DISTANCE, "depuis 3 jours"),
             (TemporalRelationKind.ABSOLUTE, "5 mai")]
 
@@ -467,7 +470,7 @@ class TestScan:
         # a distance marker at span position 0 or 1 has no magnitude before
         # it: a negative index does not wrap to the span's end
         g = run(text)
-        ents = recognize_temporal(g, within or g.span(), lex)
+        ents = recognize_temporal(g, within or whole_span(g), lex)
         assert kinds_and_texts(ents) == [
             (TemporalRelationKind.ABSOLUTE, "5 mai")]
 
@@ -475,7 +478,7 @@ class TestScan:
     def test_metric_marker_with_no_toponym_in_reach(self, lex, text):
         g = run(text)
         for loose in (False, True):
-            assert recognize_spatial(g, g.span(), lex, loose) == []
+            assert recognize_spatial(g, whole_span(g), lex, loose) == []
 
     def test_a_failed_marker_leaves_its_token_to_the_fallback(self, lex):
         # « pic de » and « mai » as markers find no complement, so the bare
@@ -487,10 +490,12 @@ class TestScan:
             temporal_markers={**lex.temporal_markers,
                               "mai": TemporalRelationKind.DISTANCE})
         g = run("Pic de la Fourcade")
-        assert kinds_and_texts(recognize_spatial(g, g.span(), marked)) == [
+        assert kinds_and_texts(
+            recognize_spatial(g, whole_span(g), marked)) == [
             (SpatialRelationKind.ABSOLUTE, "Pic de la Fourcade")]
         g = run("mai 2010")
-        assert kinds_and_texts(recognize_temporal(g, g.span(), marked)) == [
+        assert kinds_and_texts(
+            recognize_temporal(g, whole_span(g), marked)) == [
             (TemporalRelationKind.ABSOLUTE, "mai 2010")]
 
 

@@ -11,6 +11,7 @@ from itirel.itinerary import _SIDES
 from itirel.lexicon import normalize
 
 from conftest import build, figurative_sentence
+from oracles import whole_span
 
 
 def _relation(g, lex, lemma=None):
@@ -26,15 +27,15 @@ def _relation(g, lex, lemma=None):
 class TestAssignRoles:
     def test_prepositions_override_polarity(self, gold, lex):
         g = gold["gold-05"]
-        pau = recognize_spatial(g, g.span(), lex)[0]
-        laruns = recognize_spatial(g, g.span(), lex)[1]
+        pau = recognize_spatial(g, whole_span(g), lex)[0]
+        laruns = recognize_spatial(g, whole_span(g), lex)[1]
         assert assign_roles(VerbPolarity.FINAL,
                             [("de", [pau]), ("vers", [laruns])]) \
             == ((pau,), (), (laruns,))
 
     def test_bare_object_falls_to_polarity_default(self, gold, lex):
-        (pau,) = recognize_spatial(gold["gold-01"], gold["gold-01"].span(),
-                                   lex)[:1]
+        g = gold["gold-01"]
+        (pau,) = recognize_spatial(g, whole_span(g), lex)[:1]
         # (origin, intermediate, destination)
         for polarity, side in ((VerbPolarity.INITIAL, 0),
                                (VerbPolarity.MEDIAN, 1),
@@ -44,29 +45,29 @@ class TestAssignRoles:
             assert sum(map(len, assigned)) == 1
 
     def test_unknown_preposition_falls_to_polarity_default(self, gold, lex):
-        (pau,) = recognize_spatial(gold["gold-01"], gold["gold-01"].span(),
-                                   lex)[:1]
+        g = gold["gold-01"]
+        (pau,) = recognize_spatial(g, whole_span(g), lex)[:1]
         assert assign_roles(VerbPolarity.INITIAL, [("chez", [pau])]) \
             == ((pau,), (), ())
 
     def test_intermediate_prepositions(self, gold, lex):
-        (pau,) = recognize_spatial(gold["gold-01"], gold["gold-01"].span(),
-                                   lex)[:1]
+        g = gold["gold-01"]
+        (pau,) = recognize_spatial(g, whole_span(g), lex)[:1]
         assert assign_roles(VerbPolarity.FINAL, [("par", [pau])]) \
             == ((), (pau,), ())
 
     def test_des_reads_as_origin(self, gold, lex):
         # « dès Pau »: a final verb's default side is the destination
-        (pau,) = recognize_spatial(gold["gold-01"], gold["gold-01"].span(),
-                                   lex)[:1]
+        g = gold["gold-01"]
+        (pau,) = recognize_spatial(g, whole_span(g), lex)[:1]
         assert assign_roles(VerbPolarity.FINAL, [("dès", [pau])]) \
             == ((pau,), (), ())
 
     def test_a_role_is_normalized_only_when_it_is_no_key(self, gold, lex):
         # a role that is a key is looked up as it is: every key is normalized
         assert all(normalize(k) == k for k in _SIDES)
-        (pau,) = recognize_spatial(gold["gold-01"], gold["gold-01"].span(),
-                                   lex)[:1]
+        g = gold["gold-01"]
+        (pau,) = recognize_spatial(g, whole_span(g), lex)[:1]
         assert assign_roles(VerbPolarity.INITIAL, [("Jusqu'à", [pau])]) \
             == ((), (), (pau,))
 

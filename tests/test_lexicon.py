@@ -12,7 +12,7 @@ from itirel import (LexiconError, LexiconSet, SpatialRelationKind,
 from itirel.lexicon import FILE_NAMES, canon_word, normalize, phrase_index
 
 from conftest import build
-from oracles import save_lexicons
+from oracles import save_lexicons, whole_span
 
 
 def _words(*forms):
@@ -81,7 +81,7 @@ class TestLoading:
                    (3, "kilomètres", "kilomètre", "NOUN", 0, "root"),
                    (4, "de", "de", "ADP", 5, "case"),
                    (5, "Pau", "Pau", "PROPN", 3, "nmod")])
-        (ent,) = recognize_spatial(g, g.span(), lex)
+        (ent,) = recognize_spatial(g, whole_span(g), lex)
         assert ent.kind is SpatialRelationKind.METRIC
         assert ent.magnitude == (10, "kilomètre")
 

@@ -6,7 +6,7 @@ from itirel import (Argument, NaryRelation, NoMainVerb, TokenSpan,
                     root_verb)
 
 from conftest import build
-from oracles import argument_spans
+from oracles import argument_spans, overlaps
 
 
 def _relativized_enumeration(form, lemma, second):
@@ -92,7 +92,7 @@ class TestArguments:
             for i, a in enumerate(args):
                 assert not a.span.first <= verb <= a.span.last
                 for b in args[i + 1:]:
-                    assert not a.span.overlaps(b.span)
+                    assert not overlaps(a.span, b.span)
 
     def test_non_projective_argument_is_flagged(self):
         # "en" climbs out of the object phrase: the object's yield has a hole

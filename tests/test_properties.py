@@ -20,11 +20,11 @@ from itirel.lexicon import (LexiconError, SpatialRelationKind, canon_word,
 from itirel.nary import _argument, extract_nary, identify_use_cases
 
 from conftest import _gold_file
-from oracles import (argument_ids, clause_use_cases, closure, longest_match,
-                     main_verb, nary_relations, normalize_two_regex,
-                     reference_load_gazetteer, reference_parse,
-                     reference_surface, save_lexicons, to_conllu,
-                     ungated_scan)
+from oracles import (argument_ids, clause_use_cases, closure, covers,
+                     longest_match, main_verb, nary_relations,
+                     normalize_two_regex, overlaps, reference_load_gazetteer,
+                     reference_parse, reference_surface, save_lexicons,
+                     to_conllu, ungated_scan, whole_span)
 from turtle_check import parse_turtle
 
 _UPOS = ("NOUN", "VERB", "ADP", "DET", "PROPN", "PUNCT", "ADV")
@@ -192,7 +192,7 @@ def test_sibling_yields_disjoint_when_tree_projective(g):
         spans = [_covering_span(subtree_ids(g, c)) for c in kids]
         for i, a in enumerate(spans):
             for b in spans[i + 1:]:
-                assert not a.overlaps(b)
+                assert not overlaps(a, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -425,14 +425,14 @@ def test_entity_disjointness_and_determinism(data, all_graphs, lex):
     g = data.draw(st.sampled_from(all_graphs) | entity_runs())
     loose = data.draw(st.booleans())
     for ents, again in (
-            (recognize_spatial(g, g.span(), lex, loose),
-             recognize_spatial(g, g.span(), lex, loose)),
-            (recognize_temporal(g, g.span(), lex),
-             recognize_temporal(g, g.span(), lex))):
+            (recognize_spatial(g, whole_span(g), lex, loose),
+             recognize_spatial(g, whole_span(g), lex, loose)),
+            (recognize_temporal(g, whole_span(g), lex),
+             recognize_temporal(g, whole_span(g), lex))):
         assert ents == again
         for i, a in enumerate(ents):
             for b in ents[i + 1:]:
-                assert not a.span.overlaps(b.span)
+                assert not overlaps(a.span, b.span)
 
 
 def _check_scan_gates(g, lex):
@@ -521,10 +521,10 @@ def test_gazetteer_monotonicity(data, all_graphs, lex):
                        temporal_markers=lex.temporal_markers,
                        gazetteer={n: lex.gazetteer[n] for n in subset},
                        units=lex.units)
-    before = recognize_spatial(g, g.span(), small)
-    after = recognize_spatial(g, g.span(), lex)
+    before = recognize_spatial(g, whole_span(g), small)
+    after = recognize_spatial(g, whole_span(g), lex)
     for ent in before:
-        assert any(ent.span.overlaps(e.span) for e in after), ent
+        assert any(overlaps(ent.span, e.span) for e in after), ent
 
 
 @settings(max_examples=40, deadline=None)
@@ -537,10 +537,11 @@ def test_recognition_locality(data, all_graphs, lex):
     last = data.draw(st.integers(first, len(g.tokens)))
     sub = TokenSpan(first, last)
     for recognize in (recognize_spatial, recognize_temporal):
-        full = recognize(g, g.span(), lex)
-        if any(e.span.overlaps(sub) and not sub.covers(e.span) for e in full):
+        full = recognize(g, whole_span(g), lex)
+        if any(overlaps(e.span, sub) and not covers(sub, e.span)
+               for e in full):
             continue
-        inside = [e for e in full if sub.covers(e.span)]
+        inside = [e for e in full if covers(sub, e.span)]
         assert recognize(g, sub, lex) == inside
 
 

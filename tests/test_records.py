@@ -11,6 +11,7 @@ from itirel import (Argument, ItineraryRelation, LexiconSet, NaryRelation,
                     recognize_spatial)
 
 from conftest import rebuilt
+from oracles import whole_span
 
 
 def _records():
@@ -64,7 +65,7 @@ class TestEquality:
 
     def test_a_graph_is_its_id_text_and_tokens(self, gold_text, lex):
         g, again = (parse_conllu(gold_text)[0] for _ in range(2))
-        recognize_spatial(g, g.span(), lex)  # fills g's normalized words
+        recognize_spatial(g, whole_span(g), lex)  # fills g's normalized words
         assert g.words is not None and again.words is None
         assert g == again and hash(g) == hash(again)
         assert rebuilt(g, text="autre") != g
