@@ -1,4 +1,5 @@
 import codecs
+import random
 import shutil
 import unicodedata
 from pathlib import Path
@@ -12,7 +13,8 @@ from itirel import (LexiconError, LexiconSet, SpatialRelationKind,
 from itirel.lexicon import FILE_NAMES, canon_word, normalize, phrase_index
 
 from conftest import build
-from oracles import save_lexicons, whole_span
+from oracles import (normalize_two_regex, reference_load_gazetteer,
+                     save_lexicons, whole_span)
 
 
 def _words(*forms):
@@ -318,6 +320,67 @@ class TestValidation:
         assert report.notices == (
             "gazetteer entry 'Dans' collides with a common-noun marker or "
             "unit",)
+
+    def test_gazetteer_notices_agree_with_the_reference_loader(
+            self, lex, tmp_path):
+        """A generated gazetteer of a few thousand names, some of them
+        written again with the same words (case, apostrophes, spaces, NFD)
+        and some with the words of a bundled marker or unit, validated
+        beside the bundled files: its notices are those a naive reading of
+        the reference loader's index gives, in the same order."""
+        rng = random.Random(23)
+        syllables = ("pa", "lu", "ron", "ville", "mont", "sé", "bé", "ar",
+                     "os", "çà", "gne", "ur", "lès", "ta")
+        rows: dict[str, str] = {}
+
+        def add(name):
+            rows.setdefault(name, rng.choice(("city", "village", "peak", "")))
+
+        while len(rows) < 3000:
+            words = ["".join(rng.choices(syllables, k=rng.randint(1, 3)))
+                     for _ in range(rng.choice((1, 1, 2, 3)))]
+            if rng.random() < 0.1:
+                words.insert(0, rng.choice(("L'", "d'", "Saint ")))
+            name = " ".join(w.capitalize() for w in words)
+            name = name.replace("' ", "'").replace("Saint ", "Saint-", 1)
+            add(name)
+            if rng.random() < 0.15:  # a name with the same words
+                add(rng.choice((name.upper(), name.replace("'", "’"),
+                                name.replace(" ", "  "),
+                                unicodedata.normalize("NFD", name))))
+        phrases = [*lex.spatial_markers, *lex.temporal_markers, *lex.units]
+        for phrase in phrases:  # each marker's and unit's words as a name
+            add(phrase.capitalize().replace(" l ", " l'"))
+            add(phrase.upper())
+        data = "".join(f"{name}\t{ftype}\n"
+                       for name, ftype in rng.sample(sorted(rows.items()),
+                                                     len(rows)))
+        for name in FILE_NAMES:
+            shutil.copy(bundled_lexicon_dir() / name, tmp_path / name)
+        (tmp_path / "gazetteer.tsv").write_text(data, encoding="utf-8")
+        report = validate_lexicons(load_lexicons(tmp_path))
+
+        gazetteer, index, _, _, problems = reference_load_gazetteer(
+            data.encode("utf-8"))
+        assert problems == []
+        markers = {*lex.spatial_markers, *lex.temporal_markers, *lex.units}
+        expected = []
+        for name in sorted(gazetteer):
+            words = tuple(normalize_two_regex(name).split())
+            if " ".join(words) in markers:
+                expected.append(f"gazetteer entry {name!r} collides with a "
+                                "common-noun marker or unit")
+            kept = index[words][1]
+            if kept != name:
+                expected.append(f"gazetteer entry {name!r} has the same "
+                                f"words as {kept!r}; {kept!r} is matched")
+        assert report.valid
+        assert report.counts["gazetteer"] == len(gazetteer) > 3000
+        assert [n for n in report.notices
+                if n.startswith("gazetteer ")] == expected
+        # the gazetteer exercises both notices
+        assert sum("collides" in n for n in expected) >= len(phrases)
+        assert sum("same words" in n for n in expected) > 300
 
     @pytest.mark.parametrize("maps, error", [
         ({"motion_verbs": {"": VerbPolarity.INITIAL}},
