@@ -1,0 +1,106 @@
+"""Mutation check: each one-line slip in MUTANTS must fail a test.
+
+Run from the repository root, with pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+Each entry of MUTANTS is (file, old text, new text, test file).  The script
+copies ``src``, ``tests`` and ``pyproject.toml`` into a temporary directory
+and first runs every named test file there unchanged: they must pass.  Then,
+for each entry, it replaces the one occurrence of the old text with the new
+one, runs ``python -m pytest -x -q`` on the test file, and restores the
+file.  A mutant whose tests pass survives.  The script lists every mutant
+and exits 1 when one survives, when an old text does not occur exactly
+once, or when the unchanged tests fail.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # a bare date's day is at most 31
+    ("src/itirel/entities.py", "or 0) <= 31", "or 0) <= 32",
+     "tests/test_entities.py"),
+    # a rectangle or a square needs two anchors, a triangle three
+    ("src/itirel/entities.py",
+     'minimum = 3 if figure_noun == "triangle" else 2', "minimum = 3",
+     "tests/test_entities.py"),
+    # the evidence of a temporal reference stops at a verb
+    ("src/itirel/entities.py", 'upos in ("PUNCT", "VERB") or (',
+     'upos in ("PUNCT",) or (', "tests/test_entities.py"),
+    # « ; » and « ou » separate a figure's anchors
+    ("src/itirel/entities.py", '_SEPARATOR_FORMS = {",", ";", "et", "ou"}',
+     '_SEPARATOR_FORMS = {",", "et"}', "tests/test_entities.py"),
+    # « dès » marks an origin
+    ("src/itirel/itinerary.py", '"dès": "origin",', "",
+     "tests/test_itinerary.py"),
+    # a relation needs an argument besides those of its subject
+    ("src/itirel/nary.py",
+     "            if len(args) == alone:\n"
+     "                continue  # nor is the subject alone, or nothing\n", "",
+     "tests/test_nary.py"),
+    # of two toponyms with the same words the smaller is matched
+    ("src/itirel/lexicon.py", "kept is None or name < kept",
+     "kept is None or name > kept", "tests/test_lexicon.py"),
+    # a toponym with the words of a unit is reported
+    ("src/itirel/lexicon.py",
+     "phrase in marker_phrases or phrase in lex.units",
+     "phrase in marker_phrases", "tests/test_lexicon.py"),
+]
+
+
+def _pytest(work: Path, test_file: str) -> bool:
+    """Whether ``pytest -x`` passes on one test file of the copy."""
+    env = {**os.environ, "PYTHONPATH": str(work / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         test_file], cwd=work, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main() -> int:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        failing = [t for t in sorted({m[3] for m in MUTANTS})
+                   if not _pytest(work, t)]
+        if failing:
+            print("the unchanged tests fail:", *failing)
+            return 1
+        bad = 0
+        for n, (file, old, new, test_file) in enumerate(MUTANTS, 1):
+            path = work / file
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"{n}: {file}: the old text occurs {text.count(old)} "
+                      f"times: {old!r}")
+                bad += 1
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            start = time.perf_counter()
+            killed = not _pytest(work, test_file)
+            path.write_text(text, encoding="utf-8")
+            print(f"{n}: {'killed' if killed else 'SURVIVED'} in "
+                  f"{time.perf_counter() - start:.1f} s by {test_file}: "
+                  f"{file}: {old.strip()!r} -> {new.strip()!r}")
+            bad += not killed
+    print(f"{len(MUTANTS)} mutants, {bad} not killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
