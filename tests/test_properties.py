@@ -74,8 +74,7 @@ def test_root_yield_covers_every_token(g):
 # the words of the reason markers and of « comme », which marks, case
 # markers and what they govern are drawn from
 _CLAUSE_WORDS = ("pour", "car", "parce", "que", "comme", "Comme", "de")
-# an enumeration item or a reason clause may be punctuation alone, which
-# gives no argument: then a relation may have no argument but its subject
+# an enumeration item may be punctuation alone, which gives no argument
 _ITEMS = ("PROPN", "PROPN", "PUNCT")
 
 
@@ -128,14 +127,16 @@ def random_clauses(draw):
                  "advcl", "punct")
         for part in draw(st.lists(st.sampled_from(parts), min_size=1,
                                   max_size=2 if nested else 4)):
-            if part == "advcl":  # maybe a reason of punctuation only
-                bare = draw(st.booleans())
-                c = add(v, "PUNCT" if bare else "VERB", part)
-                if bare:
-                    leaf(c, "mark", ("pour", "car"))
-                for _ in range(0 if bare else draw(st.integers(0, 2))):
+            if part == "advcl" and draw(st.booleans()):
+                # a reason clause of punctuation only gives no argument
+                c = add(v, "PUNCT", part)
+                leaf(c, "mark", ("pour", "car"))
+                leaves(c, ("punct",))
+            elif part == "advcl":
+                c = add(v, "VERB", part)
+                for _ in range(draw(st.integers(0, 2))):
                     leaves(leaf(c, "mark"), ("fixed",), 1)
-                leaves(c, ("punct",) if bare else ("obj", "punct"))
+                leaves(c, ("obj", "punct"))
             elif part == "punct":
                 leaf(v, part)
             else:
