@@ -255,6 +255,24 @@ class TestExtract:
         assert captured.err == \
             "itirel: conllu: line 4: invalid UTF-8 byte 0xe9\n"
 
+    def test_a_bad_line_before_an_invalid_byte_is_reported(
+            self, tmp_path, capsys, monkeypatch):
+        """The first error of the input is reported, whichever comes first
+        of a malformed line and an invalid byte a few lines after it."""
+        data = (b"# sent_id = a\n"
+                b"1\tje\tje\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+                b"2\tdors\tdormir\tVERB\t_\t_\t0\troot\n"
+                b"\n"
+                b"1\tP\xe9\tPau\tPROPN\t_\t_\t0\troot\t_\t_\n")
+        want = ("", "itirel: conllu: line 3: expected 10 tab-separated "
+                    "columns, got 8\n")
+        (tmp_path / "bad.conllu").write_bytes(data)
+        assert main(["extract", str(tmp_path / "bad.conllu")]) == EXIT_CONLLU
+        assert capsys.readouterr() == want
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        assert main(["extract"]) == EXIT_CONLLU
+        assert capsys.readouterr() == want
+
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_other_line_ends_read_as_lf(self, gold_text, gold_file, tmp_path,
                                         capsys, monkeypatch, newline):

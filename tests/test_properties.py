@@ -712,6 +712,61 @@ def test_every_line_end_counts_alike(lines, end, bad):
         assert str(err.value) == f"line {k + 1}: invalid UTF-8 byte 0xff"
 
 
+def _lines_of(data: bytes) -> list[str]:
+    """The lines of UTF-8 bytes that end at a line end or at the end of
+    the input, LF, CRLF and CR alike."""
+    text = data.decode("utf-8")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+def _read_all(chunks) -> tuple[list[str], str | None]:
+    """The lines decode_lines yields, and the message of its error."""
+    lines: list[str] = []
+    try:
+        for line in decode_lines(chunks, itirel.ConlluParseError):
+            lines.append(line)
+    except itirel.ConlluParseError as err:
+        return lines, str(err)
+    return lines, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_LINE, min_size=1, max_size=8),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=8,
+                     max_size=8),
+       final=st.booleans(), bom=st.booleans(),
+       bad=st.none() | st.integers(min_value=0),
+       cuts=st.lists(st.booleans(), max_size=9))
+def test_lines_and_error_do_not_depend_on_the_chunking(lines, ends, final,
+                                                       bom, bad, cuts):
+    """Bytes cut into chunks at any of their LFs give the same lines and
+    then the same error as one chunk: every line before the invalid byte's
+    line, then that byte and its line number.  The byte may go anywhere,
+    inside a multi-byte character or a CRLF too."""
+    text = "".join(map(str.__add__, lines, ends))
+    if not final:
+        text = text.removesuffix(ends[len(lines) - 1])
+    data = codecs.BOM_UTF8 * bom + text.encode("utf-8")
+    if bad is not None:
+        at = bad % (len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    body = data.removeprefix(codecs.BOM_UTF8)  # one is not text
+    try:
+        expected = _lines_of(body), None
+    except UnicodeDecodeError as err:
+        before = body[:err.start]
+        good = _lines_of(body[:max(before.rfind(b"\n"),
+                                   before.rfind(b"\r")) + 1])
+        expected = good, (f"line {len(good) + 1}: invalid UTF-8 byte "
+                          f"0x{body[err.start]:02x}")
+    ends_at = [i + 1 for i, byte in enumerate(data) if byte == 0x0A]
+    chosen = [0] + [i for i, cut in zip(ends_at, cuts) if cut] + [len(data)]
+    drawn = [data[i:j] for i, j in zip(chosen, chosen[1:])]
+    for chunks in ([data], io.BytesIO(data), drawn):
+        assert _read_all(chunks) == expected
+
+
 _GOLD_LINES = _gold_file("gold.conllu").split("\n")
 _GOLD_FILE = itirel.bundled_lexicon_dir().parent / "gold" / "gold.conllu"
 
