@@ -14,10 +14,11 @@ read; any readable path is an input, a pipe included).
 Logs go to stderr only; single-format output goes to stdout, as UTF-8 bytes
 whatever the locale.
 
-``extract`` streams: it reads the input a line at a time and passes each
-sentence through the pipeline to the writers as soon as it ends.  Output is
-copied to stdout or the out dir only once the whole input has been read, so
-a failure anywhere leaves none.
+``extract`` streams: it reads the input a block of lines at a time (8 KiB
+and the rest of the line the block cuts) and passes each sentence through the
+pipeline to the writers as soon as it ends.  Output is copied to stdout or
+the out dir only once the whole input has been read, so a failure anywhere
+leaves none.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from typing import Iterator
 
-from .depgraph import (ConlluParseError, StructureError, decode_lines,
-                       iter_conllu)
+from .depgraph import ConlluParseError, StructureError, read_conllu
 from .lexicon import (LexiconError, LexiconSet, bundled_lexicon_dir,
                       load_lexicons, validate_lexicons)
 from .serialize import JsonWriter, TurtleWriter, extract_sentence
@@ -116,8 +116,7 @@ def _extract(args, lex: LexiconSet) -> int:
         except ValueError as err:
             return _fail(str(err), EXIT_LEXICON)
         try:
-            lines = decode_lines(_input_lines(args.input), ConlluParseError)
-            for g in iter_conllu(lines):
+            for g in read_conllu(_input_blocks(args.input)):
                 result = extract_sentence(g, lex, args.loose_toponyms)
                 for writer in writers:
                     writer.add(result)
@@ -150,13 +149,22 @@ class _InputError(Exception):
     """The input could not be opened or read."""
 
 
-def _input_lines(path: str) -> Iterator[bytes]:
-    """The binary lines of the input at any readable path, or of stdin for
-    "-".  Only failing to open or read it raises ``_InputError``."""
+# bytes read at once; a block ends at the end of the line it cuts
+_BLOCK_BYTES = 1 << 13
+
+
+def _input_blocks(path: str) -> Iterator[bytes]:
+    """The input at any readable path, or stdin for "-", in blocks of
+    ``_BLOCK_BYTES`` bytes and the rest of the line each cuts, so that each
+    ends at an LF or at the end of the input.  Only failing to open or read
+    it raises ``_InputError``."""
     try:
         with (nullcontext(sys.stdin.buffer) if path == "-"
               else open(path, "rb")) as binary:
-            yield from binary
+            while block := binary.read(_BLOCK_BYTES):
+                if not block.endswith(b"\n"):
+                    block += binary.readline()
+                yield block
     except FileNotFoundError:
         raise _InputError(f"no such input file: {Path(path)}") from None
     except OSError as err:

@@ -187,41 +187,37 @@ _BLOCK = 1 << 16  # characters of a chunk's text split into lines at once
 
 def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
     """Text lines, without their ends, of strict UTF-8 chunks that each end
-    at an LF or at the end of the input (a binary file's lines, or a whole
-    file as one chunk).  LF, CRLF and CR end lines alike.  One UTF-8 byte
-    order mark at the start of the input is dropped, as the ``utf-8-sig``
-    codec drops it.  An invalid byte raises ``error(message, line_no)``, its
-    line counted the same way, before any line of its chunk is yielded.  A
-    chunk of many lines is split by ``str.split`` a block at a time, cut at
-    the first LF after 64 Ki characters, so that no list holds a whole
-    file's lines."""
+    at an LF or at the end of the input (a binary file's lines or blocks,
+    or a whole file as one chunk).  LF, CRLF and CR end lines alike.  One
+    UTF-8 byte order mark at the start of the input is dropped, as the
+    ``utf-8-sig`` codec drops it.  An invalid byte raises ``error(message,
+    line_no)``, its line counted the same way, once every line before its
+    line is yielded, so that neither the lines nor the error depend on
+    where the chunks end.  A chunk of many lines is split by ``str.split``
+    a block at a time, cut at the first LF after 64 Ki characters, so that
+    no list holds a whole file's lines."""
     chunks = iter(chunks)
     first = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
     line_no = 1  # of the chunk's first line
     for chunk in chain([first], chunks):
         try:
-            text = chunk.decode("utf-8")
+            text, bad = chunk.decode("utf-8"), None
         except UnicodeDecodeError as err:
-            before = chunk[:err.start]  # UTF-8 has 0x0a, 0x0d only as LF, CR
-            line_no += (before.count(b"\n") + before.count(b"\r")
-                        - before.count(b"\r\n"))
-            raise error(f"invalid UTF-8 byte 0x{chunk[err.start]:02x}",
-                        line_no) from None
+            bad = err.start  # UTF-8 has 0x0a, 0x0d only as LF, CR
+            text = chunk[:max(chunk.rfind(b"\n", 0, bad),
+                              chunk.rfind(b"\r", 0, bad)) + 1].decode("utf-8")
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        elif text.find("\n") == len(text) - 1:  # one LF-ended line, or none
-            if text:
-                line_no += 1
-                yield text[:-1]
-            continue
         line_no += text.count("\n")
         start, stop = 0, len(text) - text.endswith("\n")
-        while start <= stop:
+        while start < len(text):
             end = text.find("\n", start + _BLOCK, stop)
             if end < 0:
                 end = stop
             yield from text[start:end].split("\n")
             start = end + 1
+        if bad is not None:
+            raise error(f"invalid UTF-8 byte 0x{chunk[bad]:02x}", line_no)
 
 
 # the ids and heads of sentences under 256 words, found without a parse
@@ -256,23 +252,45 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
     ``sent_id`` or ``text`` are read; any other (``# text_en = ...``,
     ``# newdoc id = ...``) is ignored.
     """
-    rstrip = methodcaller("rstrip", "\r\n")
     if isinstance(source, str):
         source = source.removeprefix("\ufeff")
         if "\r" in source:
             source = source.replace("\r\n", "\n").replace("\r", "\n")
-        lines = source.split("\n")
-        lines.append("")  # an empty line after the last ends its sentence
-    else:  # the first line apart, so that the others cost nothing more
+        yield from _sentences(source.split("\n"))
+    else:
         source = iter(source)
-        first = rstrip(next(source, "").removeprefix("\ufeff"))
-        lines = chain([first], map(rstrip, source), [""])
+        first = next(source, "").removeprefix("\ufeff")
+        yield from _sentences(map(methodcaller("rstrip", "\r\n"),
+                                  chain([first], source)))
+
+
+def read_conllu(chunks: Iterable[bytes]) -> Iterator[SentenceGraph]:
+    """Sentence graphs of CoNLL-U bytes in chunks that each end at an LF or
+    at the end of the input, read as :func:`iter_conllu` reads their text:
+    the lines of :func:`decode_lines`, an invalid byte a
+    :class:`ConlluParseError`, and a byte order mark dropped before them as
+    :func:`iter_conllu` drops one U+FEFF."""
+    chunks = iter(chunks)
+    first = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
+    return _sentences(decode_lines(chain([first], chunks), ConlluParseError))
+
+
+def _sentences(lines: Iterable[str]) -> Iterator[SentenceGraph]:
+    """The parse of :func:`iter_conllu`, over lines without their ends; the
+    end of the lines ends the last sentence."""
     small_int, new_tuple = _SMALL_INTS.get, tuple.__new__
     count = 0
     sent_id: Optional[str] = None
     text: Optional[str] = None
     tokens: list[Token] = []
-    for line_no, line in enumerate(lines, 1):
+    for line_no, line in enumerate(chain(lines, [""]), 1):
+        cols = line.split("\t")
+        # most lines: a token line whose id and head are small integers
+        if (len(cols) == 10 and (token_id := small_int(cols[0])) is not None
+                and (head := small_int(cols[6])) is not None):
+            tokens.append(new_tuple(Token, (
+                token_id, cols[1], cols[2], cols[3], head, cols[7])))
+            continue
         if not line:
             if tokens:
                 count += 1
@@ -293,7 +311,6 @@ def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
             elif key == "text":
                 text = val.strip()
             continue
-        cols = line.split("\t")
         if len(cols) != 10:
             raise ConlluParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", line_no)

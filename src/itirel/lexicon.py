@@ -199,9 +199,10 @@ def _read_tsv(name: str, data: bytes, problems: list[str],
               optional_second: bool = False):
     """Yield (line_no, key, value) for data lines of two columns; '#'
     comments and blanks skipped.  LF, CRLF and CR end lines alike.  A line
-    with the wrong number of columns is added to problems and skipped; a file
-    that is not UTF-8 is one problem (its first bad byte) and yields none."""
-    lines = decode_lines(  # one chunk: a bad byte comes before any line
+    with the wrong number of columns is added to problems and skipped.  Of a
+    file that is not UTF-8 only the lines before its first bad byte's line
+    are read; that byte is one more problem."""
+    lines = decode_lines(
         [data], lambda message, at: LexiconError([f"{name}:{at}: {message}"]))
     try:
         for line_no, raw in enumerate(lines, 1):

@@ -458,18 +458,22 @@ def save_lexicons(lex, directory) -> None:
 def _reference_tsv_lines(name: str, data: bytes):
     """The lines of one lexicon file, without their ends: a leading byte
     order mark dropped, LF, CRLF and CR alike.  An invalid byte raises
-    LexiconError before any line, with its line counted the same way."""
+    LexiconError once the lines before its line are yielded, with its line
+    counted the same way."""
     data = data.removeprefix(codecs.BOM_UTF8)
     try:
-        text = data.decode("utf-8")
+        text, error = data.decode("utf-8"), None
     except UnicodeDecodeError as err:
         before = data[:err.start].replace(b"\r\n", b"\n").replace(b"\r",
                                                                    b"\n")
         line_no = before.count(b"\n") + 1
-        raise LexiconError([f"{name}:{line_no}: invalid UTF-8 byte "
-                            f"0x{data[err.start]:02x}"]) from None
+        error = LexiconError([f"{name}:{line_no}: invalid UTF-8 byte "
+                              f"0x{data[err.start]:02x}"])
+        text = before[:before.rfind(b"\n") + 1].decode("utf-8")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return lines[:-1] if lines[-1] == "" else lines
+    yield from lines[:-1] if lines[-1] == "" else lines
+    if error is not None:
+        raise error
 
 
 def _reference_read_tsv(name: str, data: bytes, problems: list[str],

@@ -349,10 +349,19 @@ class TestExtract:
     def test_input_read_error_exits_3_with_one_line(self, gold_text,
                                                    monkeypatch, capsys):
         class FailingReader(io.BytesIO):
-            def __next__(self):  # the first line, then a failing read
+            """The first read, then a failing read."""
+
+            def _fail_after_the_first(self):
                 if self.tell():
                     raise OSError(errno.EIO, os.strerror(errno.EIO))
-                return super().__next__()
+
+            def read(self, size=-1):
+                self._fail_after_the_first()
+                return super().read(size)
+
+            def readline(self, size=-1):
+                self._fail_after_the_first()
+                return super().readline(size)
 
         stdin = io.TextIOWrapper(FailingReader(gold_text.encode("utf-8")),
                                  encoding="utf-8")
@@ -537,6 +546,100 @@ def test_peak_memory_does_not_grow_with_the_corpus(tmp_path, gold_text,
     peak(1)  # warm-up: imports and caches filled on first use
     small, large = peak(5), peak(40)
     assert large <= 1.25 * small + 2 ** 20, (small, large)
+
+
+def _many_blocks(gold_text: str, end: str, boms: int) -> bytes:
+    """Forty gold copies with renamed sentence ids and the given line end,
+    after ``boms`` byte order marks.  Each copy the input reader would cut
+    (a block read of ``_BLOCK_BYTES`` bytes, then the rest of the line) is
+    put after a comment whose length makes the cut fall inside an accented
+    character of a form."""
+    data = bytearray(codecs.BOM_UTF8 * boms)
+    cut = cli._BLOCK_BYTES  # where the next block's read cuts the input
+    for k in range(40):
+        lines = gold_text.replace("# sent_id = gold-",
+                                  f"# sent_id = c{k}-").split("\n")
+        # the copy's last line is empty: it ends the copy's last sentence
+        copy = "".join(line + end for line in lines).encode("utf-8")
+        inside, at = [], 0  # offsets of the second bytes of form characters
+        for line in lines:
+            cols = line.split("\t")
+            if len(cols) == 10:
+                start = at + len(f"{cols[0]}\t".encode("utf-8"))
+                inside += [start + i for i, byte in
+                           enumerate(cols[1].encode("utf-8"))
+                           if 0x80 <= byte < 0xC0]
+            at += len(line.encode("utf-8")) + len(end)
+        room = cut - len(data) - len(f"# pad = {end}")
+        fits = [o for o in inside if o <= room]
+        if cut < len(data) + len(copy) and fits:
+            data += f"# pad = {'x' * (room - fits[-1])}{end}".encode("utf-8")
+        data += copy
+        while b"\n" in data[cut - 1:]:
+            cut = data.index(b"\n", cut - 1) + 1 + cli._BLOCK_BYTES
+    return bytes(data)
+
+
+@pytest.mark.parametrize("boms", [0, 1, 2])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_an_input_of_many_blocks_gives_the_string_s_output(
+        tmp_path, gold_text, capsys, end, boms):
+    """An input of many block reads gives the JSON and Turtle of its text
+    read as a string; two byte order marks are dropped, as the UTF-8-sig
+    codec and iter_conllu each drop one.  Each block is one read and the
+    rest of the line it cuts, and many cuts fall inside a character.  An
+    input without LF is one block, read in two calls, not a call a block."""
+    data = _many_blocks(gold_text, end, boms)
+    path = tmp_path / "many.conllu"
+    path.write_bytes(data)
+    size = cli._BLOCK_BYTES
+    blocks = list(cli._input_blocks(str(path)))
+    assert b"".join(blocks) == data
+    if end == "\r":
+        assert len(data) > 10 * size and blocks == [data]
+    else:
+        assert len(blocks) > 10
+        for block in blocks[:-1]:
+            assert block.endswith(b"\n")
+            assert b"\n" not in block[size:-1]
+        inside = [b for b in blocks[:-1]
+                  if len(b) > size and 0x80 <= b[size] < 0xC0]
+        assert len(inside) > len(blocks) // 2
+    out = tmp_path / "out"
+    assert main(["extract", str(path), "--format", "both", "--base-iri",
+                 BASE, "--out-dir", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    lex = load_lexicons(bundled_lexicon_dir())
+    doc = build_document(iter_conllu(data.decode("utf-8-sig")), lex,
+                         fingerprint=lex.fingerprint)
+    assert len(doc.sentences) == 320
+    assert (out / "extraction.json").read_text(encoding="utf-8") == \
+        to_json(doc)
+    assert (out / "extraction.ttl").read_text(encoding="utf-8") == \
+        itirel.to_turtle(doc, BASE)
+
+
+def test_an_input_without_lf_is_read_in_two_calls():
+    """A lone-CR input of many blocks is one block, its first read and the
+    rest in one readline: not grown by a read a block, which would copy
+    what is held on every read."""
+    calls = []
+
+    class Counted(io.BytesIO):
+        def read(self, size=-1):
+            calls.append("read")
+            return super().read(size)
+
+        def readline(self, size=-1):
+            calls.append("readline")
+            return super().readline(size)
+
+    data = b"x\r" * (20 * cli._BLOCK_BYTES)
+    stdin = io.TextIOWrapper(Counted(data), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sys.stdin", stdin)
+        assert list(cli._input_blocks("-")) == [data]
+    assert calls == ["read", "readline", "read"]
 
 
 class _FailingWrites:

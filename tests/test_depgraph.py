@@ -7,7 +7,8 @@ import pytest
 from itirel import (ConlluParseError, NoMainVerb, SentenceGraph,
                     StructureError, TokenSpan, extract_sentence, iter_conllu,
                     parse_conllu, root_verb, span_text)
-from itirel.depgraph import Token, decode_lines, subtree_ids
+from itirel.depgraph import (Token, decode_lines, read_conllu,
+                             subtree_ids)
 
 from conftest import build
 from oracles import closure, covers, overlaps, to_conllu, whole_span
@@ -134,6 +135,15 @@ class TestParsing:
         with pytest.raises(ConlluParseError) as err:
             parse_conllu("# sent_id = x\n1\tPau\tPau\n")
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("columns", [9, 11])
+    def test_a_token_line_of_small_ids_needs_ten_columns(self, columns):
+        row = "\t".join(["1", "Pau", "Pau", "PROPN", "_", "_", "0", "root",
+                         "_", "_", "_"][:columns])
+        with pytest.raises(ConlluParseError, match=(
+                f"^line 2: expected 10 tab-separated columns, got "
+                f"{columns}$")):
+            parse_conllu(f"# sent_id = x\n{row}\n")
 
     def test_non_integer_id_and_head(self):
         with pytest.raises(ConlluParseError):
@@ -315,6 +325,22 @@ class TestParsing:
                       io.StringIO("\ufeff\ufeff" + gold_text)):
             with pytest.raises(ConlluParseError, match="^line 1: expected"):
                 parse_conllu(twice)
+
+    def test_bytes_read_as_their_text(self, gold_text, gold):
+        """read_conllu gives the graphs and the first error of the text
+        decode_lines gives: one leading byte order mark dropped by each, two
+        in all, and an invalid byte's error after a malformed line's."""
+        graphs = list(gold.values())
+        data = gold_text.encode("utf-8")
+        bom = codecs.BOM_UTF8
+        for chunks in ([data], io.BytesIO(data), [bom + bom + data]):
+            assert list(read_conllu(chunks)) == graphs
+        with pytest.raises(ConlluParseError, match="^line 1: expected"):
+            list(read_conllu([bom * 3 + data]))
+        bad = data + b"# sent_id = bad\n1\tPau\tPau\n\xff\n"
+        with pytest.raises(ConlluParseError, match=(
+                "^line 116: expected 10 tab-separated columns, got 3$")):
+            list(read_conllu([bad]))
 
     def test_conllu_round_trip(self, gold_text, gold):
         graphs = list(gold.values())

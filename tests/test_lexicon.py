@@ -154,6 +154,17 @@ class TestLoading:
         assert err.value.problems == [
             "units.tsv:2: invalid UTF-8 byte 0xe8"]
 
+    def test_lines_before_an_invalid_byte_are_read(self, tmp_path):
+        shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        path = tmp_path / "lex" / "units.tsv"
+        path.write_bytes(b"km\tspatial\nkm\ttemporal\nm\xe8tre\tspatial\n"
+                         b"km\tbogus\n")
+        with pytest.raises(LexiconError) as err:
+            load_lexicons(tmp_path / "lex")
+        assert err.value.problems == [
+            "units.tsv:2: duplicate key 'km' conflicts with line 1",
+            "units.tsv:3: invalid UTF-8 byte 0xe8"]
+
     def test_gazetteer_type_column_optional(self, tmp_path):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
         with (tmp_path / "lex" / "gazetteer.tsv").open("a") as fh:
