@@ -587,8 +587,8 @@ def test_an_input_of_many_blocks_gives_the_string_s_output(
     """An input of many block reads gives the JSON and Turtle of its text
     read as a string; two byte order marks are dropped, as the UTF-8-sig
     codec and iter_conllu each drop one.  Each block is one read and the
-    rest of the line it cuts, and many cuts fall inside a character.  An
-    input without LF is one block, read in two calls, not a call a block."""
+    rest of the line it cuts, and many cuts fall inside a character; the
+    lone-CR copy, which has no LF, is one block."""
     data = _many_blocks(gold_text, end, boms)
     path = tmp_path / "many.conllu"
     path.write_bytes(data)
@@ -619,7 +619,7 @@ def test_an_input_of_many_blocks_gives_the_string_s_output(
         itirel.to_turtle(doc, BASE)
 
 
-def test_an_input_without_lf_is_read_in_two_calls():
+def test_an_input_without_lf_is_read_in_two_calls(monkeypatch):
     """A lone-CR input of many blocks is one block, its first read and the
     rest in one readline: not grown by a read a block, which would copy
     what is held on every read."""
@@ -635,10 +635,9 @@ def test_an_input_without_lf_is_read_in_two_calls():
             return super().readline(size)
 
     data = b"x\r" * (20 * cli._BLOCK_BYTES)
-    stdin = io.TextIOWrapper(Counted(data), encoding="utf-8")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("sys.stdin", stdin)
-        assert list(cli._input_blocks("-")) == [data]
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(Counted(data), encoding="utf-8"))
+    assert list(cli._input_blocks("-")) == [data]
     assert calls == ["read", "readline", "read"]
 
 
