@@ -11,8 +11,8 @@ UTF-8, an --out-dir that cannot be created, and any output that cannot be
 written: a temporary file, stdout, a closed pipe, or a file of the out dir),
 3 CoNLL-U error (also input that is not UTF-8, or that cannot be opened or
 read; any readable path is an input, a pipe included).
-Logs go to stderr only; single-format output goes to stdout, as UTF-8 bytes
-whatever the locale.
+Logs go to stderr only; single-format output and the ``lexicon validate``
+report go to stdout, as UTF-8 bytes whatever the locale.
 
 ``extract`` streams: it reads the input a block of lines at a time (8 KiB
 and the rest of the line the block cuts) and passes each sentence through the
@@ -89,14 +89,7 @@ def _cmd_extract(args) -> int:
         for problem in err.problems:
             print(f"itirel: lexicon: {problem}", file=sys.stderr)
         return EXIT_LEXICON
-    # one handler for every output write: temporary files, stdout, out dir
-    try:
-        return _extract(args, lex)
-    except BrokenPipeError:
-        return EXIT_LEXICON  # the reader of stdout has gone: tell it nothing
-    except OSError as err:
-        return _fail(f"cannot write {err.filename or 'output'}: "
-                     f"{err.strerror or err}", EXIT_LEXICON)
+    return _extract(args, lex)
 
 
 def _extract(args, lex: LexiconSet) -> int:
@@ -127,7 +120,7 @@ def _extract(args, lex: LexiconSet) -> int:
         for writer in writers:
             writer.finish()
         if not args.out_dir:
-            _copy_to_stdout(outputs)
+            _copy_to_stdout(outputs.values())
             return EXIT_OK
         out_dir = Path(args.out_dir)
         made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
@@ -177,9 +170,9 @@ def _temporary_file():
     return tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
 
 
-def _copy_to_stdout(outputs: dict) -> None:
+def _copy_to_stdout(outputs) -> None:
     """Write finished temporary outputs to stdout as UTF-8 bytes, flushed."""
-    for tmp in outputs.values():
+    for tmp in outputs:
         tmp.seek(0)
         if hasattr(sys.stdout, "buffer"):
             # the bytes, whatever encoding the locale gives stdout
@@ -220,22 +213,30 @@ def _copy_to_out_dir(outputs: dict, out_dir: Path) -> None:
 def _cmd_lexicon_validate(args) -> int:
     lexicon_dir = Path(args.lexicons) if args.lexicons else bundled_lexicon_dir()
     try:
-        lex = load_lexicons(lexicon_dir)
+        code, report = EXIT_OK, validate_lexicons(
+            load_lexicons(lexicon_dir)).render()
     except LexiconError as err:
-        for problem in err.problems:
-            print(f"error: {problem}")
-        print("result: INVALID")
-        return EXIT_LEXICON
-    report = validate_lexicons(lex)
-    print(report.render())
-    return EXIT_OK if report.valid else EXIT_LEXICON
+        code, report = EXIT_LEXICON, "\n".join(
+            [*(f"error: {problem}" for problem in err.problems),
+             "result: INVALID"])
+    with _temporary_file() as tmp:  # written as extract's output is
+        tmp.write(report + "\n")
+        _copy_to_stdout([tmp])
+    return code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "extract":
-        return _cmd_extract(args)
-    return _cmd_lexicon_validate(args)
+    command = (_cmd_extract if args.command == "extract"
+               else _cmd_lexicon_validate)
+    # one handler for every output write: temporary files, stdout, out dir
+    try:
+        return command(args)
+    except BrokenPipeError:
+        return EXIT_LEXICON  # the reader of stdout has gone: tell it nothing
+    except OSError as err:
+        return _fail(f"cannot write {err.filename or 'output'}: "
+                     f"{err.strerror or err}", EXIT_LEXICON)
 
 
 def entrypoint() -> None:

@@ -55,6 +55,20 @@ MUTANTS = [
     ("src/itirel/lexicon.py",
      "phrase in marker_phrases or phrase in lex.units",
      "phrase in marker_phrases", "tests/test_lexicon.py"),
+    # a lexicon line's key must keep a word, and its value must be known
+    ("src/itirel/lexicon.py", "        if not k:\n", "        if False:\n",
+     "tests/test_lexicon_errors.py"),
+    ("src/itirel/lexicon.py", "if value not in value_table:", "if False:",
+     "tests/test_lexicon_errors.py"),
+    # a toponym must keep a word after normalization
+    ("src/itirel/lexicon.py", "        if not words:\n",
+     "        if False:\n", "tests/test_lexicon_errors.py"),
+    # NFC follows the case fold, which can undo it
+    ("src/itirel/lexicon.py",
+     'return unicodedata.normalize(\n'
+     '        "NFC", unicodedata.normalize("NFC", lemma).casefold())',
+     'return unicodedata.normalize("NFC", lemma).casefold()',
+     "tests/test_properties.py"),
     # the lines before an invalid byte's line are read before its error
     ("src/itirel/depgraph.py", "while start < len(text):",
      "while start < len(text) and bad is None:", "tests/test_cli.py"),

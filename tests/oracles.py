@@ -162,8 +162,7 @@ def _pivot_arguments(tokens: Sequence, pivot: int, relcls=()) -> list:
     elif rel in ("obj", "iobj"):
         role = "obj"
     elif cases:
-        role = unicodedata.normalize(
-            "NFC", tokens[cases[0] - 1].lemma).casefold()
+        role = fold_nfc(tokens[cases[0] - 1].lemma)
     else:
         role = rel
     enum = _enumeration(tokens, pivot)
@@ -222,10 +221,17 @@ def nary_relations(tokens: Sequence) -> list[tuple[str, int, list]]:
     return out
 
 
+def fold_nfc(text: str) -> str:
+    """NFC, case-fold and NFC again: the fold can undo NFC, as "ß\\u0301"
+    folds to "ss\\u0301", which NFC composes to "s\\u015b"."""
+    return unicodedata.normalize(
+        "NFC", unicodedata.normalize("NFC", text).casefold())
+
+
 def normalize_two_regex(phrase: str) -> str:
-    """``lexicon.normalize`` as two regex passes: NFC and case-fold, each
+    """``lexicon.normalize`` as two regex passes: ``fold_nfc``, each
     apostrophe to a space, each run of whitespace to one space, stripped."""
-    s = re.sub("['’‘ʼ`]", " ", unicodedata.normalize("NFC", phrase).casefold())
+    s = re.sub("['’‘ʼ`]", " ", fold_nfc(phrase))
     return re.sub(r"\s+", " ", s).strip()
 
 

@@ -15,7 +15,8 @@ import pytest
 
 import itirel
 from itirel import (build_document, bundled_lexicon_dir, cli, iter_conllu,
-                    lexicon_fingerprint, load_lexicons, to_json)
+                    lexicon_fingerprint, load_lexicons, to_json,
+                    validate_lexicons)
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 
 from turtle_check import parse_turtle
@@ -72,7 +73,7 @@ class TestExtract:
         assert len(obj["sentences"]) == 8
         lex = load_lexicons(bundled_lexicon_dir())
         assert out == to_json(build_document(
-            iter_conllu(gold_file.read_text()), lex,
+            iter_conllu(gold_file.read_text(encoding="utf-8")), lex,
             fingerprint=lex.fingerprint))
 
     def test_fingerprint_is_of_the_bytes_loaded(self, gold_file, lexicon_copy,
@@ -81,7 +82,8 @@ class TestExtract:
 
         def load_then_edit(directory):
             lex = load_lexicons(directory)
-            with (lexicon_copy / "units.tsv").open("a") as fh:
+            with (lexicon_copy / "units.tsv").open(
+                    "a", encoding="utf-8") as fh:
                 fh.write("# written after the load\n")
             return lex
 
@@ -326,7 +328,8 @@ class TestExtract:
 
     def test_toponym_without_words_exits_2(self, gold_file, lexicon_copy,
                                            capsys):
-        with (lexicon_copy / "gazetteer.tsv").open("a") as fh:
+        with (lexicon_copy / "gazetteer.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("'\tcity\n")
         assert main(["extract", str(gold_file), "--lexicons",
                      str(lexicon_copy)]) == EXIT_LEXICON
@@ -759,7 +762,8 @@ class TestLexiconValidate:
             "result: INVALID\n")
 
     def test_toponym_without_words_is_invalid(self, lexicon_copy, capsys):
-        with (lexicon_copy / "gazetteer.tsv").open("a") as fh:
+        with (lexicon_copy / "gazetteer.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("'\tcity\n")
         assert main(["lexicon", "validate", str(lexicon_copy)]) \
             == EXIT_LEXICON
@@ -768,13 +772,23 @@ class TestLexiconValidate:
 
     def test_toponyms_with_the_same_words_notice(self, lexicon_copy,
                                                  capsys):
-        with (lexicon_copy / "gazetteer.tsv").open("a") as fh:
+        with (lexicon_copy / "gazetteer.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("PAU\tairport\n")
         assert main(["lexicon", "validate", str(lexicon_copy)]) == EXIT_OK
         out = capsys.readouterr().out
         assert ("notice: gazetteer entry 'Pau' has the same words as 'PAU'; "
                 "'PAU' is matched") in out
         assert "result: OK" in out
+
+    def test_a_marker_whose_fold_nfc_changes_is_ok(self, lexicon_copy,
+                                                   capsys):
+        # "ß\u0301" folds to "ss\u0301", and NFC makes that "s\u015b"
+        with (lexicon_copy / "spatial_markers.tsv").open(
+                "a", encoding="utf-8") as fh:
+            fh.write("ß\u0301 x\tadjacency\n")
+        assert main(["lexicon", "validate", str(lexicon_copy)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("\nresult: OK\n")
 
     def test_missing_directory_is_invalid(self, tmp_path, capsys):
         assert main(["lexicon", "validate", str(tmp_path / "none")]) \
@@ -820,26 +834,37 @@ class TestEntrypoint:
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="no /dev/full on this platform")
     def test_a_full_stdout_gives_one_line_and_exit_2(self, gold_file):
-        with open("/dev/full", "wb") as full:
-            proc = subprocess.run(**self._module(["extract", str(gold_file)]),
-                                  stdout=full, stderr=subprocess.PIPE)
-        assert (proc.returncode, proc.stderr) == (
-            EXIT_LEXICON,
-            f"itirel: cannot write output: {os.strerror(errno.ENOSPC)}\n"
-            .encode())
+        for args in (["extract", str(gold_file)], ["lexicon", "validate"]):
+            with open("/dev/full", "wb") as full:
+                proc = subprocess.run(**self._module(args), stdout=full,
+                                      stderr=subprocess.PIPE)
+            assert (proc.returncode, proc.stderr) == (
+                EXIT_LEXICON,
+                f"itirel: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+                .encode()), args
 
     def test_a_closed_pipe_exits_2_without_a_traceback(self, tmp_path,
-                                                       gold_text):
-        # far more output than a pipe holds, so the child is still writing
+                                                       gold_text,
+                                                       lexicon_copy):
+        # far more output than a pipe holds, so the child is still writing:
+        # forty gold copies, and 6,000 pairs of toponyms with the same
+        # words, each pair a notice of the report
         path = tmp_path / "big.conllu"
         path.write_text(_replicated(gold_text, 40), encoding="utf-8")
-        proc = subprocess.Popen(**self._module(["extract", str(path)]),
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        with proc:
-            assert proc.stdout.read(10) == b'{\n  "tool_'
-            proc.stdout.close()
-            assert proc.wait(timeout=60) == EXIT_LEXICON
-            assert proc.stderr.read() == b""
+        (lexicon_copy / "gazetteer.tsv").write_text(
+            "".join(f"Pau {i}\tcity\nPAU {i}\tcity\n" for i in range(6000)),
+            encoding="utf-8")
+        for args, head in (
+                (["extract", str(path)], b'{\n  "tool_'),
+                (["lexicon", "validate", str(lexicon_copy)], b"motion_ver")):
+            proc = subprocess.Popen(**self._module(args),
+                                    stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+            with proc:
+                assert proc.stdout.read(10) == head
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == EXIT_LEXICON
+                assert proc.stderr.read() == b""
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
                         reason="no /dev/stdin on this platform")
@@ -878,10 +903,14 @@ print(*codes, *sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
 
     @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
     def test_stdout_is_utf8_whatever_its_encoding(self, encoding):
-        proc = self._run_module(
-            ["extract", str(bundled_lexicon_dir().parent / "gold"
-                            / "gold.conllu")],
-            PYTHONIOENCODING=encoding)
-        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
-        assert proc.stdout == (Path(__file__).parent / "golden"
-                               / "gold.json").read_bytes()
+        gold = bundled_lexicon_dir().parent / "gold" / "gold.conllu"
+        golden = Path(__file__).parent / "golden" / "gold.json"
+        report = validate_lexicons(load_lexicons(bundled_lexicon_dir()))
+        assert not report.render().isascii()  # « près de »
+        for args, out in (
+                (["extract", str(gold)], golden.read_bytes()),
+                (["lexicon", "validate"],
+                 f"{report.render()}\n".encode("utf-8"))):
+            proc = self._run_module(args, PYTHONIOENCODING=encoding)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, b""), args
+            assert proc.stdout == out, args

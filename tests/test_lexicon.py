@@ -29,6 +29,20 @@ class TestNormalization:
         assert normalize("  Près   de ") == "près de"
         assert normalize("jusqu’à") == "jusqu à"
 
+    def test_a_marker_matches_text_spelled_as_in_its_file(self, tmp_path):
+        # "ß\u0301" folds to "ss\u0301", and NFC makes that "s\u015b": the
+        # marker's key and the text's words are folded alike
+        shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        with (tmp_path / "lex" / "spatial_markers.tsv").open(
+                "a", encoding="utf-8") as fh:
+            fh.write("ß\u0301 x\tadjacency\n")
+        lex = load_lexicons(tmp_path / "lex")
+        assert lex.spatial_markers["s\u015b x"] \
+            is SpatialRelationKind.ADJACENCY
+        for text in ("ß\u0301 x", "SS\u0301 X", "s\u015b x"):
+            match = lex.spatial_marker_index.match(_words(*text.split()), 0)
+            assert match[:3] == (2, ("s\u015b", "x"), "s\u015b x")
+
     def test_contraction_folding(self, lex):
         assert canon_word("du") == "de"
         assert canon_word("des") == "de"
@@ -95,7 +109,8 @@ class TestLoading:
 
     def test_duplicate_with_conflicting_value(self, tmp_path):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
-        with (tmp_path / "lex" / "motion_verbs.tsv").open("a") as fh:
+        with (tmp_path / "lex" / "motion_verbs.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("quitter\tfinal\n")
         with pytest.raises(LexiconError) as err:
             load_lexicons(tmp_path / "lex")
@@ -103,13 +118,15 @@ class TestLoading:
 
     def test_duplicate_with_same_value_is_fine(self, tmp_path, lex):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
-        with (tmp_path / "lex" / "motion_verbs.tsv").open("a") as fh:
+        with (tmp_path / "lex" / "motion_verbs.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("quitter\tinitial\n")
         assert load_lexicons(tmp_path / "lex") == lex
 
     def test_unknown_polarity_token(self, tmp_path):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
-        with (tmp_path / "lex" / "motion_verbs.tsv").open("a") as fh:
+        with (tmp_path / "lex" / "motion_verbs.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("fuir\tweird\n")
         with pytest.raises(LexiconError) as err:
             load_lexicons(tmp_path / "lex")
@@ -117,7 +134,8 @@ class TestLoading:
 
     def test_wrong_column_count(self, tmp_path):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
-        with (tmp_path / "lex" / "units.tsv").open("a") as fh:
+        with (tmp_path / "lex" / "units.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("pied\n")
         with pytest.raises(LexiconError) as err:
             load_lexicons(tmp_path / "lex")
@@ -125,9 +143,11 @@ class TestLoading:
 
     def test_toponym_without_words_is_rejected(self, tmp_path):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
-        with (tmp_path / "lex" / "gazetteer.tsv").open("a") as fh:
+        with (tmp_path / "lex" / "gazetteer.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("'\tcity\n")
-        lines = (tmp_path / "lex" / "gazetteer.tsv").read_text().splitlines()
+        lines = (tmp_path / "lex" / "gazetteer.tsv").read_text(
+            encoding="utf-8").splitlines()
         with pytest.raises(LexiconError) as err:
             load_lexicons(tmp_path / "lex")
         assert err.value.problems == [
@@ -167,7 +187,8 @@ class TestLoading:
 
     def test_gazetteer_type_column_optional(self, tmp_path):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
-        with (tmp_path / "lex" / "gazetteer.tsv").open("a") as fh:
+        with (tmp_path / "lex" / "gazetteer.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("Ossau\n")
         assert load_lexicons(tmp_path / "lex").gazetteer["Ossau"] == ""
 
@@ -200,12 +221,12 @@ class TestLoading:
         loaded = load_lexicons(tmp_path / "lex")
         assert motion_polarity(loaded, "quitter") is VerbPolarity.INITIAL
         assert loaded == lex
-        assert validate_lexicons(loaded).valid
 
     def test_fingerprint_is_the_digest_of_the_files(self, tmp_path, lex):
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
         assert lex.fingerprint == lexicon_fingerprint(bundled_lexicon_dir())
-        with (tmp_path / "lex" / "units.tsv").open("a") as fh:
+        with (tmp_path / "lex" / "units.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("# a comment changes the bytes, not the content\n")
         edited = load_lexicons(tmp_path / "lex")
         assert edited.fingerprint == lexicon_fingerprint(tmp_path / "lex")
@@ -274,7 +295,6 @@ class TestMarkerTables:
 class TestValidation:
     def test_bundled_lexicons_validate(self, lex):
         report = validate_lexicons(lex)
-        assert report.valid
         assert report.counts["motion_verbs"] == 9
         assert report.counts["gazetteer"] == 9
         assert "result: OK" in report.render()
@@ -295,29 +315,12 @@ class TestValidation:
         report = validate_lexicons(empty)
         assert any("gazetteer empty" in n for n in report.notices)
 
-    def test_unnormalized_marker_is_an_error(self):
-        bad = LexiconSet(motion_verbs={}, spatial_markers={
-            "Près De": SpatialRelationKind.ADJACENCY},
-            temporal_markers={}, gazetteer={"X": ""}, units={})
-        report = validate_lexicons(bad)
-        assert not report.valid
-        assert "result: INVALID" in report.render()
-
-    def test_toponym_without_words_is_an_error(self):
-        bad = LexiconSet(motion_verbs={}, spatial_markers={},
-                         temporal_markers={}, gazetteer={"Pau": "", "’": ""},
-                         units={})
-        report = validate_lexicons(bad)
-        assert report.errors == (
-            "gazetteer: empty toponym '’' (no words after normalization)",)
-
     def test_toponyms_with_the_same_words_notice(self):
         both = LexiconSet(motion_verbs={}, spatial_markers={},
                           temporal_markers={},
                           gazetteer={"Pau": "city", "PAU": "airport",
                                      "Lyon": "city"}, units={})
         report = validate_lexicons(both)
-        assert report.valid
         assert report.notices == (
             "gazetteer entry 'Pau' has the same words as 'PAU'; "
             "'PAU' is matched",)
@@ -327,7 +330,6 @@ class TestValidation:
             "dans": SpatialRelationKind.INCLUSION}, temporal_markers={},
             gazetteer={"Dans": "village"}, units={})
         report = validate_lexicons(dans)
-        assert report.valid
         assert report.notices == (
             "gazetteer entry 'Dans' collides with a common-noun marker or "
             "unit",)
@@ -385,34 +387,12 @@ class TestValidation:
             if kept != name:
                 expected.append(f"gazetteer entry {name!r} has the same "
                                 f"words as {kept!r}; {kept!r} is matched")
-        assert report.valid
         assert report.counts["gazetteer"] == len(gazetteer) > 3000
         assert [n for n in report.notices
                 if n.startswith("gazetteer ")] == expected
         # the gazetteer exercises both notices
         assert sum("collides" in n for n in expected) >= len(phrases)
         assert sum("same words" in n for n in expected) > 300
-
-    @pytest.mark.parametrize("maps, error", [
-        ({"motion_verbs": {"": VerbPolarity.INITIAL}},
-         "motion_verbs: empty lemma"),
-        ({"motion_verbs": {"partir": "initial"}},
-         "motion_verbs: bad polarity for 'partir'"),
-        ({"spatial_markers": {"": SpatialRelationKind.ADJACENCY}},
-         "markers: empty phrase"),
-        ({"temporal_markers": {"": TemporalRelationKind.DISTANCE}},
-         "markers: empty phrase"),
-    ], ids=["empty-lemma", "str-polarity", "empty-spatial-marker",
-            "empty-temporal-marker"])
-    def test_hand_built_entry_errors(self, maps, error):
-        # a loaded set cannot hold these: the loader refuses each line
-        lex = LexiconSet(**{"motion_verbs": {}, "spatial_markers": {},
-                            "temporal_markers": {}, "gazetteer": {"Pau": ""},
-                            "units": {}, **maps})
-        report = validate_lexicons(lex)
-        assert report.errors == (error,)
-        assert f"error: {error}" in report.render().splitlines()
-        assert report.render().endswith("\nresult: INVALID")
 
     def test_purity_of_polarity_lookup(self, lex):
         assert all(motion_polarity(lex, "quitter") is VerbPolarity.INITIAL

@@ -2,11 +2,12 @@ import codecs
 import io
 import json
 import string
+import unicodedata
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import itirel
 from itirel import (LexiconSet, SentenceGraph, StructureError,
@@ -16,7 +17,7 @@ from itirel import entities
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 from itirel.depgraph import Token, decode_lines, subtree_ids
 from itirel.lexicon import (LexiconError, SpatialRelationKind, canon_word,
-                            normalize, phrase_index)
+                            lemma_key, normalize, phrase_index)
 from itirel.nary import _argument, extract_nary, identify_use_cases
 
 from conftest import _gold_file
@@ -278,6 +279,27 @@ _NORM_CHARS = ("ab Pé\t\n\r\x0b\x0c\x85\xa0\x1c\x1d\x1e\x1f\u1680\u2000"
        | st.text(alphabet="aZ09éßİ²", min_size=1, max_size=6))
 def test_normalize_agrees_with_two_regex_version(text):
     assert normalize(text) == normalize_two_regex(text)
+
+
+# Letters whose case fold expands (ß, ŉ, ǰ, ΐ, ﬁ, İ, ẞ) or that NFC composes
+# from a letter and a mark, the combining marks that follow them, an
+# apostrophe, a space and ASCII letters.
+_FOLD_CHARS = ("aAsSßŉǰΐﬁİẞÅΣ\u0300\u0301\u0307\u030c\u0327\u0342\u0345"
+               " '")
+
+
+@settings(max_examples=300, deadline=None)
+@example("ß\u0301")  # folds to "ss\u0301", which NFC makes "s\u015b"
+@given(text=st.text(alphabet=_FOLD_CHARS, max_size=8) | st.text(max_size=8))
+def test_the_fold_is_a_fixed_point(text):
+    """normalize and lemma_key give a text's key whether they read the
+    text, its key or any canonically equivalent spelling of either."""
+    for fold in (normalize, lemma_key):
+        key = fold(text)
+        for spelling in (text, key):
+            for form in ("NFC", "NFD"):
+                assert fold(unicodedata.normalize(form, spelling)) == key
+        assert fold(key) == key
 
 
 _toponym = st.lists(st.text(alphabet="aAéÉe\u0301 '’`\xa0", min_size=1,

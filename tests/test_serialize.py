@@ -70,7 +70,8 @@ class TestDocument:
         shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
         assert lexicon_fingerprint(tmp_path / "lex") == \
             lexicon_fingerprint(bundled_lexicon_dir())
-        with (tmp_path / "lex" / "units.tsv").open("a") as fh:
+        with (tmp_path / "lex" / "units.tsv").open(
+                "a", encoding="utf-8") as fh:
             fh.write("# a comment changes the bytes, not the content\n")
         assert lexicon_fingerprint(tmp_path / "lex") != \
             lexicon_fingerprint(bundled_lexicon_dir())
