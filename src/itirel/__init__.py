@@ -5,8 +5,8 @@ dependency-parsed French sentences."""
 __version__ = "0.1.0"
 
 from .depgraph import (ConlluParseError, NoMainVerb, SentenceGraph,
-                       StructureError, Token, TokenSpan, iter_conllu,
-                       parse_conllu, root_verb, span_text)
+                       StructureError, Token, TokenSpan, parse_conllu,
+                       read_conllu, root_verb, span_text)
 from .entities import (SpatialEntity, TemporalEntity, recognize_spatial,
                        recognize_temporal)
 from .itinerary import ItineraryRelation, assign_roles, detect_displacement

@@ -18,8 +18,8 @@ from __future__ import annotations
 import codecs
 import re
 from itertools import chain
-from operator import attrgetter, methodcaller
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class ConlluParseError(ValueError):
@@ -185,6 +185,13 @@ _RANGE_OR_EMPTY_NODE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")
 _BLOCK = 1 << 16  # characters of a chunk's text split into lines at once
 
 
+def _lf_ends(text: str) -> str:
+    """The text with each CRLF and each lone CR made an LF."""
+    if "\r" in text:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
     """Text lines, without their ends, of strict UTF-8 chunks that each end
     at an LF or at the end of the input (a binary file's lines or blocks,
@@ -206,8 +213,7 @@ def decode_lines(chunks: Iterable[bytes], error) -> Iterator[str]:
             bad = err.start  # UTF-8 has 0x0a, 0x0d only as LF, CR
             text = chunk[:max(chunk.rfind(b"\n", 0, bad),
                               chunk.rfind(b"\r", 0, bad)) + 1].decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text = _lf_ends(text)
         line_no += text.count("\n")
         start, stop = 0, len(text) - text.endswith("\n")
         while start < len(text):
@@ -236,48 +242,18 @@ def _ascii_int(col: str) -> Optional[int]:
     return None
 
 
-def iter_conllu(source: Union[str, Iterable[str]]) -> Iterator[SentenceGraph]:
-    """Sentence graphs of CoNLL-U text (a string, or an iterable of lines),
-    one at a time, each checked when its sentence ends.  A string's lines
-    end at LF, CRLF and CR alike, as :func:`decode_lines` ends the lines of
-    bytes, so a line number counts them the same way; each line of an
-    iterable loses its trailing CRs and LFs.  One U+FEFF (a byte order mark)
-    at the start of a string, or of an iterable's first line, is dropped.  A
-    token keeps six of the ten columns: ID, FORM, LEMMA, UPOS, HEAD and
-    DEPREL.
-
-    Only an empty line ends a sentence; a line of whitespace only is an
-    error.  Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
-    skipped.  Only the comments whose key before ``=`` is exactly
-    ``sent_id`` or ``text`` are read; any other (``# text_en = ...``,
-    ``# newdoc id = ...``) is ignored.
-    """
-    if isinstance(source, str):
-        source = source.removeprefix("\ufeff")
-        if "\r" in source:
-            source = source.replace("\r\n", "\n").replace("\r", "\n")
-        yield from _sentences(source.split("\n"))
-    else:
-        source = iter(source)
-        first = next(source, "").removeprefix("\ufeff")
-        yield from _sentences(map(methodcaller("rstrip", "\r\n"),
-                                  chain([first], source)))
-
-
 def read_conllu(chunks: Iterable[bytes]) -> Iterator[SentenceGraph]:
     """Sentence graphs of CoNLL-U bytes in chunks that each end at an LF or
-    at the end of the input, read as :func:`iter_conllu` reads their text:
-    the lines of :func:`decode_lines`, an invalid byte a
-    :class:`ConlluParseError`, and a byte order mark dropped before them as
-    :func:`iter_conllu` drops one U+FEFF."""
-    chunks = iter(chunks)
-    first = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
-    return _sentences(decode_lines(chain([first], chunks), ConlluParseError))
+    at the end of the input (a binary file, or its blocks), one at a time,
+    each checked when its sentence ends: the parse of :func:`parse_conllu`
+    over the lines of :func:`decode_lines`, an invalid byte a
+    :class:`ConlluParseError`."""
+    return _sentences(decode_lines(chunks, ConlluParseError))
 
 
 def _sentences(lines: Iterable[str]) -> Iterator[SentenceGraph]:
-    """The parse of :func:`iter_conllu`, over lines without their ends; the
-    end of the lines ends the last sentence."""
+    """The parse of :func:`parse_conllu`, over lines without their ends;
+    the end of the lines ends the last sentence."""
     small_int, new_tuple = _SMALL_INTS.get, tuple.__new__
     count = 0
     sent_id: Optional[str] = None
@@ -333,9 +309,20 @@ def _sentences(lines: Iterable[str]) -> Iterator[SentenceGraph]:
             token_id, cols[1], cols[2], cols[3], head, cols[7])))
 
 
-def parse_conllu(source: Union[str, Iterable[str]]) -> list[SentenceGraph]:
-    """All sentence graphs of CoNLL-U text; see :func:`iter_conllu`."""
-    return list(iter_conllu(source))
+def parse_conllu(text: str) -> list[SentenceGraph]:
+    """All sentence graphs of CoNLL-U text.  Its lines end at LF, CRLF and
+    CR alike, as :func:`decode_lines` ends the lines of bytes, so a line
+    number counts them the same way.  One U+FEFF (a byte order mark) at the
+    start is dropped.  A token keeps six of the ten columns: ID, FORM,
+    LEMMA, UPOS, HEAD and DEPREL.
+
+    Only an empty line ends a sentence; a line of whitespace only is an
+    error.  Multiword-token ranges (``1-2``) and empty nodes (``1.1``) are
+    skipped.  Only the comments whose key before ``=`` is exactly
+    ``sent_id`` or ``text`` are read; any other (``# text_en = ...``,
+    ``# newdoc id = ...``) is ignored.
+    """
+    return list(_sentences(_lf_ends(text.removeprefix("\ufeff")).split("\n")))
 
 
 def root_verb(g: SentenceGraph) -> int:

@@ -69,6 +69,31 @@ MUTANTS = [
      '        "NFC", unicodedata.normalize("NFC", lemma).casefold())',
      'return unicodedata.normalize("NFC", lemma).casefold()',
      "tests/test_properties.py"),
+    # the number words read as their values
+    ("src/itirel/entities.py", '"trois": 3,', '"trois": 4,',
+     "tests/test_entities.py"),
+    ("src/itirel/entities.py", '"douze": 12,', '"douze": 13,',
+     "tests/test_entities.py"),
+    ("src/itirel/entities.py", '"dix-huit": 18,', '"dix-huit": 19,',
+     "tests/test_entities.py"),
+    ("src/itirel/entities.py", '"mille": 1000,', '"mille": 1001,',
+     "tests/test_entities.py"),
+    # a figure's next anchor may start right after the last one
+    ("src/itirel/entities.py", "p = last_end + 1", "p = last_end + 2",
+     "tests/test_entities.py"),
+    # a bare date's day may be 1
+    ("src/itirel/entities.py", "and 1 <= (_number(", "and 2 <= (_number(",
+     "tests/test_entities.py"),
+    # an id past the last token has no children
+    ("src/itirel/depgraph.py", "0 <= token_id < len(self._kids)",
+     "0 <= token_id <= len(self._kids)", "tests/test_depgraph.py"),
+    # one U+FEFF at the start of a string is not text
+    ("src/itirel/depgraph.py", r'_lf_ends(text.removeprefix("\ufeff"))',
+     "_lf_ends(text)", "tests/test_depgraph.py"),
+    # a CRLF is one line end, for bytes and strings alike
+    ("src/itirel/depgraph.py",
+     r'text.replace("\r\n", "\n").replace("\r", "\n")',
+     r'text.replace("\r", "\n")', "tests/test_depgraph.py"),
     # the lines before an invalid byte's line are read before its error
     ("src/itirel/depgraph.py", "while start < len(text):",
      "while start < len(text) and bad is None:", "tests/test_cli.py"),

@@ -10,7 +10,7 @@ from itirel import (NoMainVerb, SpatialRelationKind, TemporalRelationKind,
                     UseCaseKind, VerbPolarity, build_document,
                     detect_displacement, extract_arguments, extract_nary,
                     extract_sentence, from_json,
-                    identify_use_cases, iter_conllu, motion_polarity,
+                    identify_use_cases, motion_polarity, parse_conllu,
                     pivot_tokens, recognize_spatial, recognize_temporal,
                     to_json, to_turtle)
 
@@ -134,9 +134,9 @@ def test_acceptance_7_oracle_equivalence(all_graphs):
 
 def test_acceptance_8_determinism_and_round_trips(gold_text, lex):
     base = "https://example.org/iti"
-    doc_a = build_document(iter_conllu(gold_text), lex,
+    doc_a = build_document(parse_conllu(gold_text), lex,
                            fingerprint=lex.fingerprint)
-    doc_b = build_document(iter_conllu(gold_text), lex,
+    doc_b = build_document(parse_conllu(gold_text), lex,
                            fingerprint=lex.fingerprint)
     json_a, json_b = to_json(doc_a), to_json(doc_b)
     ttl_a, ttl_b = to_turtle(doc_a, base), to_turtle(doc_b, base)

@@ -14,8 +14,8 @@ from types import SimpleNamespace
 import pytest
 
 import itirel
-from itirel import (build_document, bundled_lexicon_dir, cli, iter_conllu,
-                    lexicon_fingerprint, load_lexicons, to_json,
+from itirel import (build_document, bundled_lexicon_dir, cli,
+                    lexicon_fingerprint, load_lexicons, parse_conllu, to_json,
                     validate_lexicons)
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 
@@ -73,7 +73,7 @@ class TestExtract:
         assert len(obj["sentences"]) == 8
         lex = load_lexicons(bundled_lexicon_dir())
         assert out == to_json(build_document(
-            iter_conllu(gold_file.read_text(encoding="utf-8")), lex,
+            parse_conllu(gold_file.read_text(encoding="utf-8")), lex,
             fingerprint=lex.fingerprint))
 
     def test_fingerprint_is_of_the_bytes_loaded(self, gold_file, lexicon_copy,
@@ -588,10 +588,10 @@ def _many_blocks(gold_text: str, end: str, boms: int) -> bytes:
 def test_an_input_of_many_blocks_gives_the_string_s_output(
         tmp_path, gold_text, capsys, end, boms):
     """An input of many block reads gives the JSON and Turtle of its text
-    read as a string; two byte order marks are dropped, as the UTF-8-sig
-    codec and iter_conllu each drop one.  Each block is one read and the
-    rest of the line it cuts, and many cuts fall inside a character; the
-    lone-CR copy, which has no LF, is one block."""
+    read as a string, after one byte order mark is dropped; a second mark
+    is text, so line 1 is malformed and nothing is written.  Each block is
+    one read and the rest of the line it cuts, and many cuts fall inside a
+    character; the lone-CR copy, which has no LF, is one block."""
     data = _many_blocks(gold_text, end, boms)
     path = tmp_path / "many.conllu"
     path.write_bytes(data)
@@ -609,11 +609,18 @@ def test_an_input_of_many_blocks_gives_the_string_s_output(
                   if len(b) > size and 0x80 <= b[size] < 0xC0]
         assert len(inside) > len(blocks) // 2
     out = tmp_path / "out"
-    assert main(["extract", str(path), "--format", "both", "--base-iri",
-                 BASE, "--out-dir", str(out)]) == EXIT_OK
-    capsys.readouterr()
+    code = main(["extract", str(path), "--format", "both", "--base-iri",
+                 BASE, "--out-dir", str(out)])
+    written = capsys.readouterr()
+    if boms == 2:
+        assert code == EXIT_CONLLU and not out.exists()
+        assert written.out == ""
+        assert written.err == ("itirel: conllu: line 1: expected 10 "
+                               "tab-separated columns, got 1\n")
+        return
+    assert code == EXIT_OK
     lex = load_lexicons(bundled_lexicon_dir())
-    doc = build_document(iter_conllu(data.decode("utf-8-sig")), lex,
+    doc = build_document(parse_conllu(data.decode("utf-8-sig")), lex,
                          fingerprint=lex.fingerprint)
     assert len(doc.sentences) == 320
     assert (out / "extraction.json").read_text(encoding="utf-8") == \

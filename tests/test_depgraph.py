@@ -5,10 +5,9 @@ import random
 import pytest
 
 from itirel import (ConlluParseError, NoMainVerb, SentenceGraph,
-                    StructureError, TokenSpan, extract_sentence, iter_conllu,
-                    parse_conllu, root_verb, span_text)
-from itirel.depgraph import (Token, decode_lines, read_conllu,
-                             subtree_ids)
+                    StructureError, TokenSpan, extract_sentence, parse_conllu,
+                    read_conllu, root_verb, span_text)
+from itirel.depgraph import Token, decode_lines, subtree_ids
 
 from conftest import build
 from oracles import closure, covers, overlaps, to_conllu, whole_span
@@ -203,39 +202,16 @@ class TestParsing:
                           "2\tpart\tpartir\tVERB\t_\t_\t00\troot\t_\t_\n")
         assert [(t.id, t.head) for t in g.tokens] == [(1, 2), (2, 0)]
 
-    def test_iter_conllu_yields_before_a_later_error(self, gold_text):
-        text = gold_text + "\n# sent_id = bad\n1\tPau\tPau\n"
-        first = next(iter_conllu(text))
-        assert first == parse_conllu(gold_text)[0]
+    def test_read_conllu_yields_before_a_later_error(self, gold_text):
+        data = (gold_text + "\n# sent_id = bad\n1\tPau\tPau\n").encode()
+        graphs = read_conllu(io.BytesIO(data))
+        assert next(graphs) == parse_conllu(gold_text)[0]
         with pytest.raises(ConlluParseError):
-            parse_conllu(text)
-
-    def test_line_iterable_gives_the_same_graphs(self, gold_text,
-                                                 taxonomy_text):
-        """An iterable of lines ends them at LF, CRLF and CR, as a string
-        does, so a file opened with ``newline=""`` gives the same graphs or
-        the same error."""
-        assert parse_conllu(iter(gold_text.splitlines(keepends=True))) == \
-            parse_conllu(gold_text)
-        assert parse_conllu(gold_text.split("\n")) == parse_conllu(gold_text)
-        # the first token line, line 3, loses its last column
-        bad = gold_text.replace("\t_\t_\n", "\t_\n", 1)
-        for end in ("\n", "\r\n", "\r"):
-            for text in (gold_text, taxonomy_text):
-                copy = text.replace("\n", end)
-                assert parse_conllu(io.StringIO(copy, newline="")) == \
-                    parse_conllu(copy)
-            copy = bad.replace("\n", end)
-            for source in (copy, io.StringIO(copy, newline="")):
-                with pytest.raises(ConlluParseError, match=(
-                        "^line 3: expected 10 tab-separated columns, "
-                        "got 9$")) as err:
-                    parse_conllu(source)
-                assert err.value.line_no == 3
+            list(graphs)
 
     def test_default_ids_count_sentences(self):
         row = "1\tPau\tPau\tPROPN\t_\t_\t0\troot\t_\t_\n"
-        graphs = iter_conllu(f"{row}\n\n# sent_id = b\n{row}\n{row}")
+        graphs = parse_conllu(f"{row}\n\n# sent_id = b\n{row}\n{row}")
         assert [g.sent_id for g in graphs] == ["s1", "b", "s3"]
 
     @pytest.mark.parametrize("blank", ["\t", " ", "\x0c", "\u2028", "\x85"])
@@ -259,21 +235,26 @@ class TestParsing:
         assert [g] == parse_conllu(text.replace("\r\n", "\n"))
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
-    def test_other_line_ends_give_the_same_graphs(self, gold_text, end):
-        assert parse_conllu(gold_text.replace("\n", end)) == \
-            parse_conllu(gold_text)
+    def test_other_line_ends_give_the_same_graphs(self, gold_text,
+                                                  taxonomy_text, end):
+        """The LF text's graphs, from the copy as a string and as bytes."""
+        for text in (gold_text, taxonomy_text):
+            copy = text.replace("\n", end)
+            graphs = parse_conllu(text)
+            assert parse_conllu(copy) == graphs
+            assert list(read_conllu(io.BytesIO(copy.encode()))) == graphs
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_an_error_has_the_byte_reader_s_line_number(self, gold_text, end):
         """The LF text's error and line, from the copy as a string and as
-        bytes read by decode_lines."""
+        bytes."""
         text = gold_text + "\n# sent_id = bad\n1\tPau\tPau\n"
         copy = text.replace("\n", end)
         errors = []
-        for lines in (text, copy, decode_lines(io.BytesIO(copy.encode()),
-                                               ConlluParseError)):
+        for read in (lambda: parse_conllu(text), lambda: parse_conllu(copy),
+                     lambda: list(read_conllu(io.BytesIO(copy.encode())))):
             with pytest.raises(ConlluParseError) as err:
-                parse_conllu(lines)
+                read()
             errors.append((err.value.line_no, str(err.value)))
         assert errors[0] == errors[1] == errors[2]
         assert errors[0][1].startswith("line 117: expected 10 ")
@@ -317,26 +298,24 @@ class TestParsing:
         graphs = list(gold.values())
         path = tmp_path / "bom.conllu"
         path.write_bytes(codecs.BOM_UTF8 + gold_text.encode("utf-8"))
-        with open(path, encoding="utf-8") as f:
-            assert parse_conllu(f) == graphs
+        with open(path, "rb") as f:
+            assert list(read_conllu(f)) == graphs
         assert parse_conllu("\ufeff" + gold_text) == graphs
-        assert parse_conllu(io.StringIO("\ufeff" + gold_text)) == graphs
-        for twice in ("\ufeff\ufeff" + gold_text,
-                      io.StringIO("\ufeff\ufeff" + gold_text)):
-            with pytest.raises(ConlluParseError, match="^line 1: expected"):
-                parse_conllu(twice)
+        with pytest.raises(ConlluParseError, match="^line 1: expected"):
+            parse_conllu("\ufeff\ufeff" + gold_text)
 
     def test_bytes_read_as_their_text(self, gold_text, gold):
         """read_conllu gives the graphs and the first error of the text
-        decode_lines gives: one leading byte order mark dropped by each, two
-        in all, and an invalid byte's error after a malformed line's."""
+        decode_lines gives: one leading byte order mark dropped, a second
+        read as text, and an invalid byte's error after a malformed
+        line's."""
         graphs = list(gold.values())
         data = gold_text.encode("utf-8")
         bom = codecs.BOM_UTF8
-        for chunks in ([data], io.BytesIO(data), [bom + bom + data]):
+        for chunks in ([data], io.BytesIO(data), [bom + data]):
             assert list(read_conllu(chunks)) == graphs
         with pytest.raises(ConlluParseError, match="^line 1: expected"):
-            list(read_conllu([bom * 3 + data]))
+            list(read_conllu([bom + bom + data]))
         bad = data + b"# sent_id = bad\n1\tPau\tPau\n\xff\n"
         with pytest.raises(ConlluParseError, match=(
                 "^line 116: expected 10 tab-separated columns, got 3$")):
@@ -444,3 +423,8 @@ class TestChildren:
         g = gold["gold-01"]
         assert g.children(7) == (2, 6, 8, 12, 19, 20)
         assert g.children(8) == ()
+
+    def test_an_id_that_is_no_token_has_no_children(self, gold):
+        g = gold["gold-01"]
+        assert g.children(len(g.tokens) + 1) == ()
+        assert g.children(-1) == ()

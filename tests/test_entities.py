@@ -53,6 +53,9 @@ class TestNumbers:
         assert distance_magnitudes(lex, "3") == [(3, "jour")]
         assert distance_magnitudes(lex, "deux") == [(2, "jour")]
         assert distance_magnitudes(lex, "Vingt") == [(20, "jour")]
+        for word, n in (("trois", 3), ("douze", 12), ("dix-huit", 18),
+                        ("mille", 1000)):
+            assert distance_magnitudes(lex, word) == [(n, "jour")]
         assert distance_magnitudes(lex, "bleu") == []
 
     # Magnitudes, days and years are ASCII digits, as CoNLL-U ids are: an
@@ -297,6 +300,18 @@ class TestSpatialRecognition:
             (SpatialRelationKind.ABSOLUTE, (name,))
             for name in ("Pau", "Lyon", "Laruns")]
 
+    def test_figure_anchors_may_be_adjacent(self, lex):
+        # « un triangle Pau Lyon Bordeaux »: each anchor starts right after
+        # the last one ends
+        g = build([(1, "un", "un", "DET", 2, "det"),
+                   (2, "triangle", "triangle", "NOUN", 0, "root"),
+                   (3, "Pau", "Pau", "PROPN", 2, "nmod"),
+                   (4, "Lyon", "Lyon", "PROPN", 3, "flat"),
+                   (5, "Bordeaux", "Bordeaux", "PROPN", 3, "flat")])
+        (ent,) = recognize_spatial(g, whole_span(g), lex)
+        assert ent.kind is SpatialRelationKind.GEOMETRIC_FIGURE
+        assert ent.anchors == ("Pau", "Lyon", "Bordeaux")
+
     def test_figure_anchors_listed_with_a_semicolon_or_ou(self, lex):
         # « triangle Pau ; Lyon ou Laruns », the separators tagged neither
         # PUNCT nor CCONJ: their forms alone make them separators
@@ -379,10 +394,11 @@ class TestTemporalRecognition:
         assert ent.kind is TemporalRelationKind.ABSOLUTE
         assert ent.text == "10 juillet 1990"
 
-    @pytest.mark.parametrize("day, text", [("31", "31 mai"),
+    @pytest.mark.parametrize("day, text", [("1", "1 mai"), ("31", "31 mai"),
                                            ("32", "mai")])
     def test_a_bare_date_s_day_is_at_most_31(self, lex, day, text):
-        # « le 32 mai »: 32 is no day, so the date is the month alone
+        # « le 32 mai »: 32 is no day, so the date is the month alone; the
+        # day runs from 1
         g = build([(1, "le", "le", "DET", 3, "det"),
                    (2, day, day, "NUM", 3, "nummod"),
                    (3, "mai", "mai", "NOUN", 0, "root")])

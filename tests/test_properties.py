@@ -700,8 +700,7 @@ def test_conllu_round_trip_with_any_text(graphs):
     assert itirel.parse_conllu(text) == graphs
     # the CLI's way in: binary lines, decoded one at a time
     binary = io.BytesIO(text.encode("utf-8"))
-    assert itirel.parse_conllu(
-        decode_lines(binary, itirel.ConlluParseError)) == graphs
+    assert list(itirel.read_conllu(binary)) == graphs
 
 
 _LINE = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
@@ -855,7 +854,7 @@ def test_mutated_input_gives_output_or_one_line(tmp_path_factory, data):
     if code == EXIT_OK:
         lex = itirel.load_lexicons(itirel.bundled_lexicon_dir())
         expected = itirel.build_document(
-            itirel.iter_conllu(text), lex, fingerprint=lex.fingerprint)
+            itirel.parse_conllu(text), lex, fingerprint=lex.fingerprint)
         assert out.getvalue() == itirel.to_json(expected)
     else:
         with pytest.raises((itirel.ConlluParseError, StructureError)) as got:

@@ -10,7 +10,7 @@ from itirel import (Argument, ItineraryRelation, JsonWriter, NaryRelation,
                     TemporalEntity, TemporalRelationKind, TokenSpan,
                     TurtleWriter, UseCaseKind, VerbPolarity, build_document,
                     bundled_lexicon_dir, extract_sentence, from_json,
-                    iter_conllu, lexicon_fingerprint, load_lexicons, to_json,
+                    lexicon_fingerprint, load_lexicons, parse_conllu, to_json,
                     to_turtle)
 from itirel.serialize import _lit
 
@@ -26,7 +26,7 @@ VOCAB = BASE + "/vocab#"
 
 def extract_text(conllu_text: str, lex):
     """The document of CoNLL-U text, with the lexicon's fingerprint."""
-    return build_document(iter_conllu(conllu_text), lex,
+    return build_document(parse_conllu(conllu_text), lex,
                           fingerprint=lex.fingerprint)
 
 
