@@ -244,6 +244,32 @@ class TestParsing:
             assert parse_conllu(copy) == graphs
             assert list(read_conllu(io.BytesIO(copy.encode()))) == graphs
 
+    def test_line_iterable_gives_the_same_graphs(self, gold_text,
+                                                 taxonomy_text, tmp_path):
+        """An iterable of byte lines, such as a file opened ``"rb"``, ends
+        them at LF, CRLF and CR, as a string does, so it gives the same
+        graphs or the same error."""
+        # the first token line, line 3, loses its last column
+        bad = gold_text.replace("\t_\t_\n", "\t_\n", 1)
+        path = tmp_path / "lines.conllu"
+        for end in ("\n", "\r\n", "\r"):
+            for text in (gold_text, taxonomy_text):
+                data = text.replace("\n", end).encode()
+                path.write_bytes(data)
+                graphs = parse_conllu(text)
+                with open(path, "rb") as f:
+                    assert list(read_conllu(f)) == graphs
+                assert list(read_conllu(iter(io.BytesIO(data)))) == graphs
+            data = bad.replace("\n", end).encode()
+            path.write_bytes(data)
+            with open(path, "rb") as f:
+                for chunks in (f, iter(io.BytesIO(data))):
+                    with pytest.raises(ConlluParseError, match=(
+                            "^line 3: expected 10 tab-separated columns, "
+                            "got 9$")) as err:
+                        list(read_conllu(chunks))
+                    assert err.value.line_no == 3
+
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_an_error_has_the_byte_reader_s_line_number(self, gold_text, end):
         """The LF text's error and line, from the copy as a string and as
