@@ -222,8 +222,8 @@ def _spatial_from_marker(toks, words, i, match, lex, loose_at):
                               loose_at)
     # the direction is the word before the preposition ("au nord de"); a
     # one-word orientation marker is its own direction
-    direction = (marker[-2:][0] if kind is SpatialRelationKind.ORIENTATION
-                 else None)
+    direction = (marker.split()[-2:][0]
+                 if kind is SpatialRelationKind.ORIENTATION else None)
     return _toponym_entity(toks, words, i, k, kind, None, direction, lex,
                            loose_at)
 

@@ -8,12 +8,13 @@ files under ``itirel/data/lexicons`` are a seed that users can amend.
 ``load_lexicons`` reads each file in one pass: it decodes the bytes once,
 and the loop over the gazetteer's rows normalizes each toponym once and
 fills the gazetteer's phrase index with its words.  The marker indexes are
-built on first use.
+built on first use.  A phrase index is keyed by strings: a phrase's
+normalized, folded words joined with one space.  The words come from
+``str.split()``, so none holds a space and the join loses nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import unicodedata
 from enum import Enum
 from functools import cached_property
@@ -21,6 +22,15 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .depgraph import Record, decode_lines
+
+try:
+    # hashlib is pretty heavy to load (OpenSSL), try lean internal module first
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class VerbPolarity(str, Enum):
@@ -90,9 +100,10 @@ def canon_word(word: str) -> str:
     return _CONTRACTIONS.get(word, word)
 
 
-def phrase_key(phrase: str, fold=str) -> tuple[str, ...]:
-    """The words a phrase is indexed by: its normalized words, each folded."""
-    return tuple(map(fold, _words(phrase)))
+def phrase_key(phrase: str, fold=str) -> str:
+    """The key a phrase is indexed by: its normalized words, each folded,
+    joined with one space; unfolded, it is ``normalize(phrase)``."""
+    return " ".join(map(fold, _words(phrase)))
 
 
 class PhraseIndex:
@@ -101,46 +112,59 @@ class PhraseIndex:
 
     ``values`` is a phrase -> value table, and ``entries`` maps each key,
     ``phrase_key(phrase, fold)`` of a phrase of the table (``fold`` being
-    ``str`` or ``canon_word``), to the phrase kept for it.  ``match`` reads
-    normalized words and folds them itself; a word not in ``starts``, the
-    words whose fold begins a phrase, costs one set lookup."""
+    ``str`` or ``canon_word``), to the phrase kept for it.  A key is a
+    string, not a tuple of words: its words come from ``str.split()``, so
+    each space in it separates two words and no two word lists join to the
+    same key.  ``first_words`` holds each key's first word and ``max_len``
+    the most words of a key.  ``match`` reads normalized words and folds
+    them itself; a word not in ``starts``, the words whose fold begins a
+    phrase, costs one set lookup."""
 
-    def __init__(self, values: Mapping[str, object],
-                 entries: dict[tuple[str, ...], str], fold=str):
+    def __init__(self, values: Mapping[str, object], entries: dict[str, str],
+                 first_words: set[str], max_len: int, fold=str):
         self.values, self.entries, self.fold = values, entries, fold
-        self.max_len = max(map(len, entries), default=0)
-        self.first_words = frozenset(w[0] for w in entries if w)
+        self.first_words, self.max_len = first_words, max_len
         # canon_word folds the contractions only: they may start a phrase too
-        self.starts = self.first_words if fold is str else frozenset(
-            w for w in (*self.first_words, *_CONTRACTIONS)
-            if fold(w) in self.first_words)
+        self.starts = first_words if fold is str else frozenset(
+            w for w in (*first_words, *_CONTRACTIONS)
+            if fold(w) in first_words)
 
     def match(self, words: Sequence[str], i: int):
         """Longest phrase at words[i:], for i < len(words)
         -> (n_words, its key, phrase, value)."""
         if words[i] not in self.starts:
             return None
-        fold, entries, key, found = self.fold, self.entries, (), None
-        for word in words[i:i + self.max_len]:  # folded as the key grows
-            key += (fold(word),)
+        fold, entries = self.fold, self.entries
+        key = fold(words[i])
+        phrase = entries.get(key)
+        found = None if phrase is None else (1, key, phrase)
+        for n, word in enumerate(words[i + 1:i + self.max_len], 2):
+            if " " in word:  # one form of two words ("l'Ouest") ends a key
+                break
+            key = key + " " + fold(word)
             phrase = entries.get(key)
             if phrase is not None:
-                found = key, phrase
+                found = n, key, phrase
         if found is None:
             return None
-        key, phrase = found
-        return len(key), key, phrase, self.values[phrase]
+        n, key, phrase = found
+        return n, key, phrase, self.values[phrase]
 
 
 def phrase_index(phrases: Mapping[str, object], fold=str) -> PhraseIndex:
     """The PhraseIndex of a phrase -> value table."""
-    entries: dict[tuple[str, ...], str] = {}
+    entries: dict[str, str] = {}
     for phrase in phrases:
         key = phrase_key(phrase, fold)
         kept = entries.get(key)
         if kept is None or phrase < kept:
             entries[key] = phrase
-    return PhraseIndex(phrases, entries, fold)
+    # a phrase without words ("'") has the key "", which starts nothing
+    keys = [key for key in entries if key]
+    return PhraseIndex(phrases, entries,
+                       {key.partition(" ")[0] for key in keys},
+                       max((key.count(" ") + 1 for key in keys), default=0),
+                       fold)
 
 
 FILE_NAMES = ("motion_verbs.tsv", "spatial_markers.tsv",
@@ -191,7 +215,7 @@ class LexiconSet(Record):
 
 def files_digest(files: Mapping[str, bytes]) -> str:
     """SHA-256 over the lexicon files' names and bytes, in FILE_NAMES order."""
-    digest = hashlib.sha256()
+    digest = sha256()
     for name in FILE_NAMES:
         digest.update(name.encode("utf-8"))
         digest.update(b"\x00")
@@ -214,14 +238,13 @@ def _read_tsv(name: str, data: bytes, problems: list[str],
             line = raw.rstrip()
             if not line or ("#" in line and line.lstrip().startswith("#")):
                 continue
-            cols = line.split("\t")
-            if optional_second and len(cols) == 1:
-                cols.append("")
-            if len(cols) != 2:
+            first, tab, second = line.partition("\t")
+            if "\t" in second or not (tab or optional_second):
+                got = line.count("\t") + 1
                 problems.append(
-                    f"{name}:{line_no}: expected 2 columns, got {len(cols)}")
+                    f"{name}:{line_no}: expected 2 columns, got {got}")
                 continue
-            yield line_no, cols[0].strip(), cols[1].strip()
+            yield line_no, first.strip(), second.strip()
     except LexiconError as err:
         problems += err.problems
 
@@ -296,10 +319,13 @@ def load_lexicons(directory) -> LexiconSet:
 def _load_gazetteer(data: bytes, problems: list[str]
                     ) -> tuple[dict[str, str], PhraseIndex]:
     """The toponym -> type table of gazetteer.tsv and its PhraseIndex, whose
-    entries are filled from each new toponym's words as the file is read."""
+    entries, first words and longest word count are filled from each new
+    toponym's words as the file is read."""
     tsv = "gazetteer.tsv"
     gazetteer: dict[str, str] = {}
-    entries: dict[tuple[str, ...], str] = {}
+    entries: dict[str, str] = {}
+    first_words: set[str] = set()
+    max_len = 0
     types: dict[str, str] = {}  # one string of each feature type
     # (index in problems, toponym) of each conflict whose message still
     # lacks the number of the line it conflicts with
@@ -313,15 +339,19 @@ def _load_gazetteer(data: bytes, problems: list[str]
                 problems.append(f"{tsv}:{line_no}: duplicate toponym "
                                 f"{name!r} conflicts with line ")
             continue
-        words = tuple(_words(name))
+        words = _words(name)
         if not words:
             problems.append(f"{tsv}:{line_no}: empty toponym {name!r} "
                             "(no words after normalization)")
             continue
         gazetteer[name] = types.setdefault(ftype, ftype)
-        kept = entries.get(words)
+        key = " ".join(words)
+        kept = entries.get(key)
         if kept is None or name < kept:
-            entries[words] = name
+            entries[key] = name
+        first_words.add(words[0])
+        if len(words) > max_len:
+            max_len = len(words)
     if conflicts:
         # found again on this path only, so that no toponym -> line table
         # stays beside the index: a toponym was kept from the first line of
@@ -334,7 +364,7 @@ def _load_gazetteer(data: bytes, problems: list[str]
                 first.setdefault(name, line_no)
         for at, name in conflicts:
             problems[at] += str(first[name])
-    return gazetteer, PhraseIndex(gazetteer, entries)
+    return gazetteer, PhraseIndex(gazetteer, entries, first_words, max_len)
 
 
 class ValidationReport(Record):
@@ -386,17 +416,13 @@ def validate_lexicons(lex: LexiconSet) -> ValidationReport:
         notices.append("gazetteer empty: Absolute spatial entities cannot "
                        "be recognized")
     marker_phrases = set(lex.spatial_markers) | set(lex.temporal_markers)
-    toponyms = lex.gazetteer_index
-    words_of = {name: words for words, name in toponyms.entries.items()}
+    toponyms = lex.gazetteer_index.entries
     for name in sorted(lex.gazetteer):
-        words = words_of.get(name)
-        if words is None:  # not matched: another name has the same words
-            words = phrase_key(name)
-        phrase = " ".join(words)
+        phrase = normalize(name)  # its key in the index
         if phrase in marker_phrases or phrase in lex.units:
             notices.append(f"gazetteer entry {name!r} collides with a "
                            "common-noun marker or unit")
-        kept = toponyms.entries[words]
+        kept = toponyms[phrase]
         if kept != name:
             notices.append(f"gazetteer entry {name!r} has the same words as "
                            f"{kept!r}; {kept!r} is matched")

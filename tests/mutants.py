@@ -63,6 +63,18 @@ MUTANTS = [
     # a toponym must keep a word after normalization
     ("src/itirel/lexicon.py", "        if not words:\n",
      "        if False:\n", "tests/test_lexicon_errors.py"),
+    # a phrase index key is the words joined with one space
+    ("src/itirel/lexicon.py", 'key = key + " " + fold(word)',
+     "key = key + fold(word)", "tests/test_lexicon.py"),
+    # a form of two words ("l'Ouest") ends a key
+    ("src/itirel/lexicon.py", 'if " " in word:', "if False:",
+     "tests/test_properties.py"),
+    # the gazetteer index's start words are its keys' first words, and its
+    # longest key is counted as the file is read
+    ("src/itirel/lexicon.py", "first_words.add(words[0])",
+     "first_words.add(words[-1])", "tests/test_properties.py"),
+    ("src/itirel/lexicon.py", "if len(words) > max_len:", "if False:",
+     "tests/test_properties.py"),
     # NFC follows the case fold, which can undo it
     ("src/itirel/lexicon.py",
      'return unicodedata.normalize(\n'

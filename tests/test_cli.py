@@ -1,5 +1,6 @@
 import codecs
 import errno
+import importlib.util
 import io
 import json
 import os
@@ -907,6 +908,27 @@ print(*codes, *sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
                               env=module["env"], capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.decode().splitlines()[-1] == "0 0"
+
+    @pytest.mark.skipif(
+        not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),
+        reason="no built-in SHA-256: the digest falls back to hashlib")
+    def test_a_run_does_not_load_openssl(self, gold_file, tmp_path):
+        # the lexicon digest uses the interpreter's own SHA-256: hashlib
+        # loads OpenSSL's libcrypto (_hashlib), megabytes of a run's peak
+        # memory; under ``python -S`` no site hook imports it first
+        script = f"""
+import sys
+from itirel.cli import main
+code = main(["extract", {str(gold_file)!r}, "--format", "both",
+             "--base-iri", "https://example.org/iti",
+             "--out-dir", {str(tmp_path / "out")!r}])
+print(code, "_hashlib" in sys.modules)
+"""
+        module = self._module([])
+        proc = subprocess.run([sys.executable, "-S", "-c", script],
+                              env=module["env"], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().splitlines()[-1] == "0 False"
 
     @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
     def test_stdout_is_utf8_whatever_its_encoding(self, encoding):

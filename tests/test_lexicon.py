@@ -41,7 +41,7 @@ class TestNormalization:
             is SpatialRelationKind.ADJACENCY
         for text in ("ß\u0301 x", "SS\u0301 X", "s\u015b x"):
             match = lex.spatial_marker_index.match(_words(*text.split()), 0)
-            assert match[:3] == (2, ("s\u015b", "x"), "s\u015b x")
+            assert match[:3] == (2, "s\u015b x", "s\u015b x")
 
     def test_contraction_folding(self, lex):
         assert canon_word("du") == "de"
@@ -49,10 +49,10 @@ class TestNormalization:
         assert canon_word("au") == "à"
         assert canon_word("aux") == "à"
         assert canon_word("ville") == "ville"
-        n, words, phrase, kind = lex.spatial_marker_index.match(
+        n, key, phrase, kind = lex.spatial_marker_index.match(
             _words("à", "l'", "Ouest", "du", "Pau"), 0)
         assert (n, phrase) == (4, "à l ouest de")
-        assert words == ("à", "l", "ouest", "de")
+        assert key == "à l ouest de"
         assert kind is SpatialRelationKind.ORIENTATION
 
 
@@ -248,13 +248,13 @@ class TestMarkerTables:
     def test_longest_first_ordering(self, lex):
         words = _words("tout", "près", "de", "Pau")
         assert lex.spatial_marker_index.match(words, 0)[:3] == (
-            3, ("tout", "près", "de"), "tout près de")
+            3, "tout près de", "tout près de")
         assert lex.spatial_marker_index.match(words, 1)[2] == "près de"
 
     def test_same_words_smallest_phrase_wins(self):
         for order in (["Pau", "PAU"], ["PAU", "Pau"]):
             index = phrase_index({name: name.lower() for name in order})
-            assert index.match(_words("pau"), 0) == (1, ("pau",), "PAU", "pau")
+            assert index.match(_words("pau"), 0) == (1, "pau", "PAU", "pau")
 
     def test_toponyms_are_not_contraction_folded(self, lex):
         toponyms = phrase_index({"Pic de Midi": "peak"})
@@ -266,7 +266,7 @@ class TestMarkerTables:
     def test_shorter_phrase_when_longer_one_breaks_off(self):
         index = phrase_index({"a b c": 1, "a": 2})
         assert index.max_len == 3
-        assert index.match(_words("a", "b", "x"), 0)[:3] == (1, ("a",), "a")
+        assert index.match(_words("a", "b", "x"), 0)[:3] == (1, "a", "a")
         assert index.match(_words("b"), 0) is None
         assert phrase_index({}).match(_words("a"), 0) is None
 
@@ -277,7 +277,7 @@ class TestMarkerTables:
         index = phrase_index({"a b c": 1, "du x": 2, "'": 3}, fold=canon_word)
         assert index.first_words == {"a", "de"}
         assert index.match(_words("b", "c"), 0) is None
-        assert index.match(_words("des", "x"), 0)[:3] == (2, ("de", "x"), "du x")
+        assert index.match(_words("des", "x"), 0)[:3] == (2, "de x", "du x")
 
     def test_starts_are_the_words_whose_fold_starts_a_phrase(self, lex):
         index = phrase_index({"a b c": 1, "du x": 2, "'": 3}, fold=canon_word)

@@ -1,4 +1,5 @@
 import codecs
+import hashlib
 import io
 import json
 import string
@@ -236,6 +237,19 @@ def test_lexicon_save_load_round_trip(tmp_path_factory, markers, gazetteer,
     assert load_lexicons(target) == lex
 
 
+@settings(max_examples=100, deadline=None)
+@given(files=st.lists(st.binary(max_size=200), min_size=5, max_size=5))
+def test_files_digest_is_sha256_of_the_framed_files(files):
+    """Whichever SHA-256 the interpreter gives files_digest (_sha2, _sha256
+    or hashlib's), it is hashlib's digest of each file's name, a NUL, its
+    bytes and a NUL, in FILE_NAMES order."""
+    named = dict(zip(itirel.lexicon.FILE_NAMES, files))
+    framed = b"".join(name.encode("utf-8") + b"\0" + data + b"\0"
+                      for name, data in named.items())
+    assert itirel.lexicon.files_digest(dict(reversed(named.items()))) \
+        == hashlib.sha256(framed).hexdigest()
+
+
 # Words that tie after case folding, NFC/NFD spellings of the same word,
 # elided articles in several apostrophes (alone and glued to the next word),
 # and contractions that fold to the same preposition.
@@ -246,7 +260,18 @@ _match_phrase = st.lists(st.sampled_from(_MATCH_WORDS[:-1]), min_size=1,
                          max_size=4).map(" ".join)
 
 
+def _string_keyed(match):
+    """A ``longest_match`` result with its tuple of words joined by one
+    space, as a PhraseIndex key is."""
+    if match is None:
+        return None
+    n, words, phrase, value = match
+    return n, " ".join(words), phrase, value
+
+
 @settings(max_examples=200, deadline=None)
+# a form of two words ("l'Ouest") is one token, never two words of a phrase
+@example(phrases={"de l'Ouest": 0}, forms=["de", "l'Ouest"], fold=str)
 @given(phrases=st.dictionaries(_match_phrase, st.integers(0, 3), max_size=12),
        forms=st.lists(st.sampled_from(_MATCH_WORDS), max_size=8),
        fold=st.sampled_from([str, canon_word]))
@@ -256,7 +281,8 @@ def test_phrase_index_agrees_with_linear_scan(phrases, forms, fold):
     words = [normalize(t.form) for t in toks]
     index = phrase_index(phrases, fold=fold)
     for i in range(len(toks)):
-        assert index.match(words, i) == longest_match(toks, i, phrases, fold)
+        assert index.match(words, i) == _string_keyed(
+            longest_match(toks, i, phrases, fold))
     # the words match reads: a word starts a phrase iff its fold does
     for word in {w for form in _MATCH_WORDS for w in normalize(form).split()}:
         assert (word in index.starts) == (fold(word) in index.first_words)
@@ -395,9 +421,10 @@ def test_gazetteer_load_agrees_with_reference_loader(tmp_path_factory, data):
     assert problems == []
     assert list(lex.gazetteer.items()) == list(gazetteer.items())
     index = lex.gazetteer_index
-    assert list(index.entries) == list(entries)  # the keys, in order
-    assert {key: index.match(list(key), 0)[2:] for key in index.entries} \
-        == {key: entry[1:] for key, entry in entries.items()}
+    # the keys, in order, each the reference's words joined by one space
+    assert list(index.entries) == [" ".join(words) for words in entries]
+    assert {key: index.match(key.split(), 0)[2:] for key in index.entries} \
+        == {" ".join(words): entry[1:] for words, entry in entries.items()}
     assert index.max_len == max_len
     assert index.starts == starts
 
@@ -507,14 +534,15 @@ def _check_scan_gates(g, lex):
                 assert recognize_spatial(g, span, lex, loose) == ungated_scan(
                     toks, lex.spatial_markers, canon_word,
                     lambda i, m: entities._spatial_from_marker(
-                        toks, ws, i, m, lex, loose_at), bare_toponym)
+                        toks, ws, i, _string_keyed(m), lex, loose_at),
+                    bare_toponym)
             for i in skipped["temporal"]:
                 if first <= i < last:
                     assert entities._bare_date(toks, ws, i - first) is None
             assert recognize_temporal(g, span, lex) == ungated_scan(
                 toks, lex.temporal_markers, canon_word,
-                lambda i, m: entities._temporal_from_marker(toks, ws, i, m,
-                                                            lex),
+                lambda i, m: entities._temporal_from_marker(
+                    toks, ws, i, _string_keyed(m), lex),
                 lambda i: entities._bare_date(toks, ws, i))
 
 
