@@ -33,7 +33,8 @@ from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from typing import Iterator
 
-from .depgraph import ConlluParseError, StructureError, read_conllu
+from .depgraph import (ConlluParseError, StructureError, read_blocks,
+                       read_conllu)
 from .lexicon import (LexiconError, LexiconSet, bundled_lexicon_dir,
                       load_lexicons, validate_lexicons)
 from .serialize import JsonWriter, TurtleWriter, extract_sentence
@@ -142,22 +143,14 @@ class _InputError(Exception):
     """The input could not be opened or read."""
 
 
-# bytes read at once; a block ends at the end of the line it cuts
-_BLOCK_BYTES = 1 << 13
-
-
 def _input_blocks(path: str) -> Iterator[bytes]:
-    """The input at any readable path, or stdin for "-", in blocks of
-    ``_BLOCK_BYTES`` bytes and the rest of the line each cuts, so that each
-    ends at an LF or at the end of the input.  Only failing to open or read
-    it raises ``_InputError``."""
+    """The input at any readable path, or stdin for "-", in the blocks of
+    :func:`read_blocks`.  Only failing to open or read it raises
+    ``_InputError``."""
     try:
         with (nullcontext(sys.stdin.buffer) if path == "-"
               else open(path, "rb")) as binary:
-            while block := binary.read(_BLOCK_BYTES):
-                if not block.endswith(b"\n"):
-                    block += binary.readline()
-                yield block
+            yield from read_blocks(binary)
     except FileNotFoundError:
         raise _InputError(f"no such input file: {Path(path)}") from None
     except OSError as err:

@@ -184,6 +184,19 @@ _RANGE_OR_EMPTY_NODE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")
 
 _BLOCK = 1 << 16  # characters of a chunk's text split into lines at once
 
+# bytes read at once; a block ends at the end of the line it cuts
+_BLOCK_BYTES = 1 << 13
+
+
+def read_blocks(binary) -> Iterator[bytes]:
+    """The bytes of a binary file in blocks of ``_BLOCK_BYTES`` bytes and
+    the rest of the line each cuts, so that each ends at an LF or at the
+    end of the file: the chunks :func:`decode_lines` takes."""
+    while block := binary.read(_BLOCK_BYTES):
+        if not block.endswith(b"\n"):
+            block += binary.readline()
+        yield block
+
 
 def _lf_ends(text: str) -> str:
     """The text with each CRLF and each lone CR made an LF."""

@@ -5,23 +5,25 @@ polarity, spatial relation markers, temporal relation markers, a toponym
 gazetteer, and measure units.  All of them are data, not code: the bundled
 files under ``itirel/data/lexicons`` are a seed that users can amend.
 
-``load_lexicons`` reads each file in one pass: it decodes the bytes once,
-and the loop over the gazetteer's rows normalizes each toponym once and
-fills the gazetteer's phrase index with its words.  The marker indexes are
-built on first use.  A phrase index is keyed by strings: a phrase's
-normalized, folded words joined with one space.  The words come from
-``str.split()``, so none holds a space and the join loses nothing.
+``load_lexicons`` reads each file in one pass: it decodes the bytes in the
+blocks of ``depgraph.read_blocks``, so no file's whole text is held beside
+its bytes, and the loop over the gazetteer's rows normalizes each toponym
+once and fills the gazetteer's phrase index with its words.  The marker
+indexes are built on first use.  A phrase index is keyed by strings: a
+phrase's normalized, folded words joined with one space.  The words come
+from ``str.split()``, so none holds a space and the join loses nothing.
 """
 
 from __future__ import annotations
 
+import io
 import unicodedata
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .depgraph import Record, decode_lines
+from .depgraph import Record, decode_lines, read_blocks
 
 try:
     # hashlib is pretty heavy to load (OpenSSL), try lean internal module first
@@ -232,7 +234,8 @@ def _read_tsv(name: str, data: bytes, problems: list[str],
     file that is not UTF-8 only the lines before its first bad byte's line
     are read; that byte is one more problem."""
     lines = decode_lines(
-        [data], lambda message, at: LexiconError([f"{name}:{at}: {message}"]))
+        read_blocks(io.BytesIO(data)),
+        lambda message, at: LexiconError([f"{name}:{at}: {message}"]))
     try:
         for line_no, raw in enumerate(lines, 1):
             line = raw.rstrip()

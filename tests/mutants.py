@@ -109,6 +109,14 @@ MUTANTS = [
     # the lines before an invalid byte's line are read before its error
     ("src/itirel/depgraph.py", "while start < len(text):",
      "while start < len(text) and bad is None:", "tests/test_cli.py"),
+    # a lexicon file is decoded a block at a time, never whole
+    ("src/itirel/lexicon.py", "read_blocks(io.BytesIO(data)),", "[data],",
+     "tests/test_lexicon.py"),
+    # a block is completed by the rest of the line it cuts, at an LF
+    ("src/itirel/depgraph.py", "block += binary.readline()", "pass",
+     "tests/test_cli.py"),
+    ("src/itirel/depgraph.py", r'block.endswith(b"\n")',
+     r'block.endswith(b"\r")', "tests/test_cli.py"),
     # a token line has ten columns, on the parser's fast path too
     ("src/itirel/depgraph.py", "len(cols) == 10", "len(cols) >= 10",
      "tests/test_depgraph.py"),

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import itirel
-from itirel import (build_document, bundled_lexicon_dir, cli,
+from itirel import (build_document, bundled_lexicon_dir, cli, depgraph,
                     lexicon_fingerprint, load_lexicons, parse_conllu, to_json,
                     validate_lexicons)
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
@@ -559,7 +559,7 @@ def _many_blocks(gold_text: str, end: str, boms: int) -> bytes:
     put after a comment whose length makes the cut fall inside an accented
     character of a form."""
     data = bytearray(codecs.BOM_UTF8 * boms)
-    cut = cli._BLOCK_BYTES  # where the next block's read cuts the input
+    cut = depgraph._BLOCK_BYTES  # where the next block's read cuts the input
     for k in range(40):
         lines = gold_text.replace("# sent_id = gold-",
                                   f"# sent_id = c{k}-").split("\n")
@@ -580,7 +580,7 @@ def _many_blocks(gold_text: str, end: str, boms: int) -> bytes:
             data += f"# pad = {'x' * (room - fits[-1])}{end}".encode("utf-8")
         data += copy
         while b"\n" in data[cut - 1:]:
-            cut = data.index(b"\n", cut - 1) + 1 + cli._BLOCK_BYTES
+            cut = data.index(b"\n", cut - 1) + 1 + depgraph._BLOCK_BYTES
     return bytes(data)
 
 
@@ -596,7 +596,7 @@ def test_an_input_of_many_blocks_gives_the_string_s_output(
     data = _many_blocks(gold_text, end, boms)
     path = tmp_path / "many.conllu"
     path.write_bytes(data)
-    size = cli._BLOCK_BYTES
+    size = depgraph._BLOCK_BYTES
     blocks = list(cli._input_blocks(str(path)))
     assert b"".join(blocks) == data
     if end == "\r":
@@ -645,7 +645,7 @@ def test_an_input_without_lf_is_read_in_two_calls(monkeypatch):
             calls.append("readline")
             return super().readline(size)
 
-    data = b"x\r" * (20 * cli._BLOCK_BYTES)
+    data = b"x\r" * (20 * depgraph._BLOCK_BYTES)
     monkeypatch.setattr("sys.stdin",
                         io.TextIOWrapper(Counted(data), encoding="utf-8"))
     assert list(cli._input_blocks("-")) == [data]

@@ -1,6 +1,7 @@
 import codecs
 import random
 import shutil
+import tracemalloc
 import unicodedata
 from pathlib import Path
 
@@ -209,6 +210,34 @@ class TestLoading:
         for path in (tmp_path / "lex").iterdir():
             path.write_bytes(path.read_bytes().replace(b"\n", line_end))
         assert load_lexicons(tmp_path / "lex") == lex
+
+    def test_the_load_holds_no_whole_decoded_file(self, tmp_path):
+        """A gazetteer of 20,000 names, some of them accented, is decoded a
+        block at a time: at its peak the load holds little more than the
+        file's bytes beside what it keeps.  Decoding the file whole held
+        its text too, about twice its bytes."""
+        rng = random.Random(28)
+        syllables = ["pau", "lar", "uns", "bor", "deaux", "gè", "ron", "dé",
+                     "sar", "ôs", "naï", "vic", "mont", "fer", "ran"]
+        names = {}
+        while len(names) < 20_000:
+            name = " ".join(
+                "".join(rng.choices(syllables, k=rng.randint(2, 3)))
+                for _ in range(rng.randint(1, 3))).title()
+            names.setdefault(name, rng.choice(["city", "village", "peak"]))
+        shutil.copytree(bundled_lexicon_dir(), tmp_path / "lex")
+        data = "".join(f"{name}\t{ftype}\n"
+                       for name, ftype in names.items()).encode("utf-8")
+        (tmp_path / "lex" / "gazetteer.tsv").write_bytes(data)
+        assert len(data) > 300_000 and not data.isascii()
+        tracemalloc.start()
+        try:
+            lex = load_lexicons(tmp_path / "lex")
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lex.gazetteer) == len(names)
+        assert peak - live < 1.5 * len(data), (peak - live) / len(data)
 
     def test_a_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path,
                                                              lex):

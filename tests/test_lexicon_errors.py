@@ -21,7 +21,8 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from itirel import LexiconError, bundled_lexicon_dir, load_lexicons
+from itirel import (LexiconError, bundled_lexicon_dir, depgraph,
+                    load_lexicons)
 
 GOLDEN = Path(__file__).parent / "golden" / "lexicon_errors.txt"
 SEED = 13
@@ -106,19 +107,26 @@ def _cases(rng: random.Random, files: dict[str, bytes]):
         yield f"empty {file_name}", {file_name: b""}
 
 
-def render() -> str:
-    """The golden text: each case's name, then its problems in order."""
+def _case_dirs(tmp: Path):
+    """(case name, lexicon directory) of each case in order, the directory
+    under tmp rewritten for each case."""
     bundled = bundled_lexicon_dir()
     files = {p.name: p.read_bytes() for p in bundled.iterdir()
              if p.suffix == ".tsv"}
+    for case, changes in _cases(random.Random(SEED), files):
+        lexdir = tmp / "lex"
+        shutil.rmtree(lexdir, ignore_errors=True)
+        shutil.copytree(bundled, lexdir)
+        for file_name, data in changes.items():
+            (lexdir / file_name).write_bytes(data)
+        yield case, lexdir
+
+
+def render() -> str:
+    """The golden text: each case's name, then its problems in order."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        for case, changes in _cases(random.Random(SEED), files):
-            lexdir = Path(tmp) / "lex"
-            shutil.rmtree(lexdir, ignore_errors=True)
-            shutil.copytree(bundled, lexdir)
-            for file_name, data in changes.items():
-                (lexdir / file_name).write_bytes(data)
+        for case, lexdir in _case_dirs(Path(tmp)):
             try:
                 load_lexicons(lexdir)
                 problems = ["(no problems)"]
@@ -131,6 +139,41 @@ def render() -> str:
 
 def test_lexicon_errors_match_golden():
     assert render() == GOLDEN.read_text(encoding="utf-8")
+
+
+def _outcome(lexdir: Path):
+    """The set, its fingerprint and its gazetteer index's entries that
+    ``load_lexicons`` gives, or the problems it raises."""
+    try:
+        lex = load_lexicons(lexdir)
+    except LexiconError as err:
+        return err.problems
+    return lex, lex.fingerprint, lex.gazetteer_index.entries
+
+
+def test_the_load_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    """Each lexicon file is read in blocks of ``depgraph._BLOCK_BYTES``
+    bytes and the rest of the line each cuts.  Blocks of one line (a read
+    of 1 byte), of a few lines (7 bytes) and of the default size give the
+    same set, fingerprint and problems: on the bundled lexicons, on their
+    CRLF and lone-CR copies and on every case of the golden record."""
+    def copies():
+        yield "bundled", bundled_lexicon_dir()
+        for end in (b"\r\n", b"\r"):
+            lexdir = shutil.copytree(bundled_lexicon_dir(),
+                                     tmp_path / f"ends{len(end)}")
+            for path in lexdir.iterdir():
+                path.write_bytes(path.read_bytes().replace(b"\n", end))
+            yield f"{end!r} ends", lexdir
+        yield from _case_dirs(tmp_path)
+
+    for case, lexdir in copies():
+        outcomes = []
+        for size in (1, 7, depgraph._BLOCK_BYTES):
+            monkeypatch.setattr(depgraph, "_BLOCK_BYTES", size)
+            outcomes.append(_outcome(lexdir))
+        monkeypatch.undo()
+        assert outcomes[0] == outcomes[1] == outcomes[2], case
 
 
 if __name__ == "__main__":
