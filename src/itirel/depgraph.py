@@ -170,13 +170,15 @@ def span_text(g: SentenceGraph, span: TokenSpan) -> str:
 
 def _surface(tokens: Sequence[Token]) -> str:
     """Space-joined forms, minus spaces after elisions (l', j') and before
-    punctuation."""
-    parts: list[str] = []
+    punctuation, in one pass that looks back at the previous form only."""
+    text, prev = "", None
     for tok in tokens:
-        if parts and tok.upos != "PUNCT" and not parts[-1].endswith(_ELIDED):
-            parts.append(" ")
-        parts.append(tok.form)
-    return "".join(parts)
+        if prev is not None and tok.upos != "PUNCT" \
+                and not prev.endswith(_ELIDED):
+            text += " "
+        prev = tok.form
+        text += prev
+    return text
 
 
 _RANGE_OR_EMPTY_NODE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")

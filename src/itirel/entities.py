@@ -19,7 +19,6 @@ ids and heads are.
 
 from __future__ import annotations
 
-import re
 from typing import Optional
 
 from .depgraph import Record, SentenceGraph, TokenSpan, _surface
@@ -39,7 +38,6 @@ FRENCH_NUMBERS = {
     "cent": 100, "mille": 1000,
 }
 
-_DIGITS = re.compile("[0-9]+")  # \d would read "٣" too
 _SEPARATOR_FORMS = {",", ";", "et", "ou"}
 
 
@@ -81,7 +79,7 @@ class TemporalEntity(Record):
 def _number(form: str, word: str) -> Optional[int]:
     """Value of a digit string or French number word, given its form and
     normalized word."""
-    if _DIGITS.fullmatch(form):
+    if form.isascii() and form.isdigit():  # isdigit() alone reads "٣"
         try:
             return int(form)
         except ValueError:  # more digits than the interpreter converts
@@ -115,10 +113,9 @@ def _match_toponym(toks, words, i, lex, loose_at):
 def _make_spatial(toks, start, end, kind, anchors, magnitude, direction,
                   loose):
     """The entity of ``toks[start..end]``, whose text is that of its span."""
-    return SpatialEntity(span=TokenSpan(toks[start].id, toks[end].id),
-                         kind=kind, anchors=tuple(anchors),
-                         magnitude=magnitude, direction=direction,
-                         text=_surface(toks[start:end + 1]), loose=loose)
+    return SpatialEntity(TokenSpan(toks[start].id, toks[end].id), kind,
+                         tuple(anchors), magnitude, direction,
+                         _surface(toks[start:end + 1]), loose)
 
 
 def _make_temporal(toks, start, anchor, end, kind, magnitude):
@@ -128,12 +125,13 @@ def _make_temporal(toks, start, anchor, end, kind, magnitude):
                           _surface(toks[start:end + 1]))
 
 
-def _scan(g, within, marker_index, from_marker, fallback, fallback_words,
-          fallback_test=None, fallback_at=()):
+def _scan(g, within, lex, loose_at, marker_index, from_marker, fallback,
+          fallback_words, digits):
     """The entities of a span by the module's scan rule: a marker's entity
     that starts on a consumed token is refused for the fallback's, which
-    runs only at a word of ``fallback_words`` or passing ``fallback_test``,
-    or at a span index of ``fallback_at``."""
+    runs at a word of ``fallback_words``, an index of ``loose_at`` or, with
+    ``digits``, a word of ASCII digits.  Each rule is called as ``rule(toks,
+    words, i, lex, loose_at)``, a marker's with its match after ``i``."""
     if g.words is None:  # filled on the first call on the graph
         g.words = tuple([normalize(t.form) for t in g.tokens])
     toks = g.span_tokens(within)
@@ -145,12 +143,13 @@ def _scan(g, within, marker_index, from_marker, fallback, fallback_words,
         if i < free:
             continue
         match = marker_index.match(words, i) if word in starts else None
-        ent = None if match is None else from_marker(toks, words, i, match)
+        ent = None if match is None else from_marker(toks, words, i, match,
+                                                     lex, loose_at)
         if ent is not None and ent.span.first - within.first < free:
             ent = None  # it would take back a consumed token
-        if ent is None and (word in fallback_words or i in fallback_at or (
-                fallback_test is not None and fallback_test(word))):
-            ent = fallback(toks, words, i)
+        if ent is None and (word in fallback_words or i in loose_at or (
+                digits and word.isascii() and word.isdigit())):
+            ent = fallback(toks, words, i, lex, loose_at)
         if ent is not None:
             out.append(ent)
             free = ent.span.last - within.first + 1
@@ -228,20 +227,21 @@ def _spatial_from_marker(toks, words, i, match, lex, loose_at):
                            loose_at)
 
 
+def _bare_toponym(toks, words, i, lex, loose_at):
+    """A toponym without a marker, the spatial scan's fallback."""
+    return _toponym_entity(toks, words, i, i, SpatialRelationKind.ABSOLUTE,
+                           None, None, lex, loose_at)
+
+
 def recognize_spatial(g: SentenceGraph, within: TokenSpan, lex: LexiconSet,
                       loose: bool = False) -> list[SpatialEntity]:
     """All maximal, non-overlapping spatial entities inside a span."""
     # a bare toponym starts at a gazetteer start word or an index of loose_at
     loose_at = {i for i, t in enumerate(g.span_tokens(within))
                 if t.upos == "PROPN" and t.form[:1].isupper()} if loose else ()
-    return _scan(
-        g, within, lex.spatial_marker_index,
-        lambda toks, words, i, match: _spatial_from_marker(
-            toks, words, i, match, lex, loose_at),
-        lambda toks, words, i: _toponym_entity(
-            toks, words, i, i, SpatialRelationKind.ABSOLUTE, None, None, lex,
-            loose_at),
-        lex.gazetteer_index.starts, fallback_at=loose_at)
+    return _scan(g, within, lex, loose_at, lex.spatial_marker_index,
+                 _spatial_from_marker, _bare_toponym,
+                 lex.gazetteer_index.starts, False)
 
 
 def _reference_window(toks, words, j, lex):
@@ -253,13 +253,14 @@ def _reference_window(toks, words, j, lex):
         if toks[w].upos in ("PUNCT", "VERB") or (
                 words[w] in markers.starts and markers.match(words, w)):
             break
-        if (words[w] in MONTHS or _DIGITS.fullmatch(toks[w].form)
+        form = toks[w].form
+        if (words[w] in MONTHS or form.isascii() and form.isdigit()
                 or lex.units.get(lemma_key(toks[w].lemma)) == "temporal"):
             evidence = w
     return evidence
 
 
-def _temporal_from_marker(toks, words, i, match, lex):
+def _temporal_from_marker(toks, words, i, match, lex, loose_at):
     n, marker, phrase, kind = match
     j = i + n
     start, measure = i, None
@@ -279,21 +280,21 @@ def _temporal_from_marker(toks, words, i, match, lex):
     return _make_temporal(toks, start, j, evidence, kind, measure)
 
 
-def _bare_date(toks, words, i):
+def _bare_date(toks, words, i, lex, loose_at):
     """Unmarked calendar reference: [day] <month> [year], so it starts at a
     month or a number of ASCII digits."""
     month = None
     if words[i] in MONTHS:
         month = i
-    elif (_DIGITS.fullmatch(toks[i].form)
+    elif (toks[i].form.isascii() and toks[i].form.isdigit()
           and 1 <= (_number(toks[i].form, words[i]) or 0) <= 31
           and i + 1 < len(toks) and words[i + 1] in MONTHS):
         month = i + 1
     if month is None:
         return None
     end = month
-    if end + 1 < len(toks) and len(toks[end + 1].form) == 4 \
-            and _DIGITS.fullmatch(toks[end + 1].form):
+    year = toks[end + 1].form if end + 1 < len(toks) else ""
+    if len(year) == 4 and year.isascii() and year.isdigit():
         end += 1
     return _make_temporal(toks, i, i, end, TemporalRelationKind.ABSOLUTE,
                           None)
@@ -302,7 +303,5 @@ def _bare_date(toks, words, i):
 def recognize_temporal(g: SentenceGraph, within: TokenSpan,
                        lex: LexiconSet) -> list[TemporalEntity]:
     """All maximal, non-overlapping temporal entities inside a span."""
-    return _scan(g, within, lex.temporal_marker_index,
-                 lambda toks, words, i, match: _temporal_from_marker(
-                     toks, words, i, match, lex),
-                 _bare_date, MONTHS, _DIGITS.fullmatch)
+    return _scan(g, within, lex, (), lex.temporal_marker_index,
+                 _temporal_from_marker, _bare_date, MONTHS, True)

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .depgraph import (NoMainVerb, Record, SentenceGraph, TokenSpan,
-                       root_verb, span_text, subtree_ids)
+                       root_verb, subtree_ids, _surface)
 from .lexicon import lemma_key, normalize
 
 
@@ -152,9 +152,8 @@ def _argument(g: SentenceGraph, head: int, role: str, cut: Sequence[int],
     if not kept:
         return None
     span = TokenSpan(kept[0], kept[-1])
-    return Argument(span=span, text=span_text(g, span), role=role,
-                    pivot=head, order=order, case_marker=case_marker,
-                    flagged=len(kept) != len(span))
+    return Argument(span, _surface(toks[kept[0] - 1:kept[-1]]), role, head,
+                    order, case_marker, len(kept) != len(span))
 
 
 def _argument_for(g: SentenceGraph, views: dict, pivot: int,

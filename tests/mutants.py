@@ -120,6 +120,19 @@ MUTANTS = [
     # a token line has ten columns, on the parser's fast path too
     ("src/itirel/depgraph.py", "len(cols) == 10", "len(cols) >= 10",
      "tests/test_depgraph.py"),
+    # no space before punctuation, nor after a form ending in an elision
+    ("src/itirel/depgraph.py", 'tok.upos != "PUNCT"', "True",
+     "tests/test_properties.py"),
+    ("src/itirel/depgraph.py", "prev.endswith(_ELIDED)", "False",
+     "tests/test_properties.py"),
+    # a magnitude is ASCII digits: « depuis ٣ jours » has none
+    ("src/itirel/entities.py", "if form.isascii() and form.isdigit():",
+     "if form.isdigit():", "tests/test_entities.py"),
+    # the scan gives its rules the loose indexes it was given
+    ("src/itirel/entities.py", "ent = fallback(toks, words, i, lex, loose_at)",
+     "ent = fallback(toks, words, i, lex, ())", "tests/test_entities.py"),
+    ("src/itirel/entities.py", "match,\n" + " " * 53 + "lex, loose_at)",
+     "match,\n" + " " * 53 + "lex, ())", "tests/test_entities.py"),
 ]
 
 

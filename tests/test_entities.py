@@ -343,6 +343,18 @@ class TestSpatialRecognition:
         assert ent.kind is SpatialRelationKind.ABSOLUTE
         assert ent.anchors == ("Bayonne",) and ent.loose
 
+    def test_loose_mode_reads_the_toponym_after_a_marker(self, lex):
+        g = build([(1, "Je", "je", "PRON", 2, "nsubj"),
+                   (2, "passe", "passer", "VERB", 0, "root"),
+                   (3, "près", "près", "ADV", 5, "case"),
+                   (4, "de", "de", "ADP", 3, "fixed"),
+                   (5, "Bayonne", "Bayonne", "PROPN", 2, "obl")])
+        assert recognize_spatial(g, whole_span(g), lex) == []
+        (ent,) = recognize_spatial(g, whole_span(g), lex, loose=True)
+        assert ent.kind is SpatialRelationKind.ADJACENCY
+        assert ent.text == "près de Bayonne"
+        assert ent.anchors == ("Bayonne",) and ent.loose
+
     def test_entities_never_overlap(self, all_graphs, lex):
         for g in all_graphs:
             for loose in (False, True):

@@ -2,6 +2,7 @@ import codecs
 import hashlib
 import io
 import json
+import re
 import string
 import unicodedata
 from collections import Counter
@@ -16,7 +17,8 @@ from itirel import (LexiconSet, SentenceGraph, StructureError,
                     TokenSpan)
 from itirel import entities
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
-from itirel.depgraph import Token, decode_lines, subtree_ids
+from itirel.depgraph import (Token, _surface, decode_lines, span_text,
+                             subtree_ids)
 from itirel.lexicon import (LexiconError, SpatialRelationKind, canon_word,
                             lemma_key, normalize, phrase_index)
 from itirel.nary import _argument, extract_nary, identify_use_cases
@@ -71,6 +73,32 @@ def test_children_and_relations_match_the_head_column(g):
 @given(random_trees())
 def test_root_yield_covers_every_token(g):
     assert subtree_ids(g, g.root_id) == frozenset(t.id for t in g.tokens)
+
+
+# forms of elisions (' and ’, not ‘), letters or nothing, some of them PUNCT
+_SURFACE_TOKENS = st.lists(st.tuples(st.text(alphabet="'’‘aB", max_size=3),
+                                     st.sampled_from(_UPOS)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@example([("l'", "DET"), ("", "NOUN"), ("’", "PUNCT"), ("j’", "PRON"),
+          ("a", "VERB"), ("‘", "NOUN")])
+@given(rows=_SURFACE_TOKENS)
+def test_surface_text_agrees_with_the_reference(rows):
+    """No space before a PUNCT token, none after a form ending in ' or ’,
+    none before the first token: ``_surface`` of the tokens and
+    ``span_text`` of every span give the reference's text."""
+    tokens = tuple(Token(i, form, form, upos, 0 if i == 1 else 1,
+                         "root" if i == 1 else "dep")
+                   for i, (form, upos) in enumerate(rows, 1))
+    assert _surface(tokens) == reference_surface(tokens)
+    if not tokens:
+        return
+    g = SentenceGraph(sent_id="surface", text="surface", tokens=tokens)
+    for first in range(1, len(tokens) + 1):
+        for last in range(first, len(tokens) + 1):
+            assert span_text(g, TokenSpan(first, last)) == reference_surface(
+                tokens[first - 1:last])
 
 
 # the words of the reason markers and of « comme », which marks, case
@@ -307,6 +335,23 @@ def test_normalize_agrees_with_two_regex_version(text):
     assert normalize(text) == normalize_two_regex(text)
 
 
+# Magnitudes, days and years are ASCII digits: the entity rules test a form
+# with ``isascii() and isdigit()``, which is ``[0-9]+`` whole
+@settings(max_examples=300, deadline=None)
+@example("")
+@example("٣")
+@example("²")
+@example("１")
+@example("+1")
+@example("1_0")
+@example(" 1")
+@example("0" * 5000)
+@given(text=st.text() | st.text(alphabet="09٣²１+_ \n", max_size=6))
+def test_the_digit_test_is_the_ascii_digit_regex(text):
+    assert (text.isascii() and text.isdigit()) == bool(
+        re.fullmatch("[0-9]+", text))
+
+
 # Letters whose case fold expands (ß, ŉ, ǰ, ΐ, ﬁ, İ, ẞ) or that NFC composes
 # from a letter and a mark, the combining marks that follow them, an
 # apostrophe, a space and ASCII letters.
@@ -524,9 +569,7 @@ def _check_scan_gates(g, lex):
                             if first <= k < last} if loose else ()
 
                 def bare_toponym(i):
-                    return entities._toponym_entity(
-                        toks, ws, i, i, SpatialRelationKind.ABSOLUTE, None,
-                        None, lex, loose_at)
+                    return entities._bare_toponym(toks, ws, i, lex, loose_at)
 
                 for i in skipped["loose" if loose else "spatial"]:
                     if first <= i < last:
@@ -538,12 +581,13 @@ def _check_scan_gates(g, lex):
                     bare_toponym)
             for i in skipped["temporal"]:
                 if first <= i < last:
-                    assert entities._bare_date(toks, ws, i - first) is None
+                    assert entities._bare_date(toks, ws, i - first, lex,
+                                               ()) is None
             assert recognize_temporal(g, span, lex) == ungated_scan(
                 toks, lex.temporal_markers, canon_word,
                 lambda i, m: entities._temporal_from_marker(
-                    toks, ws, i, _string_keyed(m), lex),
-                lambda i: entities._bare_date(toks, ws, i))
+                    toks, ws, i, _string_keyed(m), lex, ()),
+                lambda i: entities._bare_date(toks, ws, i, lex, ()))
 
 
 def test_scan_gates_skip_only_tokens_that_start_nothing(all_graphs,
