@@ -15,8 +15,11 @@ markers and enumeration (and its relative clauses in UC2 or under an
 enumeration), an item its conj/cc/case children, a reason clause its marks.
 A clause verb's children are read once into a view (subject, objects,
 obliques, advcl, conj), and so are a nominal's (case markers, enumeration
-items, acl), shared by coordinated clauses; each pattern is matched once per
-clause verb on the views.  UC2 moves each relativized object to the end.
+items, acl), shared by coordinated clauses.  Each pattern is matched once
+per clause verb and reads only what it can use: UC1 the advcls' marks, UC2
+and UC4 the objects' views if there is an object, UC3 the obliques' views if
+there are two or more.  A matched clause reads its heads' views for its
+arguments.  UC2 moves each relativized object to the end.
 A relation needs an argument besides those of its subject, so no two
 relations of a sentence are equal.
 """
@@ -123,8 +126,8 @@ def _nominal(g: SentenceGraph, views: dict, nominal: int) -> tuple:
 
 
 def pivot_tokens(g: SentenceGraph) -> list[int]:
-    """Pivot ids in surface order: main verb, its argument heads, and the
-    case-marking preposition of each oblique complement."""
+    """Pivot ids of the main clause in surface order: main verb, its
+    argument heads, and the case-marking preposition of each oblique."""
     verb, subject, objects, obliques, _, _ = _clause(g, root_verb(g))
     cases = [c for o in obliques for c in _nominal(g, {}, o)[0][:1]]
     return sorted({verb, subject, *objects, *obliques, *cases} - {None})
@@ -182,8 +185,8 @@ def _argument_for(g: SentenceGraph, views: dict, pivot: int,
 
 def extract_arguments(g: SentenceGraph, pivots: Sequence[int]) -> list[Argument]:
     """One argument per nominal pivot (a subject, object or oblique
-    dependent of a verb) without its governing preposition, which is its
-    role; an enumeration under a pivot is split into ordered items."""
+    dependent of a verb: the main clause's, from ``pivot_tokens``) without
+    its preposition, which is its role; an enumeration is split into items."""
     args: list[Argument] = []
     for p in pivots:
         head = g.token(p).head
@@ -209,19 +212,23 @@ def _use_cases_for(g: SentenceGraph, clause: list, views: dict
             reasons.append(_argument(g, c, "reason", marks))
     if reasons:
         found[UseCaseKind.UC1_ADDITIONAL_INFO] = reasons
-    objects = [(o, *_nominal(g, views, o)) for o in objects]
-    relativized = [(o, acls) for o, _, _, acls in objects if acls]
-    if relativized:
-        found[UseCaseKind.UC2_OBJECT_DETAIL] = relativized
-    if sum(bool(_nominal(g, views, o)[0]) for o in obliques) >= 2:
+    listed = False
+    if objects:  # UC2 and UC4 read the object views
+        objects = [(o, *_nominal(g, views, o)) for o in objects]
+        relativized = [(o, acls) for o, _, _, acls in objects if acls]
+        if relativized:
+            found[UseCaseKind.UC2_OBJECT_DETAIL] = relativized
+        listed = any(items for _, _, items, _ in objects)
+    if len(obliques) >= 2 and sum(  # UC3 counts the case-marked ones
+            bool(_nominal(g, views, o)[0]) for o in obliques) >= 2:
         found[UseCaseKind.UC3_NO_PRIMARY_ARGUMENT] = []
-    if any(items for _, _, items, _ in objects):
+    if listed:
         found[UseCaseKind.UC4_ORDERED_LIST] = []
     return found
 
 
 def identify_use_cases(g: SentenceGraph) -> list[UseCaseKind]:
-    """Every use-case whose syntactic pattern matches the sentence."""
+    """Every use-case whose syntactic pattern matches the main clause."""
     try:
         return list(_use_cases_for(g, _clause(g, root_verb(g)), {}))
     except NoMainVerb:
@@ -236,9 +243,14 @@ def extract_nary(g: SentenceGraph) -> list[NaryRelation]:
     in disjoint subtrees, so no two relations share use case, predicate
     lemma and multiset of arguments."""
     try:
-        main = _clause(g, root_verb(g))
+        return _extract_nary(g, root_verb(g))
     except NoMainVerb:
         return []
+
+
+def _extract_nary(g: SentenceGraph, verb: int) -> list[NaryRelation]:
+    """``extract_nary`` from the main verb, for a caller that found it."""
+    main = _clause(g, verb)
     _, subject, _, _, _, conjs = main
     clauses = [main] + [_clause(g, c, subject) for c in conjs
                         if g.tokens[c - 1].upos == "VERB"]

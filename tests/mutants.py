@@ -133,6 +133,15 @@ MUTANTS = [
      "ent = fallback(toks, words, i, lex, ())", "tests/test_entities.py"),
     ("src/itirel/entities.py", "match,\n" + " " * 53 + "lex, loose_at)",
      "match,\n" + " " * 53 + "lex, ())", "tests/test_entities.py"),
+    # UC3 needs two obliques, and UC2 and UC4 one object
+    ("src/itirel/nary.py", "if len(obliques) >= 2 and sum(",
+     "if len(obliques) >= 3 and sum(", "tests/test_nary.py"),
+    ("src/itirel/nary.py", "if objects:  # UC2", "if objects[1:]:  # UC2",
+     "tests/test_nary.py"),
+    # the pipeline's n-ary stage starts from the main verb, which is not the
+    # root under an auxiliary root (« a quitté »)
+    ("src/itirel/serialize.py", "extract_nary(g, verb)",
+     "extract_nary(g, g.root_id)", "tests/test_nary.py"),
 ]
 
 

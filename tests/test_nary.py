@@ -172,6 +172,27 @@ class TestUseCases:
         for sid, want in expected.items():
             assert identify_use_cases(gold[sid]) == want, sid
 
+    def test_only_the_main_clause_is_identified(self):
+        # « Il sort de Pau et arrive à Lyon par Tarbes. »: the coordinated
+        # clause gives a UC3 relation that identify_use_cases does not see
+        g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
+                   (2, "sort", "sortir", "VERB", 0, "root"),
+                   (3, "de", "de", "ADP", 4, "case"),
+                   (4, "Pau", "Pau", "PROPN", 2, "obl"),
+                   (5, "et", "et", "CCONJ", 6, "cc"),
+                   (6, "arrive", "arriver", "VERB", 2, "conj"),
+                   (7, "à", "à", "ADP", 8, "case"),
+                   (8, "Lyon", "Lyon", "PROPN", 6, "obl"),
+                   (9, "par", "par", "ADP", 10, "case"),
+                   (10, "Tarbes", "Tarbes", "PROPN", 6, "obl"),
+                   (11, ".", ".", "PUNCT", 2, "punct")])
+        assert identify_use_cases(g) == []
+        (rel,) = extract_nary(g)
+        assert (rel.use_case, rel.predicate_lemma, rel.predicate_token) == \
+            (UseCaseKind.UC3_NO_PRIMARY_ARGUMENT, "arriver", 6)
+        assert [(a.role, a.text) for a in rel.arguments] == [
+            ("subj", "Il"), ("à", "Lyon"), ("par", "Tarbes")]
+
     def test_purpose_pour_on_infinitive_is_not_a_destination(self, gold):
         # gold-03 has "pour faire ..." as advcl of the relative verb, not of
         # the main verb: no UC1 at sentence level
@@ -186,6 +207,26 @@ class TestRelations:
         assert rel.predicate_lemma == "quitter"
         assert rel.predicate_token == 7
         assert len(rel.arguments) == 4
+
+    def test_the_pipeline_reads_the_verb_under_an_auxiliary_root(self, lex):
+        # « Il a quitté Pau pour Lyon depuis deux semaines. » with the
+        # auxiliary parsed as the root: the main verb is the participle
+        g = build([(1, "Il", "il", "PRON", 3, "nsubj"),
+                   (2, "a", "avoir", "AUX", 0, "root"),
+                   (3, "quitté", "quitter", "VERB", 2, "xcomp"),
+                   (4, "Pau", "Pau", "PROPN", 3, "obj"),
+                   (5, "pour", "pour", "ADP", 6, "case"),
+                   (6, "Lyon", "Lyon", "PROPN", 3, "obl"),
+                   (7, "depuis", "depuis", "ADP", 9, "case"),
+                   (8, "deux", "deux", "NUM", 9, "nummod"),
+                   (9, "semaines", "semaine", "NOUN", 3, "obl"),
+                   (10, ".", ".", "PUNCT", 2, "punct")])
+        (rel,) = extract_sentence(g, lex).nary_relations
+        assert (rel.use_case, rel.predicate_token) == \
+            (UseCaseKind.UC3_NO_PRIMARY_ARGUMENT, 3)
+        assert [a.text for a in rel.arguments] == [
+            "Il", "Pau", "Lyon", "deux semaines"]
+        assert extract_nary(g) == [rel]
 
     def test_uc1_reason_argument(self, gold):
         (rel,) = extract_nary(gold["gold-02"])

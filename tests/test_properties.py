@@ -17,8 +17,8 @@ from itirel import (LexiconSet, SentenceGraph, StructureError,
                     TokenSpan)
 from itirel import entities
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
-from itirel.depgraph import (Token, _surface, decode_lines, span_text,
-                             subtree_ids)
+from itirel.depgraph import (NoMainVerb, Token, _surface, decode_lines,
+                             root_verb, span_text, subtree_ids)
 from itirel.lexicon import (LexiconError, SpatialRelationKind, canon_word,
                             lemma_key, normalize, phrase_index)
 from itirel.nary import _argument, extract_nary, identify_use_cases
@@ -111,11 +111,11 @@ _ITEMS = ("PROPN", "PROPN", "PUNCT")
 @st.composite
 def random_clauses(draw):
     """Random sentences built from the pieces the use-case patterns read: a
-    main verb, maybe under an auxiliary, and coordinated verbs, with
-    subjects, objects and obliques that may have case markers, relative
-    clauses and enumerations, adverbial clauses with marks, and punctuation,
-    in any surface order.  In random_trees these pieces hardly ever meet:
-    400 examples gave no UC1, UC3 or UC4 relation."""
+    main verb (now and then a noun, so none), maybe under an auxiliary, and
+    coordinated verbs, with subjects, objects and obliques that may have
+    case markers, relative clauses and enumerations, adverbial clauses with
+    marks, and punctuation, in any surface order.  In random_trees these
+    pieces hardly ever meet: 400 examples gave no UC1, UC3 or UC4 relation."""
     rows = []  # (head row or -1, upos, deprel, form)
 
     def add(head, upos, deprel, form="x"):
@@ -175,7 +175,8 @@ def random_clauses(draw):
 
     aux = draw(st.booleans())
     main = clause(add(-1, "AUX", "root") if aux else -1,
-                  "xcomp" if aux else "root", False)
+                  "xcomp" if aux else "root", False,
+                  draw(st.sampled_from(("VERB",) * 7 + ("NOUN",))))
     for _ in range(draw(st.integers(0, 1))):
         leaves(clause(main, "conj", False,
                       draw(st.sampled_from(("VERB", "VERB", "NOUN")))),
@@ -190,10 +191,20 @@ def random_clauses(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(random_clauses())
-def test_use_cases_and_pivots_match_the_naive_walks(g):
+def test_use_cases_and_pivots_match_the_naive_walks(lex, g):
     assert [u.value for u in identify_use_cases(g)] == \
         clause_use_cases(g.tokens, main_verb(g.tokens))
     relations = extract_nary(g)
+    # the pipeline hands the n-ary stage the main verb it found
+    result = itirel.extract_sentence(g, lex)
+    assert result.nary_relations == tuple(relations)
+    try:
+        root_verb(g)
+    except NoMainVerb:
+        event("no main verb")
+        assert result.skips == ("no main verb",)
+    else:
+        assert result.skips == ()
     assert [(r.use_case.value, r.predicate_token,
              [(a.pivot, a.role) for a in r.arguments])
             for r in relations] == nary_relations(g.tokens)
