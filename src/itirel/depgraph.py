@@ -163,11 +163,6 @@ class SentenceGraph(Record):
 _ELIDED = ("'", "’")
 
 
-def span_text(g: SentenceGraph, span: TokenSpan) -> str:
-    """Surface text of a span; see :func:`_surface`."""
-    return _surface(g.span_tokens(span))
-
-
 def _surface(tokens: Sequence[Token]) -> str:
     """Space-joined forms, minus spaces after elisions (l', j') and before
     punctuation, in one pass that looks back at the previous form only."""

@@ -44,7 +44,6 @@ class UseCaseKind(str, Enum):
 SUBJECT_RELS = {"nsubj", "csubj"}
 OBJECT_RELS = {"obj", "iobj"}
 OBLIQUE_RELS = {"obl"}
-NOMINAL_RELS = SUBJECT_RELS | OBJECT_RELS | OBLIQUE_RELS
 
 # Markers for causal/purpose/means adverbial clauses (UC1).  Matched against
 # the advcl's `mark` token joined with its `fixed` dependents.
@@ -125,14 +124,6 @@ def _nominal(g: SentenceGraph, views: dict, nominal: int) -> tuple:
     return view
 
 
-def pivot_tokens(g: SentenceGraph) -> list[int]:
-    """Pivot ids of the main clause in surface order: main verb, its
-    argument heads, and the case-marking preposition of each oblique."""
-    verb, subject, objects, obliques, _, _ = _clause(g, root_verb(g))
-    cases = [c for o in obliques for c in _nominal(g, {}, o)[0][:1]]
-    return sorted({verb, subject, *objects, *obliques, *cases} - {None})
-
-
 def _argument(g: SentenceGraph, head: int, role: str, cut: Sequence[int],
               case_marker: Optional[int] = None,
               order: Optional[int] = None) -> Optional[Argument]:
@@ -183,20 +174,6 @@ def _argument_for(g: SentenceGraph, views: dict, pivot: int,
     return [a for a in args if a is not None]
 
 
-def extract_arguments(g: SentenceGraph, pivots: Sequence[int]) -> list[Argument]:
-    """One argument per nominal pivot (a subject, object or oblique
-    dependent of a verb: the main clause's, from ``pivot_tokens``) without
-    its preposition, which is its role; an enumeration is split into items."""
-    args: list[Argument] = []
-    for p in pivots:
-        head = g.token(p).head
-        if (g.rels[p] not in NOMINAL_RELS or head == 0
-                or g.tokens[head - 1].upos != "VERB"):
-            continue
-        args.extend(_argument_for(g, {}, p))
-    return args
-
-
 def _use_cases_for(g: SentenceGraph, clause: list, views: dict
                    ) -> dict[UseCaseKind, list]:
     """Each use-case the clause matches, in UC order, with what matched it:
@@ -225,14 +202,6 @@ def _use_cases_for(g: SentenceGraph, clause: list, views: dict
     if listed:
         found[UseCaseKind.UC4_ORDERED_LIST] = []
     return found
-
-
-def identify_use_cases(g: SentenceGraph) -> list[UseCaseKind]:
-    """Every use-case whose syntactic pattern matches the main clause."""
-    try:
-        return list(_use_cases_for(g, _clause(g, root_verb(g)), {}))
-    except NoMainVerb:
-        return []
 
 
 def extract_nary(g: SentenceGraph) -> list[NaryRelation]:

@@ -138,6 +138,16 @@ MUTANTS = [
      "if len(obliques) >= 3 and sum(", "tests/test_nary.py"),
     ("src/itirel/nary.py", "if objects:  # UC2", "if objects[1:]:  # UC2",
      "tests/test_nary.py"),
+    # an argument leaves out its case marker, which is its role, and a
+    # subject's role is « subj »
+    ("src/itirel/nary.py", "cut = [*cases, *items[:1],", "cut = [*items[:1],",
+     "tests/test_acceptance.py"),
+    ("src/itirel/nary.py", 'role, case_marker = "subj", None',
+     "role, case_marker = rel, None", "tests/test_nary.py"),
+    # an argument starts after its leading punctuation
+    ("src/itirel/nary.py",
+     '    while kept and toks[kept[0] - 1].upos == "PUNCT":\n'
+     "        kept.pop(0)\n", "", "tests/test_nary.py"),
     # the pipeline's n-ary stage starts from the main verb, which is not the
     # root under an auxiliary root (« a quitté »)
     ("src/itirel/serialize.py", "extract_nary(g, verb)",

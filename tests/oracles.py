@@ -11,7 +11,10 @@ The use-case reference reads UC1-UC4 and their arguments by scans of the
 head column.  The gazetteer reference loads ``gazetteer.tsv`` as the loader
 did when each row went through a generator of index entries and a second
 loop that built the index from them.  ``whole_span``, ``covers`` and
-``overlaps`` are span helpers that only tests need.
+``overlaps`` are span helpers that only tests need.  ``main_arguments`` and
+``main_use_cases`` are no oracles: they read the main clause through the
+views ``nary`` itself reads, for tests of what a clause gives whether or not
+the n-ary stage keeps a relation of it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ import unicodedata
 from pathlib import Path
 from typing import Optional, Sequence
 
-from itirel.depgraph import ConlluParseError, StructureError, Token, TokenSpan
+from itirel.depgraph import (ConlluParseError, NoMainVerb, StructureError,
+                             Token, TokenSpan, root_verb)
 from itirel.lexicon import LexiconError, normalize
-from itirel.nary import LIST_MARKERS, REASON_MARKERS
+from itirel.nary import (LIST_MARKERS, REASON_MARKERS, _argument_for,
+                         _clause, _use_cases_for)
 
 CORE_RELS = frozenset({"nsubj", "csubj", "obj", "iobj", "obl"})
 
@@ -41,6 +46,25 @@ def covers(a: TokenSpan, b: TokenSpan) -> bool:
 
 def overlaps(a: TokenSpan, b: TokenSpan) -> bool:
     return not (a.last < b.first or b.last < a.first)
+
+
+def main_arguments(g) -> list:
+    """The arguments of the main clause's subject, objects and obliques, in
+    the order of their heads, as each relation of that clause holds them;
+    NoMainVerb without a main verb."""
+    _, subject, objects, obliques, _, _ = _clause(g, root_verb(g))
+    views: dict = {}
+    return [a for head in sorted({subject, *objects, *obliques} - {None})
+            for a in _argument_for(g, views, head)]
+
+
+def main_use_cases(g) -> list:
+    """The use-cases whose pattern the main clause matches, whether or not a
+    relation is kept for them; none without a main verb."""
+    try:
+        return list(_use_cases_for(g, _clause(g, root_verb(g)), {}))
+    except NoMainVerb:
+        return []
 
 
 def closure(tokens: Sequence, token_id: int) -> set[int]:

@@ -8,14 +8,12 @@ import json
 
 from itirel import (NoMainVerb, SpatialRelationKind, TemporalRelationKind,
                     UseCaseKind, VerbPolarity, build_document,
-                    detect_displacement, extract_arguments, extract_nary,
-                    extract_sentence, from_json,
-                    identify_use_cases, motion_polarity, parse_conllu,
-                    pivot_tokens, recognize_spatial, recognize_temporal,
-                    to_json, to_turtle)
+                    detect_displacement, extract_nary, extract_sentence,
+                    from_json, motion_polarity, parse_conllu,
+                    recognize_spatial, recognize_temporal, to_json, to_turtle)
 
 from conftest import figurative_sentence
-from oracles import argument_spans, whole_span
+from oracles import argument_spans, main_arguments, whole_span
 from turtle_check import parse_turtle, TurtleSyntaxError
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -28,7 +26,10 @@ def _check(number: int, name: str, ok: bool) -> None:
 
 def test_acceptance_1_pivot_reproduction(gold):
     g = gold["gold-01"]
-    pivots = pivot_tokens(g)
+    (rel,) = extract_nary(g)
+    # the predicate, each argument's head and each case marker
+    pivots = {rel.predicate_token, *(a.pivot for a in rel.arguments),
+              *(a.case_marker for a in rel.arguments)} - {None}
     ok = ({g.token(p).form for p in pivots}
           == {"frère", "quitté", "Pau", "pour", "ville", "depuis", "semaines"}
           and {g.token(p).lemma for p in pivots}
@@ -38,9 +39,8 @@ def test_acceptance_1_pivot_reproduction(gold):
 
 
 def test_acceptance_2_argument_reproduction(gold):
-    g = gold["gold-01"]
-    args = extract_arguments(g, pivot_tokens(g))
-    ok = [(a.role, a.text) for a in args] == [
+    (rel,) = extract_nary(gold["gold-01"])
+    ok = [(a.role, a.text) for a in rel.arguments] == [
         ("subj", "Le frère de mon ami"),
         ("obj", "Pau"),
         ("pour", "une ville près de Lyon"),
@@ -110,7 +110,7 @@ def test_acceptance_6_use_case_identification(gold):
         "gold-01": UseCaseKind.UC3_NO_PRIMARY_ARGUMENT,
         "gold-04": UseCaseKind.UC4_ORDERED_LIST,
     }
-    hits = sum(identify_use_cases(gold[sid]) == [uc]
+    hits = sum([r.use_case for r in extract_nary(gold[sid])] == [uc]
                for sid, uc in expected.items())
     _check(6, f"use-case identification {hits}/4", hits == 4)
 
@@ -124,7 +124,7 @@ def test_acceptance_7_oracle_equivalence(all_graphs):
         expected = argument_spans(g.tokens)
         try:
             got = sorted((a.span.first, a.span.last)
-                         for a in extract_arguments(g, pivot_tokens(g)))
+                         for a in main_arguments(g))
         except NoMainVerb:
             got = None
         agreed += (got == expected)

@@ -6,11 +6,16 @@ import pytest
 
 from itirel import (ConlluParseError, NoMainVerb, SentenceGraph,
                     StructureError, TokenSpan, extract_sentence, parse_conllu,
-                    read_conllu, root_verb, span_text)
-from itirel.depgraph import Token, decode_lines, subtree_ids
+                    read_conllu, root_verb)
+from itirel.depgraph import Token, _surface, decode_lines, subtree_ids
 
 from conftest import build
 from oracles import closure, covers, overlaps, to_conllu, whole_span
+
+
+def _text(g, span: TokenSpan) -> str:
+    """A span's surface text, as an argument's text is written."""
+    return _surface(g.span_tokens(span))
 
 
 class TestTokenSpan:
@@ -355,16 +360,16 @@ class TestParsing:
 class TestSpanText:
     def test_elision_gets_no_space(self, gold):
         g = gold["gold-03"]
-        assert span_text(g, TokenSpan(6, 8)) == "j'avais suivi"
-        assert span_text(g, TokenSpan(11, 12)) == "l'ascension"
+        assert _text(g, TokenSpan(6, 8)) == "j'avais suivi"
+        assert _text(g, TokenSpan(11, 12)) == "l'ascension"
 
     def test_punctuation_attaches_left(self, gold):
         g = gold["gold-01"]
-        assert span_text(g, TokenSpan(8, 10)) == "Pau, pour"
+        assert _text(g, TokenSpan(8, 10)) == "Pau, pour"
 
     def test_whole_sentence_matches_text_comment(self, gold):
         g = gold["gold-01"]
-        assert span_text(g, whole_span(g)) == g.text
+        assert _text(g, whole_span(g)) == g.text
 
 
 class TestRootVerb:
@@ -386,12 +391,12 @@ class TestSubtrees:
     def test_subject_yield(self, gold):
         g = gold["gold-01"]
         assert subtree_ids(g, 2) == frozenset(range(1, 6))
-        assert span_text(g, TokenSpan(1, 5)) == "Le frère de mon ami"
+        assert _text(g, TokenSpan(1, 5)) == "Le frère de mon ami"
 
     def test_oblique_yield_includes_its_preposition(self, gold):
         g = gold["gold-01"]
         assert subtree_ids(g, 12) == frozenset(range(9, 16))
-        assert span_text(g, TokenSpan(11, 15)) == "une ville près de Lyon"
+        assert _text(g, TokenSpan(11, 15)) == "une ville près de Lyon"
 
     def test_leaf_yield(self, gold):
         assert subtree_ids(gold["gold-01"], 8) == frozenset({8})

@@ -6,8 +6,9 @@ figure and inclusion kinds never reach them.  ``tests/golden/entities.txt``
 pins the recognizers themselves: for every gold and taxonomy sentence, the
 ``repr`` of ``recognize_spatial`` (strict and loose) and of
 ``recognize_temporal`` on every prefix and every suffix of the sentence and
-on the recognition span of every argument its pivots and its n-ary
-relations give.
+on the recognition span of every argument of its main clause (from
+``oracles.main_arguments``, whether or not a use-case matches) and of its
+n-ary relations.
 
 Rewrite the file, only for an intended change of output, with
 ``PYTHONPATH=src python tests/test_entity_golden.py``.
@@ -16,10 +17,11 @@ Rewrite the file, only for an intended change of output, with
 from pathlib import Path
 
 from itirel import (NoMainVerb, TokenSpan, bundled_lexicon_dir,
-                    extract_arguments, extract_nary, load_lexicons,
-                    parse_conllu, pivot_tokens, recognize_spatial,
-                    recognize_temporal)
+                    extract_nary, load_lexicons, parse_conllu,
+                    recognize_spatial, recognize_temporal)
 from itirel.itinerary import _recognition_span
+
+from oracles import main_arguments
 
 GOLDEN = Path(__file__).parent / "golden" / "entities.txt"
 CORPORA = bundled_lexicon_dir().parent / "gold"
@@ -30,7 +32,7 @@ def _spans(g) -> list[TokenSpan]:
     spans = {TokenSpan(1, last) for last in range(1, n + 1)}
     spans.update(TokenSpan(first, n) for first in range(1, n + 1))
     try:
-        args = extract_arguments(g, pivot_tokens(g))
+        args = main_arguments(g)
     except NoMainVerb:
         args = []
     args += [a for r in extract_nary(g) for a in r.arguments]

@@ -3,22 +3,21 @@ import pytest
 from itirel import (ItineraryRelation, NaryRelation, NoMainVerb,
                     SpatialRelationKind, TemporalRelationKind, UseCaseKind,
                     VerbPolarity, assign_roles, build_document,
-                    detect_displacement, extract_arguments, extract_nary,
-                    extract_sentence, motion_polarity, pivot_tokens,
-                    recognize_spatial, root_verb)
+                    detect_displacement, extract_nary, extract_sentence,
+                    motion_polarity, recognize_spatial, root_verb)
 
 from itirel.itinerary import _SIDES
 from itirel.lexicon import normalize
 
 from conftest import build, figurative_sentence
-from oracles import whole_span
+from oracles import main_arguments, whole_span
 
 
 def _relation(g, lex, lemma=None):
-    """A UC3-shaped relation built from the real pivots/arguments, for
+    """A UC3-shaped relation of the main clause's real arguments, for
     sentences that do not match a use-case pattern on their own."""
     verb = root_verb(g)
-    args = tuple(extract_arguments(g, pivot_tokens(g)))
+    args = tuple(main_arguments(g))
     return NaryRelation(use_case=UseCaseKind.UC3_NO_PRIMARY_ARGUMENT,
                         predicate_lemma=lemma or g.token(verb).lemma,
                         predicate_token=verb, arguments=args)

@@ -1,12 +1,10 @@
 import pytest
 
 from itirel import (Argument, NaryRelation, NoMainVerb, TokenSpan,
-                    UseCaseKind, extract_arguments, extract_nary,
-                    extract_sentence, identify_use_cases, pivot_tokens,
-                    root_verb)
+                    UseCaseKind, extract_nary, extract_sentence, root_verb)
 
 from conftest import build
-from oracles import argument_spans, overlaps
+from oracles import argument_spans, main_arguments, main_use_cases, overlaps
 
 
 def _relativized_enumeration(form, lemma, second):
@@ -26,10 +24,18 @@ def _relativized_enumeration(form, lemma, second):
             (12, ".", ".", "PUNCT", 2, "punct")]
 
 
+def _pivots(rel) -> list[int]:
+    """A relation's pivots in surface order: its predicate, its arguments'
+    heads and their case markers."""
+    return sorted({rel.predicate_token, *(a.pivot for a in rel.arguments),
+                   *(a.case_marker for a in rel.arguments)} - {None})
+
+
 class TestPivots:
     def test_running_example_pivots(self, gold):
         g = gold["gold-01"]
-        pivots = pivot_tokens(g)
+        (rel,) = extract_nary(g)
+        pivots = _pivots(rel)
         assert pivots == [2, 7, 8, 10, 12, 17, 19]
         assert {g.token(p).form for p in pivots} == \
             {"frère", "quitté", "Pau", "pour", "ville", "depuis", "semaines"}
@@ -38,27 +44,35 @@ class TestPivots:
 
     def test_nested_material_is_not_a_pivot(self, gold):
         g = gold["gold-01"]
-        pivots = set(pivot_tokens(g))
+        (rel,) = extract_nary(g)
+        pivots = set(_pivots(rel))
         assert g.token(5).form == "ami" and 5 not in pivots
         assert g.token(15).form == "Lyon" and 15 not in pivots
 
     def test_pivots_contain_main_verb(self, gold, taxonomy):
+        # no clause of the bundled corpora is coordinated to the main one
+        relations = 0
         for g in list(gold.values()) + list(taxonomy.values()):
             try:
                 verb = root_verb(g)
             except NoMainVerb:
                 continue
-            assert verb in pivot_tokens(g)
+            for rel in extract_nary(g):
+                assert rel.predicate_token == verb
+                assert verb in _pivots(rel)
+                relations += 1
+        assert relations == 5
 
     def test_verbless_sentence_raises(self, gold):
         with pytest.raises(NoMainVerb):
-            pivot_tokens(gold["gold-07"])
+            main_arguments(gold["gold-07"])
+        assert extract_nary(gold["gold-07"]) == []
 
 
 class TestArguments:
     def test_running_example_arguments(self, gold):
-        g = gold["gold-01"]
-        args = extract_arguments(g, pivot_tokens(g))
+        (rel,) = extract_nary(gold["gold-01"])
+        args = rel.arguments
         assert [(a.role, a.text) for a in args] == [
             ("subj", "Le frère de mon ami"),
             ("obj", "Pau"),
@@ -74,12 +88,12 @@ class TestArguments:
 
     def test_intransitive_sentence(self, gold):
         g = gold["gold-08"]
-        args = extract_arguments(g, pivot_tokens(g))
+        args = main_arguments(g)
         assert [(a.role, a.text) for a in args] == [("subj", "Je")]
 
     def test_oblique_without_case_keeps_relation_role(self, taxonomy):
         g = taxonomy["tax-t-distance"]
-        args = extract_arguments(g, pivot_tokens(g))
+        args = main_arguments(g)
         assert ("obl", "20 ans") in [(a.role, a.text) for a in args]
 
     def test_spans_disjoint_and_exclude_verb(self, all_graphs):
@@ -88,7 +102,7 @@ class TestArguments:
                 verb = root_verb(g)
             except NoMainVerb:
                 continue
-            args = extract_arguments(g, pivot_tokens(g))
+            args = main_arguments(g)
             for i, a in enumerate(args):
                 assert not a.span.first <= verb <= a.span.last
                 for b in args[i + 1:]:
@@ -100,7 +114,7 @@ class TestArguments:
                    (2, "en", "en", "PRON", 4, "nmod"),
                    (3, "voit", "voir", "VERB", 0, "root"),
                    (4, "trois", "trois", "NOUN", 3, "obj")])
-        (_, obj) = extract_arguments(g, pivot_tokens(g))
+        (_, obj) = main_arguments(g)
         assert obj.flagged and obj.span == TokenSpan(2, 4)
 
     def test_trailing_punctuation_is_trimmed(self):
@@ -113,7 +127,7 @@ class TestArguments:
                    (5, ",", ",", "PUNCT", 4, "punct"),
                    (6, "vers", "vers", "ADP", 7, "case"),
                    (7, "Lyon", "Lyon", "PROPN", 2, "obl")])
-        (_, pau, lyon) = extract_arguments(g, pivot_tokens(g))
+        (_, pau, lyon) = main_arguments(g)
         assert (pau.role, pau.text, pau.span) == ("de", "Pau", TokenSpan(4, 4))
         assert not pau.flagged
         assert (lyon.role, lyon.span) == ("vers", TokenSpan(7, 7))
@@ -125,7 +139,7 @@ class TestArguments:
                    (3, "partes", "partir", "VERB", 4, "csubj"),
                    (4, "surprend", "surprendre", "VERB", 0, "root"),
                    (5, "Marie", "Marie", "PROPN", 4, "obj")])
-        args = extract_arguments(g, pivot_tokens(g))
+        args = main_arguments(g)
         assert [(a.role, a.text) for a in args] == [
             ("subj", "Que tu partes"), ("obj", "Marie")]
 
@@ -140,7 +154,7 @@ class TestArguments:
                    (6, "vers", "vers", "ADP", 7, "case"),
                    (7, "Laruns", "Laruns", "PROPN", 3, "obl")])
         want = ["Il", "Pau", "Laruns"]
-        assert [a.text for a in extract_arguments(g, pivot_tokens(g))] == want
+        assert [a.text for a in main_arguments(g)] == want
         (relation,) = extract_nary(g)
         assert [a.text for a in relation.arguments] == want
 
@@ -151,7 +165,7 @@ class TestArguments:
             expected = argument_spans(g.tokens)
             try:
                 got = sorted((a.span.first, a.span.last)
-                             for a in extract_arguments(g, pivot_tokens(g)))
+                             for a in main_arguments(g))
             except NoMainVerb:
                 got = None
             assert got == expected, g.sent_id
@@ -170,11 +184,11 @@ class TestUseCases:
             "gold-08": [],
         }
         for sid, want in expected.items():
-            assert identify_use_cases(gold[sid]) == want, sid
+            assert [r.use_case for r in extract_nary(gold[sid])] == want, sid
 
-    def test_only_the_main_clause_is_identified(self):
-        # « Il sort de Pau et arrive à Lyon par Tarbes. »: the coordinated
-        # clause gives a UC3 relation that identify_use_cases does not see
+    def test_a_coordinated_clause_is_identified_on_its_own(self):
+        # « Il sort de Pau et arrive à Lyon par Tarbes. »: the main clause
+        # matches no use-case, the coordinated clause gives a UC3 relation
         g = build([(1, "Il", "il", "PRON", 2, "nsubj"),
                    (2, "sort", "sortir", "VERB", 0, "root"),
                    (3, "de", "de", "ADP", 4, "case"),
@@ -186,7 +200,7 @@ class TestUseCases:
                    (9, "par", "par", "ADP", 10, "case"),
                    (10, "Tarbes", "Tarbes", "PROPN", 6, "obl"),
                    (11, ".", ".", "PUNCT", 2, "punct")])
-        assert identify_use_cases(g) == []
+        assert main_use_cases(g) == []
         (rel,) = extract_nary(g)
         assert (rel.use_case, rel.predicate_lemma, rel.predicate_token) == \
             (UseCaseKind.UC3_NO_PRIMARY_ARGUMENT, "arriver", 6)
@@ -197,7 +211,7 @@ class TestUseCases:
         # gold-03 has "pour faire ..." as advcl of the relative verb, not of
         # the main verb: no UC1 at sentence level
         assert UseCaseKind.UC1_ADDITIONAL_INFO \
-            not in identify_use_cases(gold["gold-03"])
+            not in [r.use_case for r in extract_nary(gold["gold-03"])]
 
 
 class TestRelations:
@@ -247,7 +261,7 @@ class TestRelations:
                    (9, "ami", "ami", "NOUN", 10, "nsubj"),
                    (10, "habite", "habiter", "VERB", 2, "advcl"),
                    (11, ".", ".", "PUNCT", 2, "punct")])
-        assert identify_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
+        assert main_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
         (rel,) = extract_nary(g)
         assert rel.use_case is UseCaseKind.UC1_ADDITIONAL_INFO
         assert [(a.role, a.text, a.pivot) for a in rel.arguments] == [
@@ -263,7 +277,7 @@ class TestRelations:
                    (7, "il", "il", "PRON", 8, "nsubj"),
                    (8, "aime", "aimer", "VERB", 5, "acl:relcl"),
                    (9, ".", ".", "PUNCT", 3, "punct")])
-        assert identify_use_cases(g) == [UseCaseKind.UC2_OBJECT_DETAIL]
+        assert main_use_cases(g) == [UseCaseKind.UC2_OBJECT_DETAIL]
         (rel,) = extract_nary(g)
         assert rel.use_case is UseCaseKind.UC2_OBJECT_DETAIL
         assert [(a.role, a.text, a.pivot) for a in rel.arguments] == [
@@ -446,7 +460,7 @@ class TestRelationEquality:
         argument, so each relation would hold the subject alone."""
         rows = self._REASONLESS
         for g in (build(rows), build(rows[:4])):
-            assert identify_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
+            assert main_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
             assert extract_nary(g) == []
         # a reason with a word is an argument besides the subject
         rows = [*rows[:3], (4, "voir", "voir", "VERB", 2, "advcl"),
@@ -474,7 +488,7 @@ class TestRelationEquality:
                 (11, ".", ".", "PUNCT", 9, "nmod"),
                 (12, ";", ";", "PUNCT", 11, "conj")]
         for g in (build(rows), build(rows[:6])):
-            assert identify_use_cases(g) == [UseCaseKind.UC4_ORDERED_LIST]
+            assert main_use_cases(g) == [UseCaseKind.UC4_ORDERED_LIST]
             assert extract_nary(g) == []
 
     def test_a_subject_s_enumeration_is_still_the_subject(self):
@@ -495,7 +509,7 @@ class TestRelationEquality:
                 (12, "pour", "pour", "ADP", 13, "mark"),
                 (13, ".", ".", "PUNCT", 11, "advcl")]
         g = build(rows)
-        assert identify_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
+        assert main_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
         assert extract_nary(g) == []
 
     def test_a_relation_without_arguments_is_not_kept(self):
@@ -504,7 +518,7 @@ class TestRelationEquality:
                 (2, "pour", "pour", "ADP", 3, "mark"),
                 (3, ",", ",", "PUNCT", 1, "advcl")]
         g = build(rows)
-        assert identify_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
+        assert main_use_cases(g) == [UseCaseKind.UC1_ADDITIONAL_INFO]
         assert extract_nary(g) == []
 
     def test_inequality_on_predicate_and_args(self, gold):

@@ -18,14 +18,14 @@ from itirel import (LexiconSet, SentenceGraph, StructureError,
 from itirel import entities
 from itirel.cli import EXIT_CONLLU, EXIT_LEXICON, EXIT_OK, main
 from itirel.depgraph import (NoMainVerb, Token, _surface, decode_lines,
-                             root_verb, span_text, subtree_ids)
+                             root_verb, subtree_ids)
 from itirel.lexicon import (LexiconError, SpatialRelationKind, canon_word,
                             lemma_key, normalize, phrase_index)
-from itirel.nary import _argument, extract_nary, identify_use_cases
+from itirel.nary import _argument, extract_nary
 
 from conftest import _gold_file
 from oracles import (argument_ids, clause_use_cases, closure, covers,
-                     longest_match, main_verb, nary_relations,
+                     longest_match, main_use_cases, main_verb, nary_relations,
                      normalize_two_regex, overlaps, reference_load_gazetteer,
                      reference_parse, reference_surface, save_lexicons,
                      to_conllu, ungated_scan, whole_span)
@@ -86,8 +86,8 @@ _SURFACE_TOKENS = st.lists(st.tuples(st.text(alphabet="'’‘aB", max_size=3),
 @given(rows=_SURFACE_TOKENS)
 def test_surface_text_agrees_with_the_reference(rows):
     """No space before a PUNCT token, none after a form ending in ' or ’,
-    none before the first token: ``_surface`` of the tokens and
-    ``span_text`` of every span give the reference's text."""
+    none before the first token: ``_surface`` of the tokens and of every
+    span's tokens give the reference's text."""
     tokens = tuple(Token(i, form, form, upos, 0 if i == 1 else 1,
                          "root" if i == 1 else "dep")
                    for i, (form, upos) in enumerate(rows, 1))
@@ -97,8 +97,8 @@ def test_surface_text_agrees_with_the_reference(rows):
     g = SentenceGraph(sent_id="surface", text="surface", tokens=tokens)
     for first in range(1, len(tokens) + 1):
         for last in range(first, len(tokens) + 1):
-            assert span_text(g, TokenSpan(first, last)) == reference_surface(
-                tokens[first - 1:last])
+            assert _surface(g.span_tokens(TokenSpan(first, last))) == \
+                reference_surface(tokens[first - 1:last])
 
 
 # the words of the reason markers and of « comme », which marks, case
@@ -192,7 +192,7 @@ def random_clauses(draw):
 @settings(max_examples=400, deadline=None)
 @given(random_clauses())
 def test_use_cases_and_pivots_match_the_naive_walks(lex, g):
-    assert [u.value for u in identify_use_cases(g)] == \
+    assert [u.value for u in main_use_cases(g)] == \
         clause_use_cases(g.tokens, main_verb(g.tokens))
     relations = extract_nary(g)
     # the pipeline hands the n-ary stage the main verb it found
